@@ -11,11 +11,12 @@ in a reproducible canonical order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 Scalar = int | Fraction
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ParseError(ValueError):
@@ -42,37 +43,41 @@ class LinComb:
     """A finite formal sum of basis elements with nonzero rational coefficients.
 
     Instances are treated as immutable: all arithmetic returns fresh objects
-    and zero coefficients are dropped on construction.
+    and zero coefficients are dropped on construction.  ``a + b`` copies
+    ``a``, so a sum of many parts is built with ``LinComb.sum(parts)`` (or
+    ``LinComb(terms)`` for basis-level terms), which fills one dict in place.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable[tuple[Any, Scalar]] = ()):
-        data: dict[Any, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for basis, coeff in items:
-            c = as_fraction(coeff)
-            if not c:
-                continue
-            acc = data.get(basis, _ZERO) + c
-            if acc:
-                data[basis] = acc
-            else:
-                del data[basis]
-        self._terms = data
+        self._terms = {}
+        _accumulate(self._terms, _exact_terms(items))
 
     @classmethod
     def term(cls, basis: Any, coeff: Scalar = 1) -> "LinComb":
-        out = cls.__new__(cls)
         c = as_fraction(coeff)
-        out._terms = {basis: c} if c else {}
-        return out
+        return _wrap({basis: c} if c else {})
 
     @classmethod
     def zero(cls) -> "LinComb":
-        out = cls.__new__(cls)
-        out._terms = {}
-        return out
+        return _wrap({})
+
+    @classmethod
+    def sum(cls, parts: Iterable["LinComb | tuple[LinComb, Scalar]"]) -> "LinComb":
+        """The sum of the parts, each a LinComb or a (LinComb, coeff) pair
+        standing for coeff times it; built in one dict, in one pass."""
+        data: dict[Any, Fraction] = {}
+        for part in parts:
+            if isinstance(part, LinComb):
+                _accumulate(data, part._terms.items())
+            else:
+                x, coeff = part
+                c = as_fraction(coeff)
+                if c:
+                    _accumulate(data, x._terms.items(), c)
+        return _wrap(data)
 
     def items(self):
         return self._terms.items()
@@ -104,15 +109,8 @@ class LinComb:
         if not other:
             return self
         data = dict(self._terms)
-        for b, c in other._terms.items():
-            acc = data.get(b, _ZERO) + c
-            if acc:
-                data[b] = acc
-            else:
-                del data[b]
-        out = LinComb.__new__(LinComb)
-        out._terms = data
-        return out
+        _accumulate(data, other._terms.items())
+        return _wrap(data)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-1) * other
@@ -122,9 +120,7 @@ class LinComb:
 
     def scale(self, coeff: Scalar) -> "LinComb":
         c = as_fraction(coeff)
-        out = LinComb.__new__(LinComb)
-        out._terms = {b: c * v for b, v in self._terms.items()} if c else {}
-        return out
+        return _wrap({b: c * v for b, v in self._terms.items()} if c else {})
 
     def __mul__(self, coeff: Scalar) -> "LinComb":
         return self.scale(coeff)
@@ -137,26 +133,18 @@ class LinComb:
 
     def map_basis(self, f: Callable[[Any], Any]) -> "LinComb":
         """Linear extension of f; f may return a basis element or a LinComb."""
-        total = LinComb.zero()
+        data: dict[Any, Fraction] = {}
         for b, c in self._terms.items():
-            image = f(b)
-            if isinstance(image, LinComb):
-                total = total + image.scale(c)
-            else:
-                total = total + LinComb.term(image, c)
-        return total
+            _add_image(data, f(b), c)
+        return _wrap(data)
 
     def bilinear(self, other: "LinComb", f: Callable[[Any, Any], Any]) -> "LinComb":
         """Bilinear extension of f over pairs of basis elements."""
-        total = LinComb.zero()
+        data: dict[Any, Fraction] = {}
         for b1, c1 in self._terms.items():
             for b2, c2 in other._terms.items():
-                image = f(b1, b2)
-                if isinstance(image, LinComb):
-                    total = total + image.scale(c1 * c2)
-                else:
-                    total = total + LinComb.term(image, c1 * c2)
-        return total
+                _add_image(data, f(b1, b2), c1 * c2)
+        return _wrap(data)
 
     def functional(self, f: Callable[[Any], Scalar]) -> Fraction:
         """Linear extension of a scalar-valued functional."""
@@ -166,9 +154,7 @@ class LinComb:
         return total
 
     def graded_part(self, degree_of: Callable[[Any], int], max_degree: int) -> "LinComb":
-        out = LinComb.__new__(LinComb)
-        out._terms = {b: c for b, c in self._terms.items() if degree_of(b) <= max_degree}
-        return out
+        return _wrap({b: c for b, c in self._terms.items() if degree_of(b) <= max_degree})
 
     def format(self, fmt: Callable[[Any], str] = str) -> str:
         if not self._terms:
@@ -180,6 +166,51 @@ class LinComb:
 
     def __repr__(self) -> str:
         return f"LinComb({self.format()})"
+
+
+def _wrap(data: dict) -> LinComb:
+    """A LinComb owning data, whose coefficients must be nonzero Fractions."""
+    out = LinComb.__new__(LinComb)
+    out._terms = data
+    return out
+
+
+def _exact_terms(items: Iterable[tuple[Any, Scalar]]) -> Iterator[tuple[Any, Fraction]]:
+    for basis, coeff in items:
+        c = as_fraction(coeff)
+        if c:
+            yield basis, c
+
+
+def _add_image(data: dict, image: Any, scale: Fraction) -> None:
+    """Add scale times a map's value on a basis element (a LinComb, or a
+    basis element standing for itself) into data."""
+    if isinstance(image, LinComb):
+        _accumulate(data, image._terms.items(), scale)
+    else:
+        _accumulate(data, ((image, scale),))
+
+
+def _accumulate(data: dict, terms: Iterable[tuple[Any, Fraction]], scale: Fraction = _ONE) -> None:
+    """Add scale * c at each (basis, c) of terms into data, in place.
+
+    The coefficients of terms and scale must be nonzero Fractions; a basis
+    element whose coefficient cancels is removed, so data stays a valid
+    LinComb body.
+    """
+    get = data.get
+    if scale != 1:
+        terms = ((b, scale * c) for b, c in terms)
+    for b, c in terms:
+        old = get(b)
+        if old is None:
+            data[b] = c
+        else:
+            acc = old + c
+            if acc:
+                data[b] = acc
+            else:
+                del data[b]
 
 
 class Tensor:
@@ -217,15 +248,15 @@ def lincomb_tensor(*factors: LinComb) -> LinComb:
 
 def splice_at(x: LinComb, index: int, f: Callable[[Any], LinComb]) -> LinComb:
     """Apply a linear map to one tensor slot, splicing Tensor-valued images in place."""
-    total = LinComb.zero()
+    data: dict[Any, Fraction] = {}
     for t, c in x.items():
         image = f(t.parts[index])
         if not isinstance(image, LinComb):
             image = LinComb.term(image)
-        for s, c2 in image.items():
-            mid = s.parts if isinstance(s, Tensor) else (s,)
-            total = total + LinComb.term(Tensor(t.parts[:index] + mid + t.parts[index + 1:]), c * c2)
-    return total
+        head, tail = t.parts[:index], t.parts[index + 1:]
+        _accumulate(data, ((Tensor(head + (s.parts if isinstance(s, Tensor) else (s,)) + tail), c2)
+                           for s, c2 in image.items()), c)
+    return _wrap(data)
 
 
 def pair_eval(x: LinComb, y: LinComb,

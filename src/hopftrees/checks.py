@@ -58,14 +58,9 @@ def _coassociative(elements: Iterable, cop: Callable) -> tuple[bool, int]:
 def _counit_laws(elements: Iterable, cop: Callable, unit_elem) -> tuple[bool, int]:
     n = 0
     for u in elements:
-        left = LinComb.zero()
-        right = LinComb.zero()
-        for t, c in cop(u).items():
-            a, b = t.parts
-            if a == unit_elem:
-                left = left + LinComb.term(b, c)
-            if b == unit_elem:
-                right = right + LinComb.term(a, c)
+        splits = [(t.parts, c) for t, c in cop(u).items()]
+        left = LinComb((b, c) for (a, b), c in splits if a == unit_elem)
+        right = LinComb((a, c) for (a, b), c in splits if b == unit_elem)
         if left != LinComb.term(u) or right != LinComb.term(u):
             return False, n
         n += 1
@@ -77,12 +72,10 @@ def _antipode_laws(elements: Iterable, cop: Callable, antipode: Callable,
     n = 0
     for u in elements:
         target = LinComb.term(unit_elem) if u == unit_elem else LinComb.zero()
-        left = LinComb.zero()
-        right = LinComb.zero()
-        for t, c in cop(u).items():
-            a, b = t.parts
-            left = left + c * product(antipode(LinComb.term(a)), LinComb.term(b))
-            right = right + c * product(LinComb.term(a), antipode(LinComb.term(b)))
+        splits = [(LinComb.term(t.parts[0]), LinComb.term(t.parts[1]), c)
+                  for t, c in cop(u).items()]
+        left = LinComb.sum((product(antipode(a), b), c) for a, b, c in splits)
+        right = LinComb.sum((product(a, antipode(b)), c) for a, b, c in splits)
         if left != target or right != target:
             return False, n
         n += 1
@@ -234,10 +227,8 @@ def suite_pi_kernel(max_weight: int = 5) -> list[CheckRow]:
     ok = True
     n = 0
     for u in forests:
-        lhs = LinComb.zero()
-        for t, c in coproduct_forest(u).items():
-            a, b = t.parts
-            lhs = lhs + c * lincomb_tensor(pi(a), pi(b))
+        lhs = LinComb.sum((lincomb_tensor(pi(t.parts[0]), pi(t.parts[1])), c)
+                          for t, c in coproduct_forest(u).items())
         if lhs != pi(u).map_basis(deconcat):
             ok = False
         n += 1

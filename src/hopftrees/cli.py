@@ -55,6 +55,17 @@ ALGEBRAS: dict[str, _Algebra] = {
 }
 
 
+def _max_weight(text: str) -> int:
+    """argparse type for --max-weight: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopftrees",
@@ -81,23 +92,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, metavar="FOREST")
 
     p = sub.add_parser("lyndon", help="Lyndon words up to a weight")
-    p.add_argument("--max-weight", type=int, required=True)
+    p.add_argument("--max-weight", type=_max_weight, required=True)
 
     p = sub.add_parser("hall", help="Hall trees with decompositions and Lie elements")
-    p.add_argument("--max-weight", type=int, required=True)
+    p.add_argument("--max-weight", type=_max_weight, required=True)
 
     p = sub.add_parser("zhao", help="the tree elements k_n and eps_n")
-    p.add_argument("--max-weight", type=int, required=True)
+    p.add_argument("--max-weight", type=_max_weight, required=True)
 
     p = sub.add_parser("frame", help="singular frame series export")
-    p.add_argument("--max-weight", type=int, required=True)
+    p.add_argument("--max-weight", type=_max_weight, required=True)
     p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("--suite", required=True,
                    choices=("hopf-axioms", "duality", "pi-kernel", "diagrams",
                             "prop53", "all"))
-    p.add_argument("--max-weight", type=int, required=True)
+    p.add_argument("--max-weight", type=_max_weight, required=True)
 
     return parser
 

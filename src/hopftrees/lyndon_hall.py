@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .algebra import LinComb
 from .trees import Forest, RootedTree, forest, graft, leaf
@@ -370,39 +371,28 @@ def lyndon_poly_decompose(x: LinComb) -> LinComb:
     (prod of multiplicity factorials) * w plus alphabetically smaller words,
     so eliminating the largest remaining word terminates.
     """
-    result = LinComb.zero()
-    by_weight: dict[int, LinComb] = {}
+    terms = []
+    by_weight: dict[int, list] = {}
     for w, c in x.items():
-        by_weight[w.weight] = by_weight.get(w.weight, LinComb.zero()) + LinComb.term(w, c)
+        by_weight.setdefault(w.weight, []).append((w, c))
     for weight in sorted(by_weight):
+        rem = LinComb(by_weight[weight])
         if weight == 0:
             # the constant term is a polynomial in zero generators
-            result = result + LinComb.term(
-                shuffle_monomial(), by_weight[0].coeff(EMPTY_WORD))
+            terms.append((shuffle_monomial(), rem.coeff(EMPTY_WORD)))
             continue
-        rem = by_weight[weight]
         while rem:
             w = max(rem.support(), key=alpha_key)
             factors = lyndon_factorize(w)
             denom = 1
             for _, copies in itertools.groupby(factors, key=alpha_key):
-                denom *= _factorial(len(list(copies)))
+                denom *= factorial(len(list(copies)))
             m = shuffle_monomial(*factors)
             coeff = rem.coeff(w) / denom
-            result = result + LinComb.term(m, coeff)
-            rem = rem - coeff * expand_shuffle_monomial(m)
-    return result
+            terms.append((m, coeff))
+            rem = LinComb.sum([rem, (expand_shuffle_monomial(m), -coeff)])
+    return LinComb(terms)
 
 
 def expand_lyndon_polynomial(p: LinComb) -> LinComb:
-    out = LinComb.zero()
-    for m, c in p.items():
-        out = out + c * expand_shuffle_monomial(m)
-    return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+    return LinComb.sum((expand_shuffle_monomial(m), c) for m, c in p.items())

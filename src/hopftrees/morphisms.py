@@ -81,11 +81,8 @@ def kernel_generators(max_weight: int) -> list[LinComb]:
     for u in forests:
         ts = u.trees
         if len(ts) in (2, 3):
-            gen = LinComb.term(u)
-            for i, t in enumerate(ts):
-                rest = Forest(ts[:i] + ts[i + 1:])
-                gen = gen - LinComb.term(circ(t, rest))
-            out.append(gen)
+            out.append(LinComb([(u, 1)] + [(circ(t, Forest(ts[:i] + ts[i + 1:])), -1)
+                                           for i, t in enumerate(ts)]))
 
     pairs = [u.trees for u in forests if len(u.trees) == 2]
     singles = [u.trees[0] for u in forests if len(u.trees) == 1]
@@ -102,11 +99,8 @@ def kernel_generators(max_weight: int) -> list[LinComb]:
         if len(u.trees) != 3:
             continue
         ts = u.trees
-        gen = LinComb.term(u, -1)
-        for i, t in enumerate(ts):
-            rest = Forest(ts[:i] + ts[i + 1:])
-            gen = gen + LinComb.term(circ(t, rest))
-        out.append(gen)
+        out.append(LinComb([(u, -1)] + [(circ(t, Forest(ts[:i] + ts[i + 1:])), 1)
+                                        for i, t in enumerate(ts)]))
 
     return out
 
@@ -212,11 +206,9 @@ def qsym_counit(x: LinComb | Composition) -> Fraction:
 def _qsym_antipode_comp(c: Composition) -> LinComb:
     if not c.parts:
         return LinComb.term(c)
-    total = LinComb.zero()
-    for k in range(len(c.parts)):
-        total = total + qsym_product(_qsym_antipode_comp(Composition(c.parts[:k])),
-                                     LinComb.term(Composition(c.parts[k:])))
-    return -1 * total
+    return LinComb.sum((qsym_product(_qsym_antipode_comp(Composition(c.parts[:k])),
+                                     LinComb.term(Composition(c.parts[k:]))), -1)
+                       for k in range(len(c.parts)))
 
 
 def qsym_antipode(x: LinComb | Composition) -> LinComb:
@@ -277,11 +269,11 @@ def sym_e_decompose(x: LinComb) -> list[tuple[tuple[int, ...], Fraction]]:
     outside the span (i.e. the input is not symmetric).
     """
     out: list[tuple[tuple[int, ...], Fraction]] = []
-    by_weight: dict[int, LinComb] = {}
+    by_weight: dict[int, list] = {}
     for c, v in x.items():
-        by_weight[c.weight] = by_weight.get(c.weight, LinComb.zero()) + LinComb.term(c, v)
+        by_weight.setdefault(c.weight, []).append((c, v))
     for n in sorted(by_weight):
-        target = by_weight[n]
+        target = LinComb(by_weight[n])
         if n == 0:
             out.append(((), target.coeff(EMPTY_COMPOSITION)))
             continue
@@ -342,10 +334,8 @@ def alpha3(x: LinComb | Word) -> LinComb:
 
 def alpha4(x: LinComb | Composition) -> LinComb:
     """SYM -> forests: e_n to the unlabeled ladder l_n."""
-    out = LinComb.zero()
-    for mu, c in sym_e_decompose(_aslc(x)):
-        out = out + LinComb.term(Forest(tuple(ladder(p) for p in mu)), c)
-    return out
+    return LinComb((Forest(tuple(ladder(p) for p in mu)), c)
+                   for mu, c in sym_e_decompose(_aslc(x)))
 
 
 def _ladder_branch_sizes(t: PlanarTree | RootedTree) -> tuple[int, ...] | None:
@@ -418,12 +408,8 @@ def zhao_k(n: int) -> LinComb:
 def zhao_eps(n: int) -> LinComb:
     if n == 0:
         return gl_unit()
-    out = LinComb.zero()
-    sign = 1
-    for i in range(1, n + 1):
-        out = out + sign * gl_product(zhao_k(i), zhao_eps(n - i))
-        sign = -sign
-    return out
+    return LinComb.sum((gl_product(zhao_k(i), zhao_eps(n - i)), (-1) ** (i + 1))
+                       for i in range(1, n + 1))
 
 
 def zhao_Z(x: LinComb | Word) -> LinComb:
@@ -513,10 +499,7 @@ def rho(x: LinComb | Forest, max_weight: int) -> LinComb:
     weight <= max_weight."""
 
     def on_forest(u: Forest) -> LinComb:
-        out = LinComb.zero()
-        for v in forest_labelings(u, max_weight):
-            out = out + pi(v)
-        return out
+        return LinComb.sum(pi(v) for v in forest_labelings(u, max_weight))
 
     return _aslc(x).map_basis(on_forest)
 
@@ -563,10 +546,7 @@ def beta2(x: LinComb | PlanarForest, max_weight: int) -> LinComb:
     """Ordered forests -> words: sum of pi over slot-wise labelings."""
 
     def on_forest(u: PlanarForest) -> LinComb:
-        out = LinComb.zero()
-        for v in planar_slot_labelings(u, max_weight):
-            out = out + pi(v)
-        return out
+        return LinComb.sum(pi(v) for v in planar_slot_labelings(u, max_weight))
 
     return _aslc(x).map_basis(on_forest)
 
@@ -578,14 +558,14 @@ def beta4(x: LinComb | Composition, max_weight: int) -> LinComb:
         return LinComb((w, 1) for k in range(n, max_weight + 1)
                        for w in words_of_weight(k) if len(w) == n)
 
-    out = LinComb.zero()
-    for mu, c in sym_e_decompose(_aslc(x)):
+    def e_image(mu: tuple[int, ...]) -> LinComb:
         prod = LinComb.term(EMPTY_WORD)
         for p in mu:
             prod = shuffle(prod, letter_sum(p))
             prod = prod.graded_part(lambda w: w.weight, max_weight)
-        out = out + c * prod
-    return out
+        return prod
+
+    return LinComb.sum((e_image(mu), c) for mu, c in sym_e_decompose(_aslc(x)))
 
 
 def beta2_star(n: int) -> LinComb:

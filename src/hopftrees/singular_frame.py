@@ -21,7 +21,7 @@ from .lyndon_hall import HallTree, hall_polynomial, hall_set
 from .morphisms import eword_str
 from .tree_hopf import coproduct_forest
 from .trees import EMPTY_FOREST, Forest, RootedTree, linear_extensions, sym_order
-from .words import EMPTY_WORD, Word, concat, words_of_weight
+from .words import EMPTY_WORD, Word, words_of_weight
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -120,12 +120,17 @@ def _alphaU_poly(t: RootedTree) -> UnivariatePoly:
     return g.weighted_integral(t.label)
 
 
+@lru_cache(maxsize=None)
+def _alphaU_tree(t: RootedTree) -> Fraction:
+    return _alphaU_poly(t).eval(1)
+
+
 def alphaU(u: Forest) -> Fraction:
     """alpha^U by the integral recursion: polynomials all the way up,
     evaluated at 1 only at the end."""
     total = _ONE
     for t in u.trees:
-        total *= _alphaU_poly(t).eval(1)
+        total *= _alphaU_tree(t)
     return total
 
 
@@ -272,22 +277,40 @@ def _truncate_words(x: LinComb, max_weight: int) -> LinComb:
     return x.graded_part(lambda w: w.weight, max_weight)
 
 
+def _concat_truncated(x: LinComb, by_weight: list[tuple[Word, Fraction]],
+                      max_weight: int) -> LinComb:
+    """The weight <= max_weight part of concat(x, y), y given as its terms
+    sorted by weight; pairs past the bound are never formed."""
+
+    def terms():
+        for u, c in x.items():
+            room = max_weight - u.weight
+            for v, d in by_weight:
+                if v.weight > room:
+                    break
+                yield u.concat(v), c * d
+
+    return LinComb(terms())
+
+
 def exp_concat(x: LinComb, max_weight: int) -> LinComb:
     """Exponential in the concatenation algebra, truncated by weight.
 
     Requires every term of x to have positive weight.
     """
-    if any(w.weight == 0 for w in x.support()):
+    if any(w.weight == 0 for w, _ in x.items()):
         raise ValueError("exponent must vanish in weight zero")
-    x = _truncate_words(x, max_weight)
-    out = LinComb.term(EMPTY_WORD)
+    by_weight = sorted(_truncate_words(x, max_weight).items(), key=lambda wc: wc[0].weight)
+    parts = [LinComb.term(EMPTY_WORD)]
     power = LinComb.term(EMPTY_WORD)
     fact = 1
     for k in range(1, max_weight + 1):
-        power = _truncate_words(concat(power, x), max_weight)
+        power = _concat_truncated(power, by_weight, max_weight)
+        if not power:
+            break
         fact *= k
-        out = out + power.scale(Fraction(1, fact))
-    return out
+        parts.append((power, Fraction(1, fact)))
+    return LinComb.sum(parts)
 
 
 def prop53_check(max_weight: int, bracket: str = "rl") -> bool:
@@ -297,11 +320,8 @@ def prop53_check(max_weight: int, bracket: str = "rl") -> bool:
     Exact for every weight with the default bracket orientation; the
     flipped orientation first fails at weight 3.
     """
-    lhs = LinComb.term(EMPTY_WORD)
-    for n in range(1, max_weight + 1):
-        for w in words_of_weight(n):
-            lhs = lhs + LinComb.term(w, frame_coefficient(w))
-    rep = LinComb.zero()
-    for t, c in hall_representation(max_weight).items():
-        rep = rep + c * hall_polynomial(t, bracket)
+    words = [w for n in range(1, max_weight + 1) for w in words_of_weight(n)]
+    lhs = LinComb([(EMPTY_WORD, 1)] + [(w, frame_coefficient(w)) for w in words])
+    rep = LinComb.sum((hall_polynomial(t, bracket), c)
+                      for t, c in hall_representation(max_weight).items())
     return lhs == exp_concat(rep, max_weight)

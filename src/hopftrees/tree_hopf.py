@@ -84,10 +84,9 @@ def coproduct_forest(u: Forest) -> LinComb:
     """Coproduct of a basis forest, as a sum of Forest (x) Forest tensors."""
     total = LinComb.term(Tensor((EMPTY_FOREST, EMPTY_FOREST)))
     for t in u.trees:
-        one = LinComb.zero()
-        for pruned, trunk, mult in _tree_splits(t):
-            right = EMPTY_FOREST if trunk is None else Forest((trunk,))
-            one = one + LinComb.term(Tensor((pruned, right)), mult)
+        one = LinComb(
+            (Tensor((pruned, EMPTY_FOREST if trunk is None else Forest((trunk,)))), mult)
+            for pruned, trunk, mult in _tree_splits(t))
         total = total.bilinear(one, lambda a, b: Tensor(
             (forest_mul(a.parts[0], b.parts[0]), forest_mul(a.parts[1], b.parts[1]))))
     return total
@@ -103,13 +102,12 @@ def ck_counit(x: LinComb | Forest) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _antipode_tree(t: RootedTree) -> LinComb:
-    total = LinComb.term(Forest((t,)), -1)
+    parts = [(LinComb.term(Forest((t,))), -1)]
     for pruned, trunk, mult in _tree_splits(t):
-        if trunk is None or not pruned.trees:
-            continue
-        total = total - mult * ck_product(ck_antipode(LinComb.term(pruned)),
-                                          LinComb.term(Forest((trunk,))))
-    return total
+        if trunk is not None and pruned.trees:
+            parts.append((ck_product(ck_antipode(LinComb.term(pruned)),
+                                     LinComb.term(Forest((trunk,)))), -mult))
+    return LinComb.sum(parts)
 
 
 def ck_antipode(x: LinComb | Forest) -> LinComb:
@@ -130,11 +128,9 @@ def cut_coproduct_tree(t: RootedTree) -> LinComb:
     Independent of the split recursion; used to cross-check it.
     """
     from .trees import admissible_cuts
-    total = LinComb.term(Tensor((Forest((t,)), EMPTY_FOREST)))
-    total = total + LinComb.term(Tensor((EMPTY_FOREST, Forest((t,)))))
-    for cut in admissible_cuts(t):
-        total = total + LinComb.term(Tensor((cut.pruned, Forest((cut.trunk,)))))
-    return total
+    tensors = [Tensor((Forest((t,)), EMPTY_FOREST)), Tensor((EMPTY_FOREST, Forest((t,))))]
+    tensors += (Tensor((cut.pruned, Forest((cut.trunk,)))) for cut in admissible_cuts(t))
+    return LinComb((x, 1) for x in tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +151,19 @@ def _attach(t: RootedTree, grafts: Mapping[tuple[int, ...], tuple[RootedTree, ..
     return RootedTree(t.label, tuple(new_children) + tuple(grafts.get((), ())))
 
 
+def _attachments(t: RootedTree, s: RootedTree) -> Iterable[RootedTree]:
+    """s with each branch of t attached at a vertex, over all assignments."""
+    for assignment in itertools.product(_addresses(s), repeat=len(t.children)):
+        grafts: dict[tuple[int, ...], tuple[RootedTree, ...]] = {}
+        for branch, spot in zip(t.children, assignment):
+            grafts[spot] = grafts.get(spot, ()) + (branch,)
+        yield _attach(s, grafts)
+
+
 def gl_product(x: LinComb | RootedTree, y: LinComb | RootedTree) -> LinComb:
     """Sum over all ways to attach each branch of the left tree at a vertex
     of the right tree."""
-
-    def on_pair(t: RootedTree, s: RootedTree) -> LinComb:
-        spots = _addresses(s)
-        total = LinComb.zero()
-        for assignment in itertools.product(spots, repeat=len(t.children)):
-            grafts: dict[tuple[int, ...], tuple[RootedTree, ...]] = {}
-            for branch, spot in zip(t.children, assignment):
-                grafts[spot] = grafts.get(spot, ()) + (branch,)
-            total = total + LinComb.term(_attach(s, grafts))
-        return total
-
-    return _aslc(x).bilinear(_aslc(y), on_pair)
+    return _aslc(x).bilinear(_aslc(y), lambda t, s: LinComb((r, 1) for r in _attachments(t, s)))
 
 
 GL_UNIT_TREE = leaf()
@@ -184,13 +178,12 @@ def gl_coproduct(x: LinComb | RootedTree) -> LinComb:
 
     def on_tree(t: RootedTree) -> LinComb:
         k = len(t.children)
-        total = LinComb.zero()
+        terms = []
         for mask in range(1 << k):
             left = tuple(c for i, c in enumerate(t.children) if mask >> i & 1)
             right = tuple(c for i, c in enumerate(t.children) if not mask >> i & 1)
-            total = total + LinComb.term(
-                Tensor((RootedTree(t.label, left), RootedTree(t.label, right))))
-        return total
+            terms.append((Tensor((RootedTree(t.label, left), RootedTree(t.label, right))), 1))
+        return LinComb(terms)
 
     return _aslc(x).map_basis(on_tree)
 
@@ -206,13 +199,12 @@ def _gl_antipode_tree(t: RootedTree) -> LinComb:
         raise ValueError(f"attachment antipode needs an unlabeled root, got {t}")
     if t == GL_UNIT_TREE:
         return gl_unit()
-    total = LinComb.term(t, -1)
+    parts = [(LinComb.term(t), -1)]
     for ten, c in gl_coproduct(LinComb.term(t)).items():
         left, right = ten.parts
-        if left == GL_UNIT_TREE or right == GL_UNIT_TREE:
-            continue
-        total = total - c * gl_product(_gl_antipode_tree(left), LinComb.term(right))
-    return total
+        if left != GL_UNIT_TREE and right != GL_UNIT_TREE:
+            parts.append((gl_product(_gl_antipode_tree(left), LinComb.term(right)), -c))
+    return LinComb.sum(parts)
 
 
 def gl_antipode(x: LinComb | RootedTree) -> LinComb:
@@ -256,10 +248,7 @@ def planar_diamond(x: LinComb | PlanarTree, y: LinComb | PlanarTree) -> LinComb:
     """Shuffle the root-branch sequences of the two trees."""
 
     def on_pair(t: PlanarTree, s: PlanarTree) -> LinComb:
-        total = LinComb.zero()
-        for seq in _seq_shuffles(t.children, s.children):
-            total = total + LinComb.term(PlanarTree(None, seq))
-        return total
+        return LinComb((PlanarTree(None, seq), 1) for seq in _seq_shuffles(t.children, s.children))
 
     return _aslc(x).bilinear(_aslc(y), on_pair)
 
@@ -281,12 +270,12 @@ def _diamond_antipode_tree(t: PlanarTree) -> LinComb:
         raise ValueError(f"branch-shuffle antipode needs an unlabeled root, got {t}")
     if not t.children:
         return LinComb.term(t)
-    total = LinComb.term(t, -1)
+    parts = [(LinComb.term(t), -1)]
     for k in range(1, len(t.children)):
         left = PlanarTree(None, t.children[:k])
         right = PlanarTree(None, t.children[k:])
-        total = total - planar_diamond(_diamond_antipode_tree(left), LinComb.term(right))
-    return total
+        parts.append((planar_diamond(_diamond_antipode_tree(left), LinComb.term(right)), -1))
+    return LinComb.sum(parts)
 
 
 def planar_diamond_antipode(x: LinComb | PlanarTree) -> LinComb:
@@ -329,10 +318,10 @@ def _planar_tree_splits(t: PlanarTree) -> tuple[tuple[PlanarForest, PlanarTree |
 def _foissy_coproduct_forest(u: PlanarForest) -> LinComb:
     total = LinComb.term(Tensor((EMPTY_PLANAR_FOREST, EMPTY_PLANAR_FOREST)))
     for t in u.trees:
-        one = LinComb.zero()
-        for pruned, trunk, mult in _planar_tree_splits(t):
-            right = EMPTY_PLANAR_FOREST if trunk is None else PlanarForest((trunk,))
-            one = one + LinComb.term(Tensor((pruned, right)), mult)
+        one = LinComb(
+            (Tensor((pruned, EMPTY_PLANAR_FOREST if trunk is None else PlanarForest((trunk,)))),
+             mult)
+            for pruned, trunk, mult in _planar_tree_splits(t))
         total = total.bilinear(one, lambda a, b: Tensor(
             (planar_concat(a.parts[0], b.parts[0]), planar_concat(a.parts[1], b.parts[1]))))
     return total
@@ -348,13 +337,12 @@ def foissy_counit(x: LinComb | PlanarForest) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _foissy_antipode_tree(t: PlanarTree) -> LinComb:
-    total = LinComb.term(PlanarForest((t,)), -1)
+    parts = [(LinComb.term(PlanarForest((t,))), -1)]
     for pruned, trunk, mult in _planar_tree_splits(t):
-        if trunk is None or not pruned.trees:
-            continue
-        total = total - mult * foissy_product(
-            foissy_antipode(LinComb.term(pruned)), LinComb.term(PlanarForest((trunk,))))
-    return total
+        if trunk is not None and pruned.trees:
+            parts.append((foissy_product(foissy_antipode(LinComb.term(pruned)),
+                                         LinComb.term(PlanarForest((trunk,)))), -mult))
+    return LinComb.sum(parts)
 
 
 def foissy_antipode(x: LinComb | PlanarForest) -> LinComb:
@@ -469,10 +457,9 @@ def _coproduct_lc(target: CocycleTarget, x: LinComb) -> LinComb:
 def _check_cocycle(target: CocycleTarget, label: int | None, x: LinComb, probe: object) -> None:
     L = target.cocycles[label]
     lhs = _coproduct_lc(target, L(x))
-    rhs = lincomb_tensor(L(x), target.unit)
-    for t, c in _coproduct_lc(target, x).items():
-        a, b = t.parts
-        rhs = rhs + c * lincomb_tensor(LinComb.term(a), L(LinComb.term(b)))
+    rhs = LinComb.sum([lincomb_tensor(L(x), target.unit)]
+                      + [(lincomb_tensor(LinComb.term(t.parts[0]), L(LinComb.term(t.parts[1]))), c)
+                         for t, c in _coproduct_lc(target, x).items()])
     if lhs != rhs:
         raise CocycleLawError(
             f"cocycle law fails for label {label!r} at probe element {probe}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import ParseError
@@ -175,7 +176,7 @@ def sym_order(x: RootedTree | Forest) -> int:
     trees = x.children if isinstance(x, RootedTree) else x.trees
     out = 1
     for t, mult in _multiplicities(trees):
-        out *= _factorial(mult) * sym_order(t) ** mult
+        out *= factorial(mult) * sym_order(t) ** mult
     return out
 
 
@@ -186,7 +187,7 @@ def per_count(x: RootedTree | Forest) -> int:
         return per_count(Forest(x.children))
     out = 1
     for t, mult in _multiplicities(x.trees):
-        out *= _factorial(mult) * per_count(t) ** mult
+        out *= factorial(mult) * per_count(t) ** mult
     return out
 
 
@@ -197,13 +198,6 @@ def _multiplicities(trees: Sequence[RootedTree]) -> list[tuple[RootedTree, int]]
             out[-1] = (t, out[-1][1] + 1)
         else:
             out.append((t, 1))
-    return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
     return out
 
 

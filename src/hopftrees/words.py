@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from typing import Iterable, Iterator, Literal
 
 from .algebra import LinComb, ParseError, Tensor
@@ -163,12 +164,12 @@ def _qshuffle(w1: Word, w2: Word, pairing: Pairing) -> LinComb:
         return LinComb.term(w1)
     a, u = w1.letters[0], w1[1:]
     b, v = w2.letters[0], w2[1:]
-    total = _qshuffle(u, w2, pairing).map_basis(lambda t: Word((a,) + t.letters))
-    total = total + _qshuffle(w1, v, pairing).map_basis(lambda t: Word((b,) + t.letters))
+    branches = [(a, _qshuffle(u, w2, pairing)), (b, _qshuffle(w1, v, pairing))]
     merged = bracket_letters(a, b, pairing)
     if merged is not None:
-        total = total + _qshuffle(u, v, pairing).map_basis(lambda t: Word((merged,) + t.letters))
-    return total
+        branches.append((merged, _qshuffle(u, v, pairing)))
+    return LinComb((Word((first,) + t.letters), c)
+                   for first, rest in branches for t, c in rest.items())
 
 
 def quasi_shuffle(x: LinComb | Word, y: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
@@ -206,10 +207,9 @@ def word_counit(x: LinComb) -> Fraction:
 def _antipode_rec(w: Word, pairing: Pairing) -> LinComb:
     if not w.letters:
         return LinComb.term(w)
-    total = LinComb.zero()
-    for k in range(len(w.letters)):
-        total = total + quasi_shuffle(_antipode_rec(w[:k], pairing), LinComb.term(w[k:]), pairing)
-    return -1 * total
+    return LinComb.sum(
+        (quasi_shuffle(_antipode_rec(w[:k], pairing), LinComb.term(w[k:]), pairing), -1)
+        for k in range(len(w.letters)))
 
 
 def word_antipode(x: LinComb | Word, pairing: Pairing) -> LinComb:
@@ -242,12 +242,8 @@ def word_antipode_closed(x: LinComb | Word, pairing: Pairing) -> LinComb:
     def on_word(w: Word) -> LinComb:
         n = len(w.letters)
         rev = Word(tuple(reversed(w.letters)))
-        total = LinComb.zero()
-        for parts in compositions(n):
-            v = compose_word(parts, rev, pairing)
-            if v is not None:
-                total = total + LinComb.term(v, (-1) ** n)
-        return total
+        images = (compose_word(parts, rev, pairing) for parts in compositions(n))
+        return LinComb((v, (-1) ** n) for v in images if v is not None)
 
     return x.map_basis(on_word)
 
@@ -258,15 +254,12 @@ def hoffman_tau(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
         x = LinComb.term(x)
 
     def on_word(w: Word) -> LinComb:
-        total = LinComb.zero()
+        terms = []
         for parts in compositions(len(w.letters)):
             v = compose_word(parts, w, pairing)
             if v is not None:
-                denom = 1
-                for p in parts:
-                    denom *= _factorial(p)
-                total = total + LinComb.term(v, Fraction(1, denom))
-        return total
+                terms.append((v, Fraction(1, prod(factorial(p) for p in parts))))
+        return LinComb(terms)
 
     return x.map_basis(on_word)
 
@@ -278,24 +271,14 @@ def hoffman_psi(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
 
     def on_word(w: Word) -> LinComb:
         n = len(w.letters)
-        total = LinComb.zero()
+        terms = []
         for parts in compositions(n):
             v = compose_word(parts, w, pairing)
             if v is not None:
-                denom = 1
-                for p in parts:
-                    denom *= p
-                total = total + LinComb.term(v, Fraction((-1) ** (n - len(parts)), denom))
-        return total
+                terms.append((v, Fraction((-1) ** (n - len(parts)), prod(parts))))
+        return LinComb(terms)
 
     return x.map_basis(on_word)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def dual_delta(x: LinComb | Word, pairing: Pairing) -> LinComb:
@@ -308,14 +291,10 @@ def dual_delta(x: LinComb | Word, pairing: Pairing) -> LinComb:
         x = LinComb.term(x)
 
     def on_word(w: Word) -> LinComb:
-        total = LinComb.zero()
-        for a in range(w.weight + 1):
-            for u in words_of_weight(a):
-                for v in words_of_weight(w.weight - a):
-                    c = quasi_shuffle(u, v, pairing).coeff(w)
-                    if c:
-                        total = total + LinComb.term(Tensor((u, v)), c)
-        return total
+        return LinComb((Tensor((u, v)), quasi_shuffle(u, v, pairing).coeff(w))
+                       for a in range(w.weight + 1)
+                       for u in words_of_weight(a)
+                       for v in words_of_weight(w.weight - a))
 
     return x.map_basis(on_word)
 
@@ -337,10 +316,8 @@ def tau_star(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
         x = LinComb.term(x)
 
     def on_letter(k: int) -> LinComb:
-        total = LinComb.zero()
-        for parts in _letter_star_images(k):
-            total = total + LinComb.term(Word(parts), Fraction(1, _factorial(len(parts))))
-        return total
+        return LinComb((Word(parts), Fraction(1, factorial(len(parts))))
+                       for parts in _letter_star_images(k))
 
     def on_word(w: Word) -> LinComb:
         total = LinComb.term(EMPTY_WORD)
@@ -359,11 +336,8 @@ def psi_star(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
         x = LinComb.term(x)
 
     def on_letter(k: int) -> LinComb:
-        total = LinComb.zero()
-        for parts in _letter_star_images(k):
-            n = len(parts)
-            total = total + LinComb.term(Word(parts), Fraction((-1) ** (n - 1), n))
-        return total
+        return LinComb((Word(parts), Fraction((-1) ** (len(parts) - 1), len(parts)))
+                       for parts in _letter_star_images(k))
 
     def on_word(w: Word) -> LinComb:
         total = LinComb.term(EMPTY_WORD)
@@ -381,8 +355,6 @@ def lie_bracket(x: LinComb | Word, y: LinComb | Word) -> LinComb:
 
 def is_lie_polynomial(x: LinComb) -> bool:
     """Primitivity test under the shuffle-dual coproduct on the concatenation side."""
-    expected = LinComb.zero()
-    for w, c in x.items():
-        expected = expected + LinComb.term(Tensor((w, EMPTY_WORD)), c)
-        expected = expected + LinComb.term(Tensor((EMPTY_WORD, w)), c)
+    expected = LinComb((Tensor(parts), c) for w, c in x.items()
+                       for parts in ((w, EMPTY_WORD), (EMPTY_WORD, w)))
     return dual_delta(x, ZERO) == expected

@@ -139,3 +139,49 @@ def test_map_basis_is_linear(x, y):
 def test_bilinear_respects_scaling(x, y):
     f = lambda a, b: a + b
     assert x.scale(2).bilinear(y, f) == x.bilinear(y, f).scale(2)
+
+
+# ---------------------------------------------------------------------------
+# the in-place accumulator against the naive fold of `+`
+
+def _fold(parts):
+    total = LinComb.zero()
+    for part in parts:
+        x, c = part if isinstance(part, tuple) else (part, 1)
+        total = total + x.scale(c)
+    return total
+
+
+def _naive_image(image):
+    return image if isinstance(image, LinComb) else LinComb.term(image)
+
+
+parts_lists = st.lists(st.one_of(lincombs, st.tuples(lincombs, rationals)), max_size=6)
+images = st.one_of(lincombs, st.sampled_from("abcd"))
+
+
+@given(parts_lists)
+def test_sum_equals_the_fold_of_addition(parts):
+    assert LinComb.sum(parts) == _fold(parts)
+
+
+@given(parts_lists, st.data())
+def test_sum_drops_parts_that_cancel(parts, data):
+    negated = [(p, -1) if isinstance(p, LinComb) else (p[0], -p[1]) for p in parts]
+    mixed = data.draw(st.permutations(parts + negated))
+    total = LinComb.sum(mixed)
+    assert total == _fold(mixed) == LinComb.zero()
+    assert len(total) == 0
+
+
+@given(lincombs, st.fixed_dictionaries({b: images for b in "abcd"}))
+def test_map_basis_equals_the_naive_fold(x, table):
+    naive = _fold((_naive_image(table[b]), c) for b, c in x.items())
+    assert x.map_basis(table.__getitem__) == naive
+
+
+@given(lincombs, lincombs, st.fixed_dictionaries({a + b: images for a in "abcd" for b in "abcd"}))
+def test_bilinear_equals_the_naive_fold(x, y, table):
+    naive = _fold((_naive_image(table[a + b]), c1 * c2)
+                  for a, c1 in x.items() for b, c2 in y.items())
+    assert x.bilinear(y, lambda a, b: table[a + b]) == naive

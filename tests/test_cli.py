@@ -152,6 +152,22 @@ def test_missing_subcommand_is_a_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["lyndon", "--max-weight", "-1"],
+    ["hall", "--max-weight", "0"],
+    ["zhao", "--max-weight", "0"],
+    ["frame", "--max-weight", "0"],
+    ["check", "--suite", "prop53", "--max-weight", "-3"],
+])
+def test_max_weight_below_one_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(f"argument --max-weight: must be >= 1, got {argv[-1]}")
+
+
 # ---------------------------------------------------------------------------
 # golden files and determinism
 

@@ -4,6 +4,7 @@ functional calculus, and the Hall-polynomial representation."""
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -35,7 +36,7 @@ from hopftrees.trees import (
     labeled_ladder,
     leaf,
 )
-from hopftrees.words import EMPTY_WORD, concat, word, words_of_weight
+from hopftrees.words import EMPTY_WORD, Word, concat, word, words_of_weight
 
 rationals = st.fractions(max_denominator=6)
 small_polys = st.lists(rationals, max_size=5).map(
@@ -135,6 +136,16 @@ def test_alphaU_agrees_with_the_linear_extension_sum():
 def test_alphaU_needs_labels():
     with pytest.raises(ValueError, match="labeled"):
         alphaU(forest(leaf()))
+
+
+def test_alphaU_memo_keeps_rejecting_unlabeled_trees():
+    half_labeled = bplus(forest(leaf()), 1)
+    assert alphaU(forest(leaf(1))) == 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="labeled"):
+            alphaU(forest(half_labeled))
+        with pytest.raises(ValueError, match="labeled"):
+            alphaU(forest(leaf(1), leaf()))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +311,25 @@ def test_exp_concat_small_case():
         + LinComb.term(word(1, 1, 1), Fraction(1, 6))
     )
     assert got == want
+
+
+def _exp_concat_by_full_products(x, max_weight):
+    # the untruncated route: build each full concatenation, then cut by weight
+    out = LinComb.term(EMPTY_WORD)
+    power = LinComb.term(EMPTY_WORD)
+    for k in range(1, max_weight + 1):
+        power = _truncate(concat(power, x), max_weight)
+        out = out + power.scale(Fraction(1, factorial(k)))
+    return out
+
+
+positive_words = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(Word)
+
+
+@given(st.lists(st.tuples(positive_words, rationals), max_size=5).map(LinComb),
+       st.integers(1, 6))
+def test_exp_concat_matches_the_full_product_route(x, max_weight):
+    assert exp_concat(x, max_weight) == _exp_concat_by_full_products(x, max_weight)
 
 
 def test_exp_concat_rejects_constant_terms():
