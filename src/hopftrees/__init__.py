@@ -21,8 +21,8 @@ from .singular_frame import (FrameSeries, FrameTerm, UnivariatePoly, alphaU,
                              prop53_check)
 from .tree_hopf import (Character, CocycleLawError, CocycleTarget,
                         InfinitesimalCharacter, char_convolution, char_exp,
-                        ck_antipode, ck_coproduct, ck_counit, ck_gl_pairing,
-                        ck_product, ck_target, coproduct_forest,
+                        ck_antipode, ck_coproduct, ck_counit, ck_gl_dual,
+                        ck_gl_pairing, ck_product, ck_target, coproduct_forest,
                         cut_coproduct_tree, foissy_antipode, foissy_coproduct,
                         foissy_product, gl_antipode, gl_coproduct, gl_counit,
                         gl_product, gl_unit, pair_gl_ck, planar_diamond,

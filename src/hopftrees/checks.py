@@ -8,22 +8,21 @@ informational (report-only) and never fails a run.  The suites back the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .algebra import LinComb, lincomb_tensor, splice_at
+from .algebra import LinComb, Tensor, lincomb_tensor, splice_at
 from .lyndon_hall import hall_axiom_report
 from .morphisms import DIAGRAMS, diagram_check, kernel_generators, pi
 from .singular_frame import (alphaU, alphaU_word_sum, betaU, frame_coefficient,
                              iterated_integral, prop53_check)
-from .tree_hopf import (ck_antipode, ck_gl_pairing, ck_product, coproduct_forest,
+from .tree_hopf import (ck_antipode, ck_gl_dual, ck_product, coproduct_forest,
                         foissy_antipode, foissy_coproduct, foissy_product,
                         gl_coproduct, gl_product, shuffle_target,
                         universal_cocycle_map)
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, bplus,
                     enumerate_forests, enumerate_planar_forests, enumerate_trees,
                     forest, forest_mul, labeled_forests_of_weight,
-                    labeled_forests_up_to_weight, labeled_ladder)
+                    labeled_forests_up_to_weight, labeled_ladder, sym_order)
 from .words import (ADDITIVE, EMPTY_WORD, ZERO, concat, deconcat,
                     quasi_shuffle, shuffle, word, word_antipode,
                     words_up_to_weight)
@@ -128,54 +127,78 @@ def suite_hopf_axioms(ck_vertices: int = 6, labeled_weight: int = 5,
 # ---------------------------------------------------------------------------
 # duality of the attachment and cut structures
 
-def _pair_tensor(x, y, d: LinComb) -> Fraction:
-    total = Fraction(0)
-    for t, c in d.items():
-        total += c * ck_gl_pairing(x, t.parts[0]) * ck_gl_pairing(y, t.parts[1])
-    return total
+def _product_vs_coproduct(trees: list, forests: list) -> tuple[int, str | None]:
+    """<x o y, f> = <x (x) y, cop f>, each side one coefficient lookup.
+
+    Only B+_a(f), a the root label of y, pairs with f on the left; only
+    strip(x) (x) strip(y) pairs with x (x) y on the right.  Returns the
+    number of triples that agree before the first failure, and that
+    failure (None if every triple agrees).
+    """
+    n = 0
+    for d, fs in enumerate(forests):
+        syms = [sym_order(f) for f in fs]
+        cops = [coproduct_forest(f) for f in fs]
+        grafted: dict = {}
+        for d1 in range(d + 1):
+            for x in trees[d1]:
+                ux, sx = ck_gl_dual(x)
+                for y in trees[d - d1]:
+                    uy, sy = ck_gl_dual(y)
+                    p = gl_product(x, y)
+                    key, sxy = Tensor((ux, uy)), sx * sy
+                    if y.label not in grafted:
+                        grafted[y.label] = [bplus(f, y.label) for f in fs]
+                    for f, bf, sf, df in zip(fs, grafted[y.label], syms, cops):
+                        a, b = p.coeff(bf), df.coeff(key)
+                        if (a or b) and a * sf != b * sxy:
+                            return n, (f"x={x}, y={y}, f={f}: <x o y, f> = {a * sf}, "
+                                       f"<x (x) y, cop f> = {b * sxy}")
+                        n += 1
+    return n, None
+
+
+def _coproduct_vs_product(trees: list, forests: list) -> tuple[int, str | None]:
+    """<cop x, u (x) v> = <x, uv>, each side one coefficient lookup.
+
+    Only B+_a(u) (x) B+_a(v), a the root label of x, pairs with u (x) v on
+    the left; x pairs only with strip(x) on the right.  Returns as
+    _product_vs_coproduct does.
+    """
+    n = 0
+    for d in range(len(forests)):
+        pairs = [(u, v, sym_order(u) * sym_order(v), forest_mul(u, v))
+                 for d1 in range(d + 1) for u in forests[d1] for v in forests[d - d1]]
+        keys: dict = {}
+        for x in trees[d]:
+            ux, sx = ck_gl_dual(x)
+            dx = gl_coproduct(x)
+            if x.label not in keys:
+                keys[x.label] = [Tensor((bplus(u, x.label), bplus(v, x.label)))
+                                 for u, v, _, _ in pairs]
+            for (u, v, suv, uv), key in zip(pairs, keys[x.label]):
+                a = dx.coeff(key)
+                rhs = sx if uv == ux else 0
+                if (a or rhs) and a * suv != rhs:
+                    return n, (f"x={x}, u={u}, v={v}: <cop x, u (x) v> = {a * suv}, "
+                               f"<x, uv> = {rhs}")
+                n += 1
+    return n, None
 
 
 def _duality_rows(tag: str, trees_of: Callable[[int], Sequence],
                   forests_of: Callable[[int], Sequence],
                   max_degree: int) -> list[CheckRow]:
-    ok_prod = True
-    n_prod = 0
-    for d in range(max_degree + 1):
-        fs = forests_of(d)
-        for d1 in range(d + 1):
-            for x in trees_of(d1):
-                for y in trees_of(d - d1):
-                    p = gl_product(x, y)
-                    for f in fs:
-                        lhs = 0
-                        for t, c in p.items():
-                            lhs += c * ck_gl_pairing(t, f)
-                        rhs = _pair_tensor(x, y, coproduct_forest(f))
-                        n_prod += 1
-                        if lhs != rhs:
-                            ok_prod = False
-
-    ok_cop = True
-    n_cop = 0
-    for d in range(max_degree + 1):
-        for x in trees_of(d):
-            dx = gl_coproduct(x)
-            for d1 in range(d + 1):
-                for u in forests_of(d1):
-                    for v in forests_of(d - d1):
-                        lhs = 0
-                        for t, c in dx.items():
-                            lhs += (c * ck_gl_pairing(t.parts[0], u)
-                                    * ck_gl_pairing(t.parts[1], v))
-                        rhs = ck_gl_pairing(x, forest_mul(u, v))
-                        n_cop += 1
-                        if lhs != rhs:
-                            ok_cop = False
-
-    return [
-        CheckRow(f"duality/{tag}-product-vs-coproduct", ok_prod, f"{n_prod} pairings"),
-        CheckRow(f"duality/{tag}-coproduct-vs-product", ok_cop, f"{n_cop} pairings"),
-    ]
+    trees = [trees_of(d) for d in range(max_degree + 1)]
+    forests = [forests_of(d) for d in range(max_degree + 1)]
+    rows = []
+    for name, side in (("product-vs-coproduct", _product_vs_coproduct),
+                       ("coproduct-vs-product", _coproduct_vs_product)):
+        n, failure = side(trees, forests)
+        detail = (f"{n} pairings" if failure is None
+                  else f"first failure at pairing {n}: {failure}")
+        rows.append(CheckRow(f"duality/{tag}-{name}", failure is None, detail))
+    return rows
 
 
 def suite_duality(max_degree: int = 5) -> list[CheckRow]:

@@ -14,7 +14,7 @@ import sys
 from typing import Callable
 
 from .algebra import LinComb, ParseError
-from .checks import run_suite
+from .checks import SUITES, run_suite
 from .lyndon_hall import hall_polynomial, hall_set
 from .morphisms import (eword_str, parse_composition, pi, qsym_antipode,
                         qsym_coproduct, qsym_product, zhao_eps, zhao_k)
@@ -105,9 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("check", help="run a verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=("hopf-axioms", "duality", "pi-kernel", "diagrams",
-                            "prop53", "all"))
+    p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p.add_argument("--max-weight", type=_max_weight, required=True)
 
     return parser

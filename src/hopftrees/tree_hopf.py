@@ -213,17 +213,31 @@ def gl_antipode(x: LinComb | RootedTree) -> LinComb:
     return _aslc(x).map_basis(_gl_antipode_tree)
 
 
+def ck_gl_dual(t: RootedTree) -> tuple[Forest, int]:
+    """The one forest that t pairs with, and the value there.
+
+    The pairing is diagonal, <B+(u), v> = |sym(u)| if u == v else 0, so
+    t = B+(u) pairs only with its branch forest u, with value |sym(u)|.
+    """
+    u = strip_root(t)
+    return u, sym_order(u)
+
+
 def ck_gl_pairing(t: RootedTree, v: Forest) -> Fraction:
     """<B+(u), v> = |sym(u)| if u == v else 0, u the branch forest of t."""
-    u = strip_root(t)
-    return Fraction(sym_order(u)) if u == v else _ZERO
+    u, s = ck_gl_dual(t)
+    return Fraction(s) if u == v else _ZERO
 
 
 def pair_gl_ck(x: LinComb | RootedTree, y: LinComb | Forest) -> Fraction:
+    """<x, y>, one coefficient lookup in y per tree of x."""
+    y = _aslc(y)
     total = _ZERO
-    for t, c1 in _aslc(x).items():
-        for v, c2 in _aslc(y).items():
-            total += c1 * c2 * ck_gl_pairing(t, v)
+    for t, c in _aslc(x).items():
+        u, s = ck_gl_dual(t)
+        cy = y.coeff(u)
+        if cy:
+            total += c * cy * s
     return total
 
 

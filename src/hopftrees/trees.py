@@ -9,8 +9,10 @@ unlabeled vertices have label None and weight 0.
 Text grammar: ``[]`` is an unlabeled vertex, children go comma-separated in
 brackets (``[[],[]]`` is the cherry), a label prefixes the bracket as in
 ``f2[f1]``, and a labeled leaf may drop its brackets. Forests are space
-separated; the empty forest prints as ``I``.  Planar trees also have a
-balanced-bracket form over ``<``/``>`` in which the root is implicit.
+separated; the empty forest prints as ``I``.  Trees nested deeper than
+``MAX_PARSE_DEPTH`` vertices are refused with a ParseError.  Planar trees
+also have a balanced-bracket form over ``<``/``>`` in which the root is
+implicit.
 """
 
 from __future__ import annotations
@@ -533,6 +535,12 @@ def _bbr_children(s: str, pos: int) -> tuple[tuple[PlanarTree, ...], int]:
 # ---------------------------------------------------------------------------
 # tree grammar parsing
 
+# Deepest tree the parser accepts, counted in vertices along a root path.
+# The kernels and printers recurse once or more per level, so deeper input
+# would overflow the interpreter's recursion limit after parsing.
+MAX_PARSE_DEPTH = 200
+
+
 def parse_forest(text: str, planar: bool = False) -> Forest | PlanarForest:
     """Parse a space-separated forest; ``I`` is the empty forest."""
     s = text
@@ -568,7 +576,9 @@ def _skip_ws(s: str, pos: int) -> int:
     return pos
 
 
-def _parse_tree_at(s: str, pos: int, planar: bool):
+def _parse_tree_at(s: str, pos: int, planar: bool, depth: int = 1):
+    if depth > MAX_PARSE_DEPTH:
+        raise ParseError(f"tree nested deeper than {MAX_PARSE_DEPTH} levels", pos)
     label = None
     if pos < len(s) and s[pos] == "f":
         pos += 1
@@ -588,7 +598,7 @@ def _parse_tree_at(s: str, pos: int, planar: bool):
             pos += 1
         else:
             while True:
-                child, pos = _parse_tree_at(s, pos, planar)
+                child, pos = _parse_tree_at(s, pos, planar, depth + 1)
                 children.append(child)
                 pos = _skip_ws(s, pos)
                 if pos < len(s) and s[pos] == ",":

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from hopftrees.checks import SUITES
 from hopftrees.cli import main
+from hopftrees.trees import MAX_PARSE_DEPTH
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -166,6 +168,35 @@ def test_max_weight_below_one_is_a_usage_error(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1].endswith(f"argument --max-weight: must be >= 1, got {argv[-1]}")
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_registered_suite_is_a_choice(suite, capsys):
+    assert main(["check", "--suite", suite, "--max-weight", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("PASS: ")
+
+
+def test_unknown_suite_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "nope", "--max-weight", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_deep_nesting_is_a_parse_error():
+    deep = "[" * 3000 + "]" * 3000
+    proc = run_cli("coproduct", "--algebra", "ck", "--input", deep)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: tree nested deeper than {MAX_PARSE_DEPTH} "
+                           f"levels at offset {MAX_PARSE_DEPTH}\n")
+
+
+def test_nesting_at_the_limit_is_accepted(capsys):
+    deep = "[" * MAX_PARSE_DEPTH + "]" * MAX_PARSE_DEPTH
+    assert main(["coproduct", "--algebra", "ck", "--input", deep]) == 0
+    out = capsys.readouterr().out
+    assert out.count("(x)") == MAX_PARSE_DEPTH + 1
 
 
 # ---------------------------------------------------------------------------

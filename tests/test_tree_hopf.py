@@ -52,11 +52,13 @@ from hopftrees.trees import (
     enumerate_trees,
     forest,
     labeled_forests_up_to_weight,
+    labeled_trees_of_weight,
     ladder,
     leaf,
     pbplus,
     planar_concat,
     pleaf,
+    strip_root,
 )
 from hopftrees.words import EMPTY_WORD, concat, word
 from hopftrees.morphisms import pi
@@ -323,6 +325,27 @@ def _pair_tensor(x, d):
                 * ck_gl_pairing(s.parts[1], t.parts[1])
             )
     return total
+
+
+_pairing_trees = ([t for n in range(1, 5) for t in enumerate_trees(n)]
+                  + [t for w in range(1, 4) for t in labeled_trees_of_weight(w)]
+                  + [bplus(u) for u in labeled_forests_up_to_weight(3)])
+_pairing_forests = ([strip_root(t) for t in _pairing_trees]
+                    + [u for n in range(4) for u in enumerate_forests(n)])
+
+
+def _lincombs(pool):
+    return st.lists(st.tuples(st.sampled_from(pool), st.integers(-3, 3)),
+                    max_size=6).map(LinComb)
+
+
+@given(_lincombs(_pairing_trees), _lincombs(_pairing_forests))
+def test_pairing_lookup_matches_the_scan(x, y):
+    scan = Fraction(0)
+    for t, c1 in x.items():
+        for v, c2 in y.items():
+            scan += c1 * c2 * ck_gl_pairing(t, v)
+    assert pair_gl_ck(x, y) == scan
 
 
 @given(small_trees, small_trees, small_forests)
