@@ -21,13 +21,14 @@ from .singular_frame import (FrameSeries, FrameTerm, UnivariatePoly, alphaU,
                              prop53_check)
 from .tree_hopf import (Character, CocycleLawError, CocycleTarget,
                         InfinitesimalCharacter, char_convolution, char_exp,
-                        ck_antipode, ck_coproduct, ck_counit, ck_gl_dual,
-                        ck_gl_pairing, ck_product, ck_target, coproduct_forest,
-                        cut_coproduct_tree, foissy_antipode, foissy_coproduct,
-                        foissy_product, gl_antipode, gl_coproduct, gl_counit,
-                        gl_product, gl_unit, pair_gl_ck, planar_diamond,
-                        planar_diamond_antipode, planar_diamond_coproduct,
-                        shuffle_target, universal_cocycle_map)
+                        char_log, ck_antipode, ck_coproduct, ck_counit,
+                        ck_gl_dual, ck_gl_pairing, ck_product, ck_target,
+                        coproduct_forest, cut_coproduct_tree, foissy_antipode,
+                        foissy_coproduct, foissy_product, gl_antipode,
+                        gl_coproduct, gl_counit, gl_product, gl_unit,
+                        pair_gl_ck, planar_diamond, planar_diamond_antipode,
+                        planar_diamond_coproduct, shuffle_target,
+                        universal_cocycle_map)
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,
                     PlanarTree, RootedTree, admissible_cuts, bplus,
                     enumerate_forests, enumerate_trees, forest, forest_mul,

@@ -17,8 +17,7 @@ from math import factorial
 
 from .algebra import LinComb
 from .trees import Forest, RootedTree, forest, graft, leaf
-from .words import (EMPTY_WORD, Word, concat, lie_bracket, shuffle, word,
-                    words_of_weight)
+from .words import EMPTY_WORD, Word, concat, lie_bracket, shuffle, word
 
 
 # ---------------------------------------------------------------------------
@@ -55,28 +54,52 @@ def is_lyndon(w: Word) -> bool:
 
 
 def lyndon_generate(max_weight: int) -> list[Word]:
-    """All Lyndon words of weight <= max_weight, sorted by (weight, alpha)."""
-    out = [w for n in range(1, max_weight + 1)
-           for w in words_of_weight(n) if is_lyndon(w)]
+    """All Lyndon words of weight <= max_weight, sorted by (weight, alpha).
+
+    Extends prenecklaces depth first (Cattell, Ruskey, Sawada, Serra and
+    Miers): a prefix a_1..a_t whose longest Lyndon prefix has length p takes
+    a next letter b iff b is not smaller than a_(t-p+1) in the alphabet
+    order, i.e. b <= a_(t-p+1) as integers.  Equality keeps p, a larger
+    letter makes the whole prefix Lyndon (p = t + 1), and a prefix is
+    emitted when p equals its length.  Every prefix of a Lyndon word is a
+    prenecklace, so bounding the weight misses nothing.
+    """
+    out = []
+    stack = [((a,), 1, a) for a in range(1, max_weight + 1)]
+    while stack:
+        letters, p, weight = stack.pop()
+        t = len(letters)
+        if p == t:
+            out.append(Word(letters))
+        ref = letters[t - p]
+        for b in range(1, min(ref, max_weight - weight) + 1):
+            stack.append((letters + (b,), p if b == ref else t + 1, weight + b))
     out.sort(key=lambda w: (w.weight, alpha_key(w)))
     return out
 
 
-def lyndon_factorize(w: Word) -> list[Word]:
-    """The unique nonincreasing factorization into Lyndon words.
+def _duval(key: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(start, end) of each factor of the nonincreasing Lyndon factorization
+    of a word given by its alpha_key, by Duval's linear-time algorithm."""
+    bounds = []
+    n = len(key)
+    i = 0
+    while i < n:
+        k, j = i, i + 1
+        while j < n and key[k] <= key[j]:
+            k = i if key[k] < key[j] else k + 1
+            j += 1
+        while i <= k:
+            bounds.append((i, i + j - k))
+            i += j - k
+    return bounds
 
-    Greedy: the first factor of the factorization is the longest Lyndon
-    prefix.
-    """
+
+def lyndon_factorize(w: Word) -> list[Word]:
+    """The unique nonincreasing factorization into Lyndon words."""
     if len(w) == 0:
         raise ValueError("cannot factorize the empty word")
-    factors = []
-    rest = w
-    while len(rest):
-        j = max(j for j in range(1, len(rest) + 1) if is_lyndon(rest[:j]))
-        factors.append(rest[:j])
-        rest = rest[j:]
-    return factors
+    return [w[i:j] for i, j in _duval(alpha_key(w))]
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +129,9 @@ class HallTree:
 
 
 def _standard_split(w: Word) -> int:
-    """Index of the longest proper Lyndon suffix of a Lyndon word."""
-    return min(j for j in range(1, len(w)) if is_lyndon(w[j:]))
+    """Index of the longest proper Lyndon suffix of a Lyndon word: the last
+    factor of the Lyndon factorization of w minus its first letter."""
+    return 1 + _duval(alpha_key(w)[1:])[-1][0]
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from typing import Callable
 from .algebra import LinComb, Scalar, as_fraction
 from .lyndon_hall import HallTree, hall_polynomial, hall_set
 from .morphisms import eword_str
-from .tree_hopf import coproduct_forest
+from .tree_hopf import char_exp, char_log, convolution_powers
 from .trees import EMPTY_FOREST, Forest, RootedTree, linear_extensions, sym_order
 from .words import EMPTY_WORD, Word, words_of_weight
 
@@ -137,45 +137,11 @@ def alphaU(u: Forest) -> Fraction:
 # ---------------------------------------------------------------------------
 # exp and log of forest functionals
 
-def _convolution_powers(a: Callable[[Forest], Scalar]):
-    cache: dict[tuple[int, Forest], Fraction] = {}
-
-    def power(k: int, u: Forest) -> Fraction:
-        if k == 0:
-            return _ONE if u == EMPTY_FOREST else _ZERO
-        if k == 1:
-            return as_fraction(a(u))
-        key = (k, u)
-        if key not in cache:
-            total = _ZERO
-            for t, c in coproduct_forest(u).items():
-                left, right = t.parts
-                av = as_fraction(a(left))
-                if av:
-                    total += c * av * power(k - 1, right)
-            cache[key] = total
-        return cache[key]
-
-    return power
-
-
 def forest_exp(a: Callable[[Forest], Scalar]) -> Callable[[Forest], Fraction]:
     """Convolution exponential; the argument must kill the empty forest."""
     if as_fraction(a(EMPTY_FOREST)):
         raise ValueError("forest_exp needs a(I) = 0")
-    power = _convolution_powers(a)
-
-    def exp_a(u: Forest) -> Fraction:
-        if u == EMPTY_FOREST:
-            return _ONE
-        total = _ZERO
-        fact = 1
-        for k in range(1, u.size + 1):
-            fact *= k
-            total += power(k, u) / fact
-        return total
-
-    return exp_a
+    return char_exp(a)
 
 
 def forest_log(a: Callable[[Forest], Scalar]) -> Callable[[Forest], Fraction]:
@@ -186,7 +152,7 @@ def forest_log(a: Callable[[Forest], Scalar]) -> Callable[[Forest], Fraction]:
     def reduced(u: Forest) -> Fraction:
         return as_fraction(a(u)) - (_ONE if u == EMPTY_FOREST else _ZERO)
 
-    power = _convolution_powers(reduced)
+    power = convolution_powers(reduced)
 
     def log_a(u: Forest) -> Fraction:
         if u == EMPTY_FOREST:
@@ -205,7 +171,7 @@ def betaU(max_weight: int | None = None) -> Callable[[Forest], Fraction]:
     When max_weight is given, values on all labeled forests up to that
     weight are computed eagerly.
     """
-    log_alpha = forest_log(alphaU)
+    log_alpha = char_log(_alphaU_tree)
     if max_weight is not None:
         from .trees import labeled_forests_up_to_weight
         for u in labeled_forests_up_to_weight(max_weight):

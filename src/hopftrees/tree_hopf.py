@@ -25,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Callable, Iterable, Mapping
 
 from .algebra import (LinComb, Scalar, Tensor, as_fraction, functional_convolve,
@@ -408,33 +409,43 @@ def char_convolution(f: Callable[[Forest], Scalar],
     return functional_convolve(f, g, coproduct_forest)
 
 
-def char_exp(g: Callable[[Forest], Scalar]) -> Callable[[Forest], Fraction]:
-    """Convolution exponential of an infinitesimal character.
-
-    Since g kills the unit, g^(*k)(u) vanishes for k > |u| and the sum is
-    finite in each degree.  The result is a character.
-    """
-    if as_fraction(g(EMPTY_FOREST)):
-        raise ValueError("convolution exponential needs g(I) = 0")
-
-    powers: dict[tuple[int, Forest], Fraction] = {}
+def convolution_powers(a: Callable[[Forest], Scalar]) -> Callable[[int, Forest], Fraction]:
+    """k, u -> a^(*k)(u) by a^(*k) = a * a^(*(k-1)) over the cut coproduct,
+    memoized per call; a^(*0) is the convolution unit."""
+    cache: dict[tuple[int, Forest], Fraction] = {}
 
     def power(k: int, u: Forest) -> Fraction:
         if k == 0:
             return convolution_unit(u)
+        if k == 1:
+            return as_fraction(a(u))
         key = (k, u)
-        if key not in powers:
+        if key not in cache:
             total = _ZERO
             for t, c in coproduct_forest(u).items():
-                a, b = t.parts
-                ga = as_fraction(g(a))
-                if ga:
-                    total += c * ga * power(k - 1, b)
-            powers[key] = total
-        return powers[key]
+                left, right = t.parts
+                av = as_fraction(a(left))
+                if av:
+                    total += c * av * power(k - 1, right)
+            cache[key] = total
+        return cache[key]
+
+    return power
+
+
+def char_exp(g: Callable[[Forest], Scalar]) -> Callable[[Forest], Fraction]:
+    """Convolution exponential of a functional g that kills the unit.
+
+    Since g kills the unit, g^(*k)(u) vanishes for k > |u| and the sum is
+    finite in each degree.  For an infinitesimal character g the result is
+    a character.
+    """
+    if as_fraction(g(EMPTY_FOREST)):
+        raise ValueError("convolution exponential needs g(I) = 0")
+    power = convolution_powers(g)
 
     def exp_g(u: Forest) -> Fraction:
-        total = Fraction(1) if u == EMPTY_FOREST else _ZERO
+        total = convolution_unit(u)
         fact = 1
         for k in range(1, u.size + 1):
             fact *= k
@@ -442,6 +453,67 @@ def char_exp(g: Callable[[Forest], Scalar]) -> Callable[[Forest], Fraction]:
         return total
 
     return exp_g
+
+
+def _log_weight(n: int, j: int) -> Fraction:
+    """(-1)^(j+1) C(n, j) / j, the weight of a^(*j) in log a on n vertices."""
+    return Fraction((-1) ** (j + 1) * comb(n, j), j)
+
+
+def char_log(tree_value: Callable[[RootedTree], Scalar]) -> Callable[[Forest], Fraction]:
+    """Convolution logarithm of the character with the given tree values.
+
+    Every convolution power a^(*j) of a character is again a character, so
+    expanding (a - e)^(*k) binomially in log a = sum (-1)^(k+1)/k (a - e)^(*k)
+    and summing over k by the hockey-stick identity gives, on a forest u
+    with n vertices,
+
+        log a(u) = sum_{j=1..n} (-1)^(j+1) C(n, j)/j prod_{t in u} a^(*j)(t),
+
+    with a^(*j)(t) the sum of m a(P) a^(*(j-1))(R) over the splits (P, R, m)
+    of t (a^(*0) is 1 on a pruned-away trunk).  Values are memoized per call.
+    """
+    splits: dict[RootedTree, list[tuple[Fraction, RootedTree | None]]] = {}
+    powers: dict[tuple[int, RootedTree], Fraction] = {}
+
+    def weighted_splits(t: RootedTree) -> list[tuple[Fraction, RootedTree | None]]:
+        # the splits (P, R, m) of t as (m a(P), R), zero weights dropped
+        got = splits.get(t)
+        if got is None:
+            got = []
+            for pruned, trunk, mult in _tree_splits(t):
+                weight = as_fraction(mult)
+                for s in pruned.trees:
+                    weight *= as_fraction(tree_value(s))
+                if weight:
+                    got.append((weight, trunk))
+            splits[t] = got
+        return got
+
+    def power(j: int, t: RootedTree) -> Fraction:
+        key = (j, t)
+        got = powers.get(key)
+        if got is None:
+            got = _ZERO
+            for weight, trunk in weighted_splits(t):
+                if trunk is None:
+                    got += weight
+                elif j > 1:
+                    got += weight * power(j - 1, trunk)
+            powers[key] = got
+        return got
+
+    def log_a(u: Forest) -> Fraction:
+        total = _ZERO
+        n = u.size
+        for j in range(1, n + 1):
+            term = _log_weight(n, j)
+            for t in u.trees:
+                term *= power(j, t)
+            total += term
+        return total
+
+    return log_a
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ brackets (``[[],[]]`` is the cherry), a label prefixes the bracket as in
 separated; the empty forest prints as ``I``.  Trees nested deeper than
 ``MAX_PARSE_DEPTH`` vertices are refused with a ParseError.  Planar trees
 also have a balanced-bracket form over ``<``/``>`` in which the root is
-implicit.
+implicit; there the same limit counts bracket levels below the root.
 """
 
 from __future__ import annotations
@@ -514,17 +514,23 @@ def bbr_print(t: PlanarTree) -> str:
 
 
 def bbr_parse(text: str) -> PlanarTree:
-    """Parse a balanced string over <> into a planar tree."""
+    """Parse a balanced string over <> into a planar tree.
+
+    Brackets nested deeper than ``MAX_PARSE_DEPTH`` levels below the
+    implicit root are refused with a ParseError.
+    """
     children, pos = _bbr_children(text, 0)
     if pos != len(text):
         raise ParseError("unbalanced string", pos)
     return PlanarTree(None, children)
 
 
-def _bbr_children(s: str, pos: int) -> tuple[tuple[PlanarTree, ...], int]:
+def _bbr_children(s: str, pos: int, depth: int = 1) -> tuple[tuple[PlanarTree, ...], int]:
     children = []
     while pos < len(s) and s[pos] == "<":
-        inner, pos = _bbr_children(s, pos + 1)
+        if depth > MAX_PARSE_DEPTH:
+            raise ParseError(f"tree nested deeper than {MAX_PARSE_DEPTH} levels", pos)
+        inner, pos = _bbr_children(s, pos + 1, depth + 1)
         if pos >= len(s) or s[pos] != ">":
             raise ParseError("unbalanced string", len(s) if pos >= len(s) else pos)
         children.append(PlanarTree(None, inner))

@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hopftrees import tree_hopf
 from hopftrees.algebra import LinComb
+from hopftrees.checks import suite_prop53
 from hopftrees.linsolve import solve_in_span
 from hopftrees.lyndon_hall import hall_polynomial, hall_set
 from hopftrees.singular_frame import (
     FrameTerm,
     UnivariatePoly,
+    _alphaU_tree,
     alphaU,
     alphaU_word_sum,
     betaU,
@@ -28,6 +31,7 @@ from hopftrees.singular_frame import (
     iterated_integral,
     prop53_check,
 )
+from hopftrees.tree_hopf import Character, char_log
 from hopftrees.trees import (
     EMPTY_FOREST,
     bplus,
@@ -212,6 +216,37 @@ def test_betaU_eager_equals_lazy():
     lazy = betaU()
     for u in labeled_forests_up_to_weight(3):
         assert eager(u) == lazy(u)
+
+
+def test_char_log_of_alphaU_matches_the_generic_log():
+    fast = char_log(_alphaU_tree)
+    generic = forest_log(alphaU)
+    for u in labeled_forests_up_to_weight(5):
+        assert fast(u) == generic(u), u
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_char_log_of_a_random_character_matches_the_generic_log(seed):
+    rng = random.Random(seed)
+    trees = {t for u in labeled_forests_up_to_weight(4) for t in u.trees}
+    ch = Character({t: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                    for t in sorted(trees, key=str)})
+    fast = char_log(lambda t: ch(forest(t)))
+    generic = forest_log(ch)
+    for u in labeled_forests_up_to_weight(4):
+        assert fast(u) == generic(u), u
+
+
+def test_a_wrong_log_weight_fails_the_proper_forest_row(monkeypatch):
+    right = tree_hopf._log_weight
+
+    def wrong(n, j):
+        return right(n, j) + (1 if (n, j) == (2, 2) else 0)
+
+    name = "frame/betaU-kills-proper-forests"
+    assert {r.name: r for r in suite_prop53(2)}[name].passed
+    monkeypatch.setattr(tree_hopf, "_log_weight", wrong)
+    assert not {r.name: r for r in suite_prop53(2)}[name].passed
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from hopftrees.lyndon_hall import (
     word_less,
     xi,
 )
+from hopftrees.lyndon_hall import _standard_split
 from hopftrees.morphisms import pi
 from hopftrees.trees import Forest, bplus, forest, leaf
 from hopftrees.words import (
@@ -113,6 +114,47 @@ def test_lyndon_factorization(w):
     for f in factors:
         total = concat(total, f)
     assert total == LinComb.term(w)
+
+
+# ---------------------------------------------------------------------------
+# greedy oracles for the prenecklace generator and Duval's factorization
+
+
+def _greedy_factorize(w):
+    """Longest Lyndon prefix first, tested letter by letter."""
+    factors = []
+    rest = w
+    while len(rest):
+        j = max(j for j in range(1, len(rest) + 1) if is_lyndon(rest[:j]))
+        factors.append(rest[:j])
+        rest = rest[j:]
+    return factors
+
+
+def _greedy_standard_split(w):
+    return min(j for j in range(1, len(w)) if is_lyndon(w[j:]))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lyndon_generate_matches_the_filter_over_all_words(n):
+    expected = [w for k in range(1, n + 1)
+                for w in words_of_weight(k) if is_lyndon(w)]
+    expected.sort(key=lambda w: (w.weight, alpha_key(w)))
+    assert lyndon_generate(n) == expected
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=10))
+def test_duval_factorization_matches_greedy(letters):
+    w = Word(letters)
+    assert lyndon_factorize(w) == _greedy_factorize(w)
+    if len(w) > 1 and is_lyndon(w):
+        assert _standard_split(w) == _greedy_standard_split(w)
+
+
+def test_standard_split_matches_greedy_on_every_lyndon_word():
+    for w in lyndon_generate(10):
+        if len(w) > 1:
+            assert _standard_split(w) == _greedy_standard_split(w), w
 
 
 def test_lyndon_suffix_characterization():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hopftrees.algebra import ParseError
 from hopftrees.trees import (
     EMPTY_FOREST,
+    MAX_PARSE_DEPTH,
     Forest,
     RootedTree,
     admissible_cuts,
@@ -270,3 +271,13 @@ def test_planar_variant_counts_partition_catalan():
 def test_planar_variants_of_symmetric_trees_collapse():
     assert len(planar_variants(CHERRY)) == 1
     assert len(planar_variants(bplus(forest(ladder(2), leaf())))) == 2
+
+
+def test_bbr_refuses_deep_nesting():
+    with pytest.raises(ParseError, match="nested deeper than"):
+        bbr_parse("<" * 3000 + ">" * 3000)
+
+
+def test_bbr_round_trips_at_the_depth_limit():
+    text = "<" * MAX_PARSE_DEPTH + ">" * MAX_PARSE_DEPTH
+    assert bbr_print(bbr_parse(text)) == text
