@@ -65,6 +65,11 @@ class LinComb:
         return _wrap({})
 
     @classmethod
+    def lift(cls, x: Any) -> "LinComb":
+        """x itself if it is a LinComb, else the basis element x as one term."""
+        return x if isinstance(x, LinComb) else cls.term(x)
+
+    @classmethod
     def sum(cls, parts: Iterable["LinComb | tuple[LinComb, Scalar]"]) -> "LinComb":
         """The sum of the parts, each a LinComb or a (LinComb, coeff) pair
         standing for coeff times it; built in one dict, in one pass."""
@@ -250,9 +255,7 @@ def splice_at(x: LinComb, index: int, f: Callable[[Any], LinComb]) -> LinComb:
     """Apply a linear map to one tensor slot, splicing Tensor-valued images in place."""
     data: dict[Any, Fraction] = {}
     for t, c in x.items():
-        image = f(t.parts[index])
-        if not isinstance(image, LinComb):
-            image = LinComb.term(image)
+        image = LinComb.lift(f(t.parts[index]))
         head, tail = t.parts[:index], t.parts[index + 1:]
         _accumulate(data, ((Tensor(head + (s.parts if isinstance(s, Tensor) else (s,)) + tail), c2)
                            for s, c2 in image.items()), c)

@@ -16,7 +16,6 @@ from .morphisms import DIAGRAMS, diagram_check, kernel_generators, pi
 from .singular_frame import (alphaU, alphaU_word_sum, betaU, frame_coefficient,
                              iterated_integral, prop53_check)
 from .tree_hopf import (ck_antipode, ck_gl_dual, ck_product, coproduct_forest,
-                        foissy_antipode, foissy_coproduct, foissy_product,
                         gl_coproduct, gl_product, shuffle_target,
                         universal_cocycle_map)
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, bplus,
@@ -118,8 +117,8 @@ def suite_hopf_axioms(ck_vertices: int = 6, labeled_weight: int = 5,
 
     ordered = [f for n in range(foissy_vertices + 1)
                for f in enumerate_planar_forests(n)]
-    rows += _hopf_rows("foissy", ordered, foissy_coproduct,
-                       foissy_antipode, foissy_product, EMPTY_PLANAR_FOREST)
+    rows += _hopf_rows("foissy", ordered, coproduct_forest,
+                       ck_antipode, ck_product, EMPTY_PLANAR_FOREST)
 
     return rows
 

@@ -19,8 +19,7 @@ from .lyndon_hall import hall_polynomial, hall_set
 from .morphisms import (eword_str, parse_composition, pi, qsym_antipode,
                         qsym_coproduct, qsym_product, zhao_eps, zhao_k)
 from .singular_frame import frame_series
-from .tree_hopf import (ck_antipode, ck_coproduct, ck_product, foissy_antipode,
-                        foissy_coproduct, foissy_product, gl_antipode,
+from .tree_hopf import (ck_antipode, ck_coproduct, ck_product, gl_antipode,
                         gl_coproduct, gl_product, planar_diamond,
                         planar_diamond_antipode, planar_diamond_coproduct)
 from .trees import parse_forest, parse_tree
@@ -41,7 +40,7 @@ ALGEBRAS: dict[str, _Algebra] = {
     "ck": _Algebra(parse_forest, ck_product, ck_coproduct, ck_antipode),
     "gl": _Algebra(parse_tree, gl_product, gl_coproduct, gl_antipode),
     "foissy": _Algebra(lambda s: parse_forest(s, planar=True),
-                       foissy_product, foissy_coproduct, foissy_antipode),
+                       ck_product, ck_coproduct, ck_antipode),
     "planar": _Algebra(lambda s: parse_tree(s, planar=True),
                        planar_diamond, planar_diamond_coproduct,
                        planar_diamond_antipode),
@@ -76,35 +75,44 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algebra", required=True, choices=sorted(ALGEBRAS))
 
     p = sub.add_parser("coproduct", help="coproduct of a basis element")
+    p.set_defaults(func=_cmd_coproduct)
     algebra_flag(p)
     p.add_argument("--input", required=True, metavar="EXPR")
 
     p = sub.add_parser("antipode", help="antipode of a basis element")
+    p.set_defaults(func=_cmd_antipode)
     algebra_flag(p)
     p.add_argument("--input", required=True, metavar="EXPR")
 
     p = sub.add_parser("product", help="product of two basis elements")
+    p.set_defaults(func=lambda args: _cmd_product(args, parser))
     algebra_flag(p)
     p.add_argument("--input", action="append", required=True, metavar="EXPR",
                    help="give exactly twice")
 
     p = sub.add_parser("pi", help="linear-extension image of a labeled forest")
+    p.set_defaults(func=_cmd_pi)
     p.add_argument("--input", required=True, metavar="FOREST")
 
     p = sub.add_parser("lyndon", help="Lyndon words up to a weight")
+    p.set_defaults(func=_cmd_lyndon)
     p.add_argument("--max-weight", type=_max_weight, required=True)
 
     p = sub.add_parser("hall", help="Hall trees with decompositions and Lie elements")
+    p.set_defaults(func=_cmd_hall)
     p.add_argument("--max-weight", type=_max_weight, required=True)
 
     p = sub.add_parser("zhao", help="the tree elements k_n and eps_n")
+    p.set_defaults(func=_cmd_zhao)
     p.add_argument("--max-weight", type=_max_weight, required=True)
 
     p = sub.add_parser("frame", help="singular frame series export")
+    p.set_defaults(func=_cmd_frame)
     p.add_argument("--max-weight", type=_max_weight, required=True)
     p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("check", help="run a verification suite")
+    p.set_defaults(func=_cmd_check)
     p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p.add_argument("--max-weight", type=_max_weight, required=True)
 
@@ -121,7 +129,7 @@ def _cmd_coproduct(args) -> int:
 def _cmd_antipode(args) -> int:
     alg = ALGEBRAS[args.algebra]
     x = alg.parse(args.input)
-    print(alg.antipode(x if isinstance(x, LinComb) else LinComb.term(x)))
+    print(alg.antipode(LinComb.lift(x)))
     return 0
 
 
@@ -200,35 +208,15 @@ def _cmd_check(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "coproduct":
-            return _cmd_coproduct(args)
-        if args.command == "antipode":
-            return _cmd_antipode(args)
-        if args.command == "product":
-            return _cmd_product(args, parser)
-        if args.command == "pi":
-            return _cmd_pi(args)
-        if args.command == "lyndon":
-            return _cmd_lyndon(args)
-        if args.command == "hall":
-            return _cmd_hall(args)
-        if args.command == "zhao":
-            return _cmd_zhao(args)
-        if args.command == "frame":
-            return _cmd_frame(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

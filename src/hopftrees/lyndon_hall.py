@@ -37,11 +37,6 @@ def word_less(u: Word, v: Word) -> bool:
     return alpha_key(u) < alpha_key(v)
 
 
-def word_compare(u: Word, v: Word) -> int:
-    ku, kv = alpha_key(u), alpha_key(v)
-    return -1 if ku < kv else (0 if ku == kv else 1)
-
-
 # ---------------------------------------------------------------------------
 # Lyndon words
 

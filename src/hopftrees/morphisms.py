@@ -4,7 +4,7 @@
 Contents: the linear-extension morphism pi and its kernel generators, the
 quasi-symmetric monomial basis with its quasi-shuffle product, the four
 ladder-tree square maps alpha_1..alpha_4 with their duals, Zhao's
-homomorphism and its dual, the truncated lifts rho/beta/theta/Z_u/F, and a
+homomorphism and its dual, the truncated lifts rho/beta/Z_u/F, and a
 data-driven commuting-diagram checker.
 
 Encoding conventions: NSYM words in the z_n generators and enveloping
@@ -30,11 +30,7 @@ from .trees import (EMPTY_FOREST, Forest, PlanarForest, PlanarTree,
                     planar_variants, forget_order_forest, sym_order)
 from .tree_hopf import gl_product, gl_unit
 from .words import (ADDITIVE, EMPTY_WORD, Word, quasi_shuffle, shuffle, word,
-                    words_of_weight)
-
-
-def _aslc(x) -> LinComb:
-    return x if isinstance(x, LinComb) else LinComb.term(x)
+                    word_antipode, words_of_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +42,7 @@ def pi(x: LinComb | Forest) -> LinComb:
     def on_forest(u: Forest) -> LinComb:
         return LinComb((w, 1) for w in linear_extensions(u))
 
-    return _aslc(x).map_basis(on_forest)
+    return LinComb.lift(x).map_basis(on_forest)
 
 
 def alpha_of(x: LinComb | Forest,
@@ -177,14 +173,18 @@ def parse_composition(text: str) -> Composition:
     return Composition(parts)
 
 
+def _as_compositions(x: LinComb) -> LinComb:
+    """A combination of words read as one of compositions."""
+    return LinComb((Composition(w.letters), c) for w, c in x.items())
+
+
 def qsym_product(x: LinComb | Composition, y: LinComb | Composition) -> LinComb:
     """Quasi-shuffle of compositions with additive part merging."""
 
     def on_pair(a: Composition, b: Composition) -> LinComb:
-        prod = quasi_shuffle(Word(a.parts), Word(b.parts), ADDITIVE)
-        return LinComb((Composition(w.letters), c) for w, c in prod.items())
+        return _as_compositions(quasi_shuffle(Word(a.parts), Word(b.parts), ADDITIVE))
 
-    return _aslc(x).bilinear(_aslc(y), on_pair)
+    return LinComb.lift(x).bilinear(LinComb.lift(y), on_pair)
 
 
 def qsym_coproduct(x: LinComb | Composition) -> LinComb:
@@ -195,29 +195,22 @@ def qsym_coproduct(x: LinComb | Composition) -> LinComb:
             (Tensor((Composition(c.parts[:k]), Composition(c.parts[k:]))), 1)
             for k in range(len(c.parts) + 1))
 
-    return _aslc(x).map_basis(on_comp)
+    return LinComb.lift(x).map_basis(on_comp)
 
 
 def qsym_counit(x: LinComb | Composition) -> Fraction:
-    return _aslc(x).coeff(EMPTY_COMPOSITION)
-
-
-@lru_cache(maxsize=None)
-def _qsym_antipode_comp(c: Composition) -> LinComb:
-    if not c.parts:
-        return LinComb.term(c)
-    return LinComb.sum((qsym_product(_qsym_antipode_comp(Composition(c.parts[:k])),
-                                     LinComb.term(Composition(c.parts[k:]))), -1)
-                       for k in range(len(c.parts)))
+    return LinComb.lift(x).coeff(EMPTY_COMPOSITION)
 
 
 def qsym_antipode(x: LinComb | Composition) -> LinComb:
-    return _aslc(x).map_basis(_qsym_antipode_comp)
+    """The quasi-shuffle antipode of the word of parts, read as compositions."""
+    return LinComb.lift(x).map_basis(
+        lambda c: _as_compositions(word_antipode(Word(c.parts), ADDITIVE)))
 
 
 def Aplus(x: LinComb | Composition) -> LinComb:
     """Append a part 1: M_I -> M_{I.(1)}."""
-    return _aslc(x).map_basis(lambda c: Composition(c.parts + (1,)))
+    return LinComb.lift(x).map_basis(lambda c: Composition(c.parts + (1,)))
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
@@ -312,12 +305,12 @@ def alpha1(x: LinComb | Word) -> LinComb:
     def on_word(w: Word) -> PlanarForest:
         return PlanarForest(tuple(planar_ladder(n) for n in w.letters))
 
-    return _aslc(x).map_basis(on_word)
+    return LinComb.lift(x).map_basis(on_word)
 
 
 def alpha2(x: LinComb | PlanarForest) -> LinComb:
     """Forget planar order."""
-    return _aslc(x).map_basis(forget_order_forest)
+    return LinComb.lift(x).map_basis(forget_order_forest)
 
 
 def alpha3(x: LinComb | Word) -> LinComb:
@@ -329,13 +322,13 @@ def alpha3(x: LinComb | Word) -> LinComb:
             out = qsym_product(out, e_basis(n))
         return out
 
-    return _aslc(x).map_basis(on_word)
+    return LinComb.lift(x).map_basis(on_word)
 
 
 def alpha4(x: LinComb | Composition) -> LinComb:
     """SYM -> forests: e_n to the unlabeled ladder l_n."""
     return LinComb((Forest(tuple(ladder(p) for p in mu)), c)
-                   for mu, c in sym_e_decompose(_aslc(x)))
+                   for mu, c in sym_e_decompose(LinComb.lift(x)))
 
 
 def _ladder_branch_sizes(t: PlanarTree | RootedTree) -> tuple[int, ...] | None:
@@ -366,7 +359,7 @@ def alpha1_star(x: LinComb | PlanarTree) -> LinComb:
             return LinComb.zero()
         return LinComb.term(Composition(sizes))
 
-    return _aslc(x).map_basis(on_tree)
+    return LinComb.lift(x).map_basis(on_tree)
 
 
 def alpha2_star(x: LinComb | RootedTree) -> LinComb:
@@ -375,12 +368,7 @@ def alpha2_star(x: LinComb | RootedTree) -> LinComb:
     def on_tree(t: RootedTree) -> LinComb:
         return LinComb((s, sym_order(t)) for s in planar_variants(t))
 
-    return _aslc(x).map_basis(on_tree)
-
-
-def alpha3_star(x: LinComb) -> LinComb:
-    """SYM -> QSYM inclusion; the representation is already monomial."""
-    return _aslc(x)
+    return LinComb.lift(x).map_basis(on_tree)
 
 
 def alpha4_star(x: LinComb | RootedTree) -> LinComb:
@@ -392,7 +380,7 @@ def alpha4_star(x: LinComb | RootedTree) -> LinComb:
             return LinComb.zero()
         return sym_order(t) * m_lambda(sizes)
 
-    return _aslc(x).map_basis(on_tree)
+    return LinComb.lift(x).map_basis(on_tree)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +409,7 @@ def zhao_Z(x: LinComb | Word) -> LinComb:
             out = gl_product(out, zhao_eps(n))
         return out
 
-    return _aslc(x).map_basis(on_word)
+    return LinComb.lift(x).map_basis(on_word)
 
 
 def zhao_Zstar(x: LinComb | Forest) -> LinComb:
@@ -436,18 +424,13 @@ def zhao_Zstar(x: LinComb | Forest) -> LinComb:
             out = qsym_product(out, on_tree(t))
         return out
 
-    return _aslc(x).map_basis(on_forest)
+    return LinComb.lift(x).map_basis(on_forest)
 
 
 def Z_u(x: LinComb | Word) -> LinComb:
     """Words -> QSYM through the unlabeled ladder of the word's length."""
-    return _aslc(x).map_basis(
+    return LinComb.lift(x).map_basis(
         lambda w: zhao_Zstar(Forest((ladder(len(w)),)) if len(w) else EMPTY_FOREST))
-
-
-def Z_u_star(x: LinComb | Word) -> LinComb:
-    """NSYM -> enveloping algebra words: z_n to e_{-n} letterwise."""
-    return _aslc(x)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +484,7 @@ def rho(x: LinComb | Forest, max_weight: int) -> LinComb:
     def on_forest(u: Forest) -> LinComb:
         return LinComb.sum(pi(v) for v in forest_labelings(u, max_weight))
 
-    return _aslc(x).map_basis(on_forest)
+    return LinComb.lift(x).map_basis(on_forest)
 
 
 def rho_star(x: LinComb | Word) -> LinComb:
@@ -514,7 +497,7 @@ def rho_star(x: LinComb | Word) -> LinComb:
             out = gl_product(out, LinComb.term(ladder(n)))
         return out
 
-    return _aslc(x).map_basis(on_word)
+    return LinComb.lift(x).map_basis(on_word)
 
 
 def F(x: LinComb | Word) -> LinComb:
@@ -526,7 +509,7 @@ def F(x: LinComb | Word) -> LinComb:
             return leaf()
         return bplus(forest(labeled_ladder(w)))
 
-    return _aslc(x).map_basis(on_word)
+    return LinComb.lift(x).map_basis(on_word)
 
 
 def F_star(x: LinComb | Forest) -> LinComb:
@@ -538,17 +521,13 @@ def beta1(x: LinComb | Word) -> LinComb:
     return alpha1(x)
 
 
-def beta3(x: LinComb | Word) -> LinComb:
-    return alpha3(x)
-
-
 def beta2(x: LinComb | PlanarForest, max_weight: int) -> LinComb:
     """Ordered forests -> words: sum of pi over slot-wise labelings."""
 
     def on_forest(u: PlanarForest) -> LinComb:
         return LinComb.sum(pi(v) for v in planar_slot_labelings(u, max_weight))
 
-    return _aslc(x).map_basis(on_forest)
+    return LinComb.lift(x).map_basis(on_forest)
 
 
 def beta4(x: LinComb | Composition, max_weight: int) -> LinComb:
@@ -565,7 +544,7 @@ def beta4(x: LinComb | Composition, max_weight: int) -> LinComb:
             prod = prod.graded_part(lambda w: w.weight, max_weight)
         return prod
 
-    return LinComb.sum((e_image(mu), c) for mu, c in sym_e_decompose(_aslc(x)))
+    return LinComb.sum((e_image(mu), c) for mu, c in sym_e_decompose(LinComb.lift(x)))
 
 
 def beta2_star(n: int) -> LinComb:
@@ -576,16 +555,6 @@ def beta2_star(n: int) -> LinComb:
 def beta4_star(n: int) -> LinComb:
     """e_{-n} -> SYM, through the unlabeled ladder."""
     return alpha4_star(ladder(n))
-
-
-def theta1(x: LinComb | Word, max_weight: int) -> LinComb:
-    """NSYM -> words through SYM."""
-    return beta4(beta3(x), max_weight)
-
-
-def theta2(x: LinComb | RootedTree, max_weight: int) -> LinComb:
-    """Trees -> words through SYM."""
-    return beta4(alpha4_star(x), max_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +633,7 @@ DIAGRAMS: dict[str, DiagramSpec] = {
         name="thm5-dual",
         description="dual ladder square: QSYM from trees two ways",
         probes=_gl_tree_probes,
-        left=lambda x, n: alpha3_star(alpha4_star(x)),
+        left=lambda x, n: alpha4_star(x),
         right=lambda x, n: alpha1_star(alpha2_star(x)),
     ),
     "propdiag": DiagramSpec(
@@ -672,14 +641,14 @@ DIAGRAMS: dict[str, DiagramSpec] = {
         description="truncated lift square: words from NSYM two ways",
         probes=_zword_probes,
         left=lambda x, n: beta2(beta1(x), n),
-        right=lambda x, n: beta4(beta3(x), n),
+        right=lambda x, n: beta4(alpha3(x), n),
         fmt=_fmt_words,
     ),
     "propdiag-dual": DiagramSpec(
         name="propdiag-dual",
         description="dual lift square on generators: QSYM from e-letters",
         probes=_eletter_probes,
-        left=lambda x, n: alpha3_star(x.map_basis(_beta4_star_word)),
+        left=lambda x, n: x.map_basis(_beta4_star_word),
         right=lambda x, n: alpha1_star(x.map_basis(_beta2_star_word)),
     ),
     "hex1": DiagramSpec(

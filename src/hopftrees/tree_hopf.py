@@ -9,7 +9,9 @@ Four structures are implemented:
 * its graded dual with the vertex-attachment product (selector ``gl``),
   whose basis trees pair with forests by stripping the root;
 * the ordered-forest variant of the cut coproduct with the concatenation
-  product (selector ``foissy``);
+  product (selector ``foissy``); one cut core (tree splits, forest
+  coproduct, product and antipode) serves ordered and unordered forests,
+  reading the forest type off its argument;
 * the root-branch shuffle product with deconcatenation of branches on
   planar trees (selector ``planar``).
 
@@ -31,34 +33,37 @@ from typing import Callable, Iterable, Mapping
 from .algebra import (LinComb, Scalar, Tensor, as_fraction, functional_convolve,
                       lincomb_tensor)
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,
-                    PlanarTree, RootedTree, forest_mul, leaf, planar_concat,
-                    strip_root, sym_order)
+                    PlanarTree, RootedTree, forest_mul, leaf, strip_root,
+                    sym_order)
 
 _ZERO = Fraction(0)
 
 
-def _aslc(x, wrap=LinComb.term) -> LinComb:
-    return x if isinstance(x, LinComb) else wrap(x)
-
-
 # ---------------------------------------------------------------------------
-# cut coproduct algebra on forests (commutative)
+# cut coproduct algebra on forests, unordered (commutative) or ordered
 
-def ck_product(x: LinComb | Forest, y: LinComb | Forest) -> LinComb:
-    return _aslc(x).bilinear(_aslc(y), forest_mul)
+_FOREST_OF = {RootedTree: Forest, PlanarTree: PlanarForest}
+_UNIT = {Forest: LinComb.term(EMPTY_FOREST), PlanarForest: LinComb.term(EMPTY_PLANAR_FOREST)}
+
+
+def ck_product(x: LinComb | Forest | PlanarForest, y: LinComb | Forest | PlanarForest) -> LinComb:
+    return LinComb.lift(x).bilinear(LinComb.lift(y), forest_mul)
 
 
 @lru_cache(maxsize=None)
-def _tree_splits(t: RootedTree) -> tuple[tuple[Forest, RootedTree | None, int], ...]:
+def _tree_splits(t: RootedTree | PlanarTree) -> tuple[tuple[Forest, RootedTree | None, int], ...]:
     """Splits of one tree into (pruned forest, trunk or None), with counts.
 
     A split either prunes the whole tree (trunk None) or keeps the root and
     splits each branch independently; this enumerates the trivial terms plus
     all admissible cuts in one pass, and the bipartition form on labeled
-    forests is the multiplicative extension of the same sum.
+    forests is the multiplicative extension of the same sum.  Planar trees
+    split into ordered pruned forests and planar trunks, in branch order.
     """
+    tree = type(t)
+    forest = _FOREST_OF[tree]
     acc: dict[tuple[Forest, RootedTree | None], int] = {}
-    acc[(Forest((t,)), None)] = 1
+    acc[(forest((t,)), None)] = 1
     per_child = []
     for c in t.children:
         options: dict[tuple[Forest, RootedTree | None], int] = {}
@@ -75,52 +80,58 @@ def _tree_splits(t: RootedTree) -> tuple[tuple[Forest, RootedTree | None, int], 
             if trunk is not None:
                 kept.append(trunk)
             mult *= m
-        key = (Forest(pruned_trees), RootedTree(t.label, kept))
+        key = (forest(pruned_trees), tree(t.label, kept))
         acc[key] = acc.get(key, 0) + mult
     return tuple((p, r, m) for (p, r), m in acc.items())
 
 
 @lru_cache(maxsize=None)
-def coproduct_forest(u: Forest) -> LinComb:
-    """Coproduct of a basis forest, as a sum of Forest (x) Forest tensors."""
-    total = LinComb.term(Tensor((EMPTY_FOREST, EMPTY_FOREST)))
+def coproduct_forest(u: Forest | PlanarForest) -> LinComb:
+    """Coproduct of a basis forest, as a sum of Forest (x) Forest tensors
+    (PlanarForest tensors for an ordered forest)."""
+    forest = type(u)
+    unit = forest(())
+    total = LinComb.term(Tensor((unit, unit)))
     for t in u.trees:
         one = LinComb(
-            (Tensor((pruned, EMPTY_FOREST if trunk is None else Forest((trunk,)))), mult)
+            (Tensor((pruned, unit if trunk is None else forest((trunk,)))), mult)
             for pruned, trunk, mult in _tree_splits(t))
         total = total.bilinear(one, lambda a, b: Tensor(
             (forest_mul(a.parts[0], b.parts[0]), forest_mul(a.parts[1], b.parts[1]))))
     return total
 
 
-def ck_coproduct(x: LinComb | Forest) -> LinComb:
-    return _aslc(x).map_basis(coproduct_forest)
+def ck_coproduct(x: LinComb | Forest | PlanarForest) -> LinComb:
+    return LinComb.lift(x).map_basis(coproduct_forest)
 
 
 def ck_counit(x: LinComb | Forest) -> Fraction:
-    return _aslc(x).coeff(EMPTY_FOREST)
+    return LinComb.lift(x).coeff(EMPTY_FOREST)
 
 
 @lru_cache(maxsize=None)
-def _antipode_tree(t: RootedTree) -> LinComb:
-    parts = [(LinComb.term(Forest((t,))), -1)]
+def _antipode_tree(t: RootedTree | PlanarTree) -> LinComb:
+    forest = _FOREST_OF[type(t)]
+    parts = [(LinComb.term(forest((t,))), -1)]
     for pruned, trunk, mult in _tree_splits(t):
         if trunk is not None and pruned.trees:
             parts.append((ck_product(ck_antipode(LinComb.term(pruned)),
-                                     LinComb.term(Forest((trunk,)))), -mult))
+                                     LinComb.term(forest((trunk,)))), -mult))
     return LinComb.sum(parts)
 
 
-def ck_antipode(x: LinComb | Forest) -> LinComb:
-    """Antipode: S(t) = -t - sum S(pruned) * trunk, extended multiplicatively."""
+def ck_antipode(x: LinComb | Forest | PlanarForest) -> LinComb:
+    """Antipode: S(t) = -t - sum S(pruned) * trunk, extended to forests by
+    S(t_1 ... t_k) = S(t_k) ... S(t_1), an antihomomorphism on ordered
+    forests and the multiplicative extension on unordered ones."""
 
-    def on_forest(u: Forest) -> LinComb:
-        total = LinComb.term(EMPTY_FOREST)
+    def on_forest(u: Forest | PlanarForest) -> LinComb:
+        total = _UNIT[type(u)]
         for t in u.trees:
-            total = ck_product(total, _antipode_tree(t))
+            total = ck_product(_antipode_tree(t), total)
         return total
 
-    return _aslc(x).map_basis(on_forest)
+    return LinComb.lift(x).map_basis(on_forest)
 
 
 def cut_coproduct_tree(t: RootedTree) -> LinComb:
@@ -164,7 +175,8 @@ def _attachments(t: RootedTree, s: RootedTree) -> Iterable[RootedTree]:
 def gl_product(x: LinComb | RootedTree, y: LinComb | RootedTree) -> LinComb:
     """Sum over all ways to attach each branch of the left tree at a vertex
     of the right tree."""
-    return _aslc(x).bilinear(_aslc(y), lambda t, s: LinComb((r, 1) for r in _attachments(t, s)))
+    return LinComb.lift(x).bilinear(LinComb.lift(y),
+                                    lambda t, s: LinComb((r, 1) for r in _attachments(t, s)))
 
 
 GL_UNIT_TREE = leaf()
@@ -186,11 +198,11 @@ def gl_coproduct(x: LinComb | RootedTree) -> LinComb:
             terms.append((Tensor((RootedTree(t.label, left), RootedTree(t.label, right))), 1))
         return LinComb(terms)
 
-    return _aslc(x).map_basis(on_tree)
+    return LinComb.lift(x).map_basis(on_tree)
 
 
 def gl_counit(x: LinComb | RootedTree) -> Fraction:
-    return _aslc(x).coeff(GL_UNIT_TREE)
+    return LinComb.lift(x).coeff(GL_UNIT_TREE)
 
 
 @lru_cache(maxsize=None)
@@ -211,7 +223,7 @@ def _gl_antipode_tree(t: RootedTree) -> LinComb:
 def gl_antipode(x: LinComb | RootedTree) -> LinComb:
     """Antipode of the attachment Hopf algebra: S(t) = -t - sum S(t_S) o t_Sc
     over proper branch subsets."""
-    return _aslc(x).map_basis(_gl_antipode_tree)
+    return LinComb.lift(x).map_basis(_gl_antipode_tree)
 
 
 def ck_gl_dual(t: RootedTree) -> tuple[Forest, int]:
@@ -232,9 +244,9 @@ def ck_gl_pairing(t: RootedTree, v: Forest) -> Fraction:
 
 def pair_gl_ck(x: LinComb | RootedTree, y: LinComb | Forest) -> Fraction:
     """<x, y>, one coefficient lookup in y per tree of x."""
-    y = _aslc(y)
+    y = LinComb.lift(y)
     total = _ZERO
-    for t, c in _aslc(x).items():
+    for t, c in LinComb.lift(x).items():
         u, s = ck_gl_dual(t)
         cy = y.coeff(u)
         if cy:
@@ -265,7 +277,7 @@ def planar_diamond(x: LinComb | PlanarTree, y: LinComb | PlanarTree) -> LinComb:
     def on_pair(t: PlanarTree, s: PlanarTree) -> LinComb:
         return LinComb((PlanarTree(None, seq), 1) for seq in _seq_shuffles(t.children, s.children))
 
-    return _aslc(x).bilinear(_aslc(y), on_pair)
+    return LinComb.lift(x).bilinear(LinComb.lift(y), on_pair)
 
 
 def planar_diamond_coproduct(x: LinComb | PlanarTree) -> LinComb:
@@ -276,7 +288,7 @@ def planar_diamond_coproduct(x: LinComb | PlanarTree) -> LinComb:
             (Tensor((PlanarTree(t.label, t.children[:k]), PlanarTree(t.label, t.children[k:]))), 1)
             for k in range(len(t.children) + 1))
 
-    return _aslc(x).map_basis(on_tree)
+    return LinComb.lift(x).map_basis(on_tree)
 
 
 @lru_cache(maxsize=None)
@@ -296,80 +308,27 @@ def _diamond_antipode_tree(t: PlanarTree) -> LinComb:
 def planar_diamond_antipode(x: LinComb | PlanarTree) -> LinComb:
     """Antipode for the branch shuffle: reverses the branch sequence up to
     the sign (-1)^(number of branches); computed by the defining recursion."""
-    return _aslc(x).map_basis(_diamond_antipode_tree)
+    return LinComb.lift(x).map_basis(_diamond_antipode_tree)
 
 
 # ---------------------------------------------------------------------------
-# ordered forests: concatenation product with the cut coproduct
+# ordered forests: the cut coproduct algebra above, without commutativity
 
 def foissy_product(x: LinComb | PlanarForest, y: LinComb | PlanarForest) -> LinComb:
-    return _aslc(x).bilinear(_aslc(y), planar_concat)
-
-
-@lru_cache(maxsize=None)
-def _planar_tree_splits(t: PlanarTree) -> tuple[tuple[PlanarForest, PlanarTree | None, int], ...]:
-    """Ordered analogue of _tree_splits; pruned parts keep planar order."""
-    acc: dict[tuple[PlanarForest, PlanarTree | None], int] = {}
-    acc[(PlanarForest((t,)), None)] = 1
-    per_child = []
-    for c in t.children:
-        options: list[tuple[PlanarForest, PlanarTree | None, int]] = list(_planar_tree_splits(c))
-        per_child.append(options)
-    for combo in itertools.product(*per_child):
-        pruned: tuple = ()
-        kept = []
-        mult = 1
-        for p, trunk, m in combo:
-            pruned += p.trees
-            if trunk is not None:
-                kept.append(trunk)
-            mult *= m
-        key = (PlanarForest(pruned), PlanarTree(t.label, kept))
-        acc[key] = acc.get(key, 0) + mult
-    return tuple((p, r, m) for (p, r), m in acc.items())
-
-
-@lru_cache(maxsize=None)
-def _foissy_coproduct_forest(u: PlanarForest) -> LinComb:
-    total = LinComb.term(Tensor((EMPTY_PLANAR_FOREST, EMPTY_PLANAR_FOREST)))
-    for t in u.trees:
-        one = LinComb(
-            (Tensor((pruned, EMPTY_PLANAR_FOREST if trunk is None else PlanarForest((trunk,)))),
-             mult)
-            for pruned, trunk, mult in _planar_tree_splits(t))
-        total = total.bilinear(one, lambda a, b: Tensor(
-            (planar_concat(a.parts[0], b.parts[0]), planar_concat(a.parts[1], b.parts[1]))))
-    return total
+    return ck_product(x, y)
 
 
 def foissy_coproduct(x: LinComb | PlanarForest) -> LinComb:
-    return _aslc(x).map_basis(_foissy_coproduct_forest)
+    return ck_coproduct(x)
 
 
 def foissy_counit(x: LinComb | PlanarForest) -> Fraction:
-    return _aslc(x).coeff(EMPTY_PLANAR_FOREST)
-
-
-@lru_cache(maxsize=None)
-def _foissy_antipode_tree(t: PlanarTree) -> LinComb:
-    parts = [(LinComb.term(PlanarForest((t,))), -1)]
-    for pruned, trunk, mult in _planar_tree_splits(t):
-        if trunk is not None and pruned.trees:
-            parts.append((foissy_product(foissy_antipode(LinComb.term(pruned)),
-                                         LinComb.term(PlanarForest((trunk,)))), -mult))
-    return LinComb.sum(parts)
+    return LinComb.lift(x).coeff(EMPTY_PLANAR_FOREST)
 
 
 def foissy_antipode(x: LinComb | PlanarForest) -> LinComb:
     """Antipode on ordered forests; an algebra antihomomorphism."""
-
-    def on_forest(u: PlanarForest) -> LinComb:
-        total = LinComb.term(EMPTY_PLANAR_FOREST)
-        for t in reversed(u.trees):
-            total = foissy_product(total, _foissy_antipode_tree(t))
-        return total
-
-    return _aslc(x).map_basis(on_forest)
+    return ck_antipode(x)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +534,7 @@ def universal_cocycle_map(target: CocycleTarget, x: LinComb | Forest) -> LinComb
             cache[u] = total
         return cache[u]
 
-    return _aslc(x).map_basis(on_forest)
+    return LinComb.lift(x).map_basis(on_forest)
 
 
 def ck_target(labels: Iterable[int | None] = (None,), verify: bool = True) -> CocycleTarget:

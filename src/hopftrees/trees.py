@@ -127,9 +127,10 @@ def forest(*trees: RootedTree) -> Forest:
     return Forest(trees)
 
 
-def forest_mul(u: Forest, v: Forest) -> Forest:
-    """Disjoint union, the commutative product of forests."""
-    return Forest(u.trees + v.trees)
+def forest_mul(u: Forest | PlanarForest, v: Forest | PlanarForest) -> Forest | PlanarForest:
+    """The product of forests: disjoint union, commutative on Forest values,
+    and concatenation on ordered forests."""
+    return type(u)(u.trees + v.trees)
 
 
 def bplus(u: Forest, label: int | None = None) -> RootedTree:
@@ -349,19 +350,6 @@ def labeled_forests_up_to_weight(w: int) -> list[Forest]:
     for k in range(0, w + 1):
         out.extend(labeled_forests_of_weight(k))
     return out
-
-
-def enumerate_trees_spec(n: int, labeled: bool = False,
-                         max_weight: int | None = None) -> tuple[RootedTree, ...]:
-    """Trees with n vertices; labeled mode needs a weight bound to stay finite."""
-    if not labeled:
-        return enumerate_trees(n)
-    if max_weight is None:
-        raise ValueError("labeled enumeration needs max_weight; the label set is infinite")
-    out = []
-    for w in range(n, max_weight + 1):
-        out.extend(t for t in labeled_trees_of_weight(w) if t.size == n)
-    return tuple(sorted(out, key=lambda t: t._key))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterable, Iterator, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 from .algebra import LinComb, ParseError, Tensor
 
@@ -174,11 +174,7 @@ def _qshuffle(w1: Word, w2: Word, pairing: Pairing) -> LinComb:
 
 def quasi_shuffle(x: LinComb | Word, y: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
     """Quasi-shuffle product; with the zero bracket this is the plain shuffle."""
-    if isinstance(x, Word):
-        x = LinComb.term(x)
-    if isinstance(y, Word):
-        y = LinComb.term(y)
-    return x.bilinear(y, lambda a, b: _qshuffle(a, b, pairing))
+    return LinComb.lift(x).bilinear(LinComb.lift(y), lambda a, b: _qshuffle(a, b, pairing))
 
 
 def shuffle(x: LinComb | Word, y: LinComb | Word) -> LinComb:
@@ -187,11 +183,7 @@ def shuffle(x: LinComb | Word, y: LinComb | Word) -> LinComb:
 
 def concat(x: LinComb | Word, y: LinComb | Word) -> LinComb:
     """Concatenation product (the graded dual of deconcatenation)."""
-    if isinstance(x, Word):
-        x = LinComb.term(x)
-    if isinstance(y, Word):
-        y = LinComb.term(y)
-    return x.bilinear(y, lambda a, b: a.concat(b))
+    return LinComb.lift(x).bilinear(LinComb.lift(y), lambda a, b: a.concat(b))
 
 
 def deconcat(w: Word) -> LinComb:
@@ -214,9 +206,7 @@ def _antipode_rec(w: Word, pairing: Pairing) -> LinComb:
 
 def word_antipode(x: LinComb | Word, pairing: Pairing) -> LinComb:
     """Antipode of the (quasi-)shuffle Hopf algebra, by the defining recursion."""
-    if isinstance(x, Word):
-        x = LinComb.term(x)
-    return x.map_basis(lambda w: _antipode_rec(w, pairing))
+    return LinComb.lift(x).map_basis(lambda w: _antipode_rec(w, pairing))
 
 
 def compose_word(parts: tuple[int, ...], w: Word, pairing: Pairing) -> Word | None:
@@ -236,8 +226,6 @@ def compose_word(parts: tuple[int, ...], w: Word, pairing: Pairing) -> Word | No
 
 def word_antipode_closed(x: LinComb | Word, pairing: Pairing) -> LinComb:
     """Antipode in closed form: contractions of the reversed word, signed."""
-    if isinstance(x, Word):
-        x = LinComb.term(x)
 
     def on_word(w: Word) -> LinComb:
         n = len(w.letters)
@@ -245,40 +233,43 @@ def word_antipode_closed(x: LinComb | Word, pairing: Pairing) -> LinComb:
         images = (compose_word(parts, rev, pairing) for parts in compositions(n))
         return LinComb((v, (-1) ** n) for v in images if v is not None)
 
-    return x.map_basis(on_word)
+    return LinComb.lift(x).map_basis(on_word)
 
 
-def hoffman_tau(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
-    """Hoffman's exponential: sum over contractions weighted by 1/(i_1!...i_l!)."""
-    if isinstance(x, Word):
-        x = LinComb.term(x)
+def _exp_block_weight(p: int) -> Fraction:
+    """1/p!, the weight of a block of p letters in Hoffman's exponential."""
+    return Fraction(1, factorial(p))
+
+
+def _log_block_weight(p: int) -> Fraction:
+    """(-1)^(p-1)/p, the weight of a block of p letters in Hoffman's logarithm."""
+    return Fraction((-1) ** (p - 1), p)
+
+
+def _contractions(x: LinComb | Word, pairing: Pairing,
+                  block_weight: Callable[[int], Fraction]) -> LinComb:
+    """Contractions of each word along every composition of its length,
+    weighted by the product of block_weight over the blocks."""
 
     def on_word(w: Word) -> LinComb:
         terms = []
         for parts in compositions(len(w.letters)):
             v = compose_word(parts, w, pairing)
             if v is not None:
-                terms.append((v, Fraction(1, prod(factorial(p) for p in parts))))
+                terms.append((v, prod(block_weight(p) for p in parts)))
         return LinComb(terms)
 
-    return x.map_basis(on_word)
+    return LinComb.lift(x).map_basis(on_word)
+
+
+def hoffman_tau(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
+    """Hoffman's exponential: sum over contractions weighted by 1/(i_1!...i_l!)."""
+    return _contractions(x, pairing, _exp_block_weight)
 
 
 def hoffman_psi(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
     """Hoffman's logarithm: contractions weighted by (-1)^(n-l)/(i_1 ... i_l)."""
-    if isinstance(x, Word):
-        x = LinComb.term(x)
-
-    def on_word(w: Word) -> LinComb:
-        n = len(w.letters)
-        terms = []
-        for parts in compositions(n):
-            v = compose_word(parts, w, pairing)
-            if v is not None:
-                terms.append((v, Fraction((-1) ** (n - len(parts)), prod(parts))))
-        return LinComb(terms)
-
-    return x.map_basis(on_word)
+    return _contractions(x, pairing, _log_block_weight)
 
 
 def dual_delta(x: LinComb | Word, pairing: Pairing) -> LinComb:
@@ -287,8 +278,6 @@ def dual_delta(x: LinComb | Word, pairing: Pairing) -> LinComb:
     Computed by exhaustive scan over pairs of basis words of complementary
     weight; the quasi-shuffle preserves total weight, so the scan is finite.
     """
-    if isinstance(x, Word):
-        x = LinComb.term(x)
 
     def on_word(w: Word) -> LinComb:
         return LinComb((Tensor((u, v)), quasi_shuffle(u, v, pairing).coeff(w))
@@ -296,12 +285,24 @@ def dual_delta(x: LinComb | Word, pairing: Pairing) -> LinComb:
                        for u in words_of_weight(a)
                        for v in words_of_weight(w.weight - a))
 
-    return x.map_basis(on_word)
+    return LinComb.lift(x).map_basis(on_word)
 
 
-def _letter_star_images(k: int) -> list[tuple[int, ...]]:
-    """Blocks (a_1..a_n) whose iterated additive bracket is f_k: compositions of k."""
-    return list(compositions(k))
+def _letter_morphism(x: LinComb | Word, block_weight: Callable[[int], Fraction]) -> LinComb:
+    """The concatenation morphism sending f_k* to the sum of (a_1...a_n)*
+    times block_weight(n) over the compositions (a_1..a_n) of k, the blocks
+    whose iterated additive bracket is f_k."""
+
+    def on_letter(k: int) -> LinComb:
+        return LinComb((Word(parts), block_weight(len(parts))) for parts in compositions(k))
+
+    def on_word(w: Word) -> LinComb:
+        total = LinComb.term(EMPTY_WORD)
+        for k in w.letters:
+            total = concat(total, on_letter(k))
+        return total
+
+    return LinComb.lift(x).map_basis(on_word)
 
 
 def tau_star(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
@@ -312,40 +313,14 @@ def tau_star(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
     """
     if pairing != ADDITIVE:
         raise ValueError("tau_star requires the additive bracket")
-    if isinstance(x, Word):
-        x = LinComb.term(x)
-
-    def on_letter(k: int) -> LinComb:
-        return LinComb((Word(parts), Fraction(1, factorial(len(parts))))
-                       for parts in _letter_star_images(k))
-
-    def on_word(w: Word) -> LinComb:
-        total = LinComb.term(EMPTY_WORD)
-        for k in w.letters:
-            total = concat(total, on_letter(k))
-        return total
-
-    return x.map_basis(on_word)
+    return _letter_morphism(x, _exp_block_weight)
 
 
 def psi_star(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
     """Dual of Hoffman's exponential; inverse of tau_star."""
     if pairing != ADDITIVE:
         raise ValueError("psi_star requires the additive bracket")
-    if isinstance(x, Word):
-        x = LinComb.term(x)
-
-    def on_letter(k: int) -> LinComb:
-        return LinComb((Word(parts), Fraction((-1) ** (len(parts) - 1), len(parts)))
-                       for parts in _letter_star_images(k))
-
-    def on_word(w: Word) -> LinComb:
-        total = LinComb.term(EMPTY_WORD)
-        for k in w.letters:
-            total = concat(total, on_letter(k))
-        return total
-
-    return x.map_basis(on_word)
+    return _letter_morphism(x, _log_block_weight)
 
 
 def lie_bracket(x: LinComb | Word, y: LinComb | Word) -> LinComb:

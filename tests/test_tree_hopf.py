@@ -51,6 +51,7 @@ from hopftrees.trees import (
     enumerate_planar_trees,
     enumerate_trees,
     forest,
+    forget_order_forest,
     labeled_forests_up_to_weight,
     labeled_trees_of_weight,
     ladder,
@@ -461,6 +462,17 @@ def test_foissy_antipode_convolution_law(u):
 def test_foissy_product_concatenates(u, v):
     got = foissy_product(u, v)
     assert got == tf(planar_concat(u, v))
+
+
+def test_forgetting_order_maps_the_ordered_structure_onto_the_unordered_one():
+    def forget_tensor(t):
+        return Tensor(tuple(forget_order_forest(p) for p in t.parts))
+
+    for n in range(6):
+        for u in enumerate_planar_forests(n):
+            v = forget_order_forest(u)
+            assert foissy_coproduct(u).map_basis(forget_tensor) == coproduct_forest(v)
+            assert foissy_antipode(u).map_basis(forget_order_forest) == ck_antipode(v)
 
 
 # ---------------------------------------------------------------------------
