@@ -1,0 +1,133 @@
+"""Run perfbench on a parent revision and on the working tree, in pairs.
+
+Usage (from the root of a checkout):
+
+    python3 scripts/bench_pair.py --parent HEAD~1 --workload suites \
+        --workload frame --pairs 10 --seconds 30 --out BENCH_6.json
+
+For each workload and each seed 1..pairs it runs
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once on a
+copy of the parent revision's committed files and once on the working tree,
+alternating which side runs first, and removes every ``__pycache__`` under
+both checkouts before each run, so both start from source.  The copy is
+made with ``git archive`` in a temporary directory that is deleted
+afterwards; the repository's ``.git`` is not touched.
+
+The output JSON holds both commit SHAs (the working tree's HEAD, with
+``dirty`` set if it has uncommitted changes), the Python version, the
+per-pair metric values and, per workload and metric, the median and
+quartiles of each side and the number of pairs in which the change read
+better.  Every metric of perfbench's ``--trace 0`` result is lower-better.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """The committed files of rev, unpacked under dest."""
+    data = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def clear_bytecode(checkout: Path) -> None:
+    for d in checkout.rglob("__pycache__"):
+        if ".git" not in d.parts:
+            shutil.rmtree(d, ignore_errors=True)
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """perfbench's JSON result (its last stdout line) for one run."""
+    clear_bytecode(checkout)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"perfbench failed in {checkout} ({workload}, seed {seed}):\n"
+                           f"{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def quartiles(xs: list[float]) -> dict:
+    if len(xs) < 2:
+        return {"median": xs[0], "q1": xs[0], "q3": xs[0]}
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict]) -> dict:
+    out = {}
+    for name in pairs[0]["parent"]["metrics"]:
+        before = [p["parent"]["metrics"][name] for p in pairs]
+        after = [p["change"]["metrics"][name] for p in pairs]
+        out[name] = {"parent": quartiles(before), "change": quartiles(after),
+                     "change_better": sum(a < b for a, b in zip(after, before)),
+                     "pairs": len(pairs)}
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision to compare against")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--pairs", type=int, default=10, help="seeds 1..pairs per workload")
+    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--out", required=True, type=Path)
+    args = ap.parse_args(argv)
+
+    report = {
+        "parent": git("rev-parse", args.parent),
+        "change": git("rev-parse", "HEAD"),
+        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {platform.processor() or 'unknown cpu'}",
+        "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent = Path(tmp)
+        export(report["parent"], parent)
+        sides = {"parent": parent, "change": ROOT}
+        for workload in args.workload:
+            pairs = []
+            for seed in range(1, args.pairs + 1):
+                order = ("parent", "change") if seed % 2 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_bench(sides[side], workload, seed, args.seconds)
+                pairs.append(pair)
+                print(f"{workload} seed {seed}: wall_s "
+                      f"{pair['parent']['metrics']['wall_s']:.3f} -> "
+                      f"{pair['change']['metrics']['wall_s']:.3f}", file=sys.stderr)
+            report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
+        clear_bytecode(ROOT)
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,9 @@
 """Exact scalars, sparse linear combinations, tensors, pairings, convolution.
 
 Every algebraic object in this package is a finite formal sum of canonical
-basis elements (trees, forests, words, tensors, ...) with coefficients in
-`fractions.Fraction`; nothing is ever floating point.  Basis elements are
+basis elements (trees, forests, words, tensors, ...) with exact rational
+coefficients: an ``int`` until a division happens, a ``fractions.Fraction``
+after one.  Floats are rejected.  Basis elements are
 immutable hashable values exposing ``sort_key() -> tuple`` (degree first,
 then a canonical structural encoding) so every printed expansion comes out
 in a reproducible canonical order.
@@ -13,10 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
+# an exact rational: an int, or a Fraction once a division has produced it
 Scalar = int | Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ParseError(ValueError):
@@ -31,21 +30,25 @@ class PairingError(ValueError):
     """Raised when a bilinear pairing is evaluated on an undefined basis pair."""
 
 
-def as_fraction(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
+def as_fraction(c: Scalar) -> Scalar:
+    """c itself if it is an exact rational (an int or a Fraction; a bool
+    becomes its int); a float or any other type raises TypeError."""
+    if type(c) is int or isinstance(c, Fraction):
         return c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
 
 class LinComb:
-    """A finite formal sum of basis elements with nonzero rational coefficients.
+    """A finite formal sum of basis elements with nonzero exact coefficients.
 
-    Instances are treated as immutable: all arithmetic returns fresh objects
-    and zero coefficients are dropped on construction.  ``a + b`` copies
-    ``a``, so a sum of many parts is built with ``LinComb.sum(parts)`` (or
-    ``LinComb(terms)`` for basis-level terms), which fills one dict in place.
+    A coefficient is an int, or a Fraction where a division produced it;
+    floats are rejected.  Instances are treated as immutable: all arithmetic
+    returns fresh objects and zero coefficients are dropped on construction.
+    ``a + b`` copies ``a``, so a sum of many parts is built with
+    ``LinComb.sum(parts)`` (or ``LinComb(terms)`` for basis-level terms),
+    which fills one dict in place.
     """
 
     __slots__ = ("_terms",)
@@ -57,7 +60,7 @@ class LinComb:
 
     @classmethod
     def term(cls, basis: Any, coeff: Scalar = 1) -> "LinComb":
-        c = as_fraction(coeff)
+        c = coeff if type(coeff) is int else as_fraction(coeff)
         return _wrap({basis: c} if c else {})
 
     @classmethod
@@ -73,13 +76,13 @@ class LinComb:
     def sum(cls, parts: Iterable["LinComb | tuple[LinComb, Scalar]"]) -> "LinComb":
         """The sum of the parts, each a LinComb or a (LinComb, coeff) pair
         standing for coeff times it; built in one dict, in one pass."""
-        data: dict[Any, Fraction] = {}
+        data: dict[Any, Scalar] = {}
         for part in parts:
             if isinstance(part, LinComb):
                 _accumulate(data, part._terms.items())
             else:
                 x, coeff = part
-                c = as_fraction(coeff)
+                c = coeff if type(coeff) is int else as_fraction(coeff)
                 if c:
                     _accumulate(data, x._terms.items(), c)
         return _wrap(data)
@@ -87,11 +90,11 @@ class LinComb:
     def items(self):
         return self._terms.items()
 
-    def sorted_items(self) -> list[tuple[Any, Fraction]]:
+    def sorted_items(self) -> list[tuple[Any, Scalar]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def coeff(self, basis: Any) -> Fraction:
-        return self._terms.get(basis, _ZERO)
+    def coeff(self, basis: Any) -> Scalar:
+        return self._terms.get(basis, 0)
 
     def support(self) -> list[Any]:
         return [b for b, _ in self.sorted_items()]
@@ -124,7 +127,7 @@ class LinComb:
         return (-1) * self
 
     def scale(self, coeff: Scalar) -> "LinComb":
-        c = as_fraction(coeff)
+        c = coeff if type(coeff) is int else as_fraction(coeff)
         return _wrap({b: c * v for b, v in self._terms.items()} if c else {})
 
     def __mul__(self, coeff: Scalar) -> "LinComb":
@@ -138,22 +141,22 @@ class LinComb:
 
     def map_basis(self, f: Callable[[Any], Any]) -> "LinComb":
         """Linear extension of f; f may return a basis element or a LinComb."""
-        data: dict[Any, Fraction] = {}
+        data: dict[Any, Scalar] = {}
         for b, c in self._terms.items():
             _add_image(data, f(b), c)
         return _wrap(data)
 
     def bilinear(self, other: "LinComb", f: Callable[[Any, Any], Any]) -> "LinComb":
         """Bilinear extension of f over pairs of basis elements."""
-        data: dict[Any, Fraction] = {}
+        data: dict[Any, Scalar] = {}
         for b1, c1 in self._terms.items():
             for b2, c2 in other._terms.items():
                 _add_image(data, f(b1, b2), c1 * c2)
         return _wrap(data)
 
-    def functional(self, f: Callable[[Any], Scalar]) -> Fraction:
+    def functional(self, f: Callable[[Any], Scalar]) -> Scalar:
         """Linear extension of a scalar-valued functional."""
-        total = _ZERO
+        total = 0
         for b, c in self._terms.items():
             total += c * as_fraction(f(b))
         return total
@@ -174,20 +177,21 @@ class LinComb:
 
 
 def _wrap(data: dict) -> LinComb:
-    """A LinComb owning data, whose coefficients must be nonzero Fractions."""
+    """A LinComb owning data, whose coefficients must be nonzero exact scalars."""
     out = LinComb.__new__(LinComb)
     out._terms = data
     return out
 
 
-def _exact_terms(items: Iterable[tuple[Any, Scalar]]) -> Iterator[tuple[Any, Fraction]]:
-    for basis, coeff in items:
-        c = as_fraction(coeff)
+def _exact_terms(items: Iterable[tuple[Any, Scalar]]) -> Iterator[tuple[Any, Scalar]]:
+    for basis, c in items:
+        if type(c) is not int:
+            c = as_fraction(c)
         if c:
             yield basis, c
 
 
-def _add_image(data: dict, image: Any, scale: Fraction) -> None:
+def _add_image(data: dict, image: Any, scale: Scalar) -> None:
     """Add scale times a map's value on a basis element (a LinComb, or a
     basis element standing for itself) into data."""
     if isinstance(image, LinComb):
@@ -196,10 +200,10 @@ def _add_image(data: dict, image: Any, scale: Fraction) -> None:
         _accumulate(data, ((image, scale),))
 
 
-def _accumulate(data: dict, terms: Iterable[tuple[Any, Fraction]], scale: Fraction = _ONE) -> None:
+def _accumulate(data: dict, terms: Iterable[tuple[Any, Scalar]], scale: Scalar = 1) -> None:
     """Add scale * c at each (basis, c) of terms into data, in place.
 
-    The coefficients of terms and scale must be nonzero Fractions; a basis
+    The coefficients of terms and scale must be nonzero exact scalars; a basis
     element whose coefficient cancels is removed, so data stays a valid
     LinComb body.
     """
@@ -253,7 +257,7 @@ def lincomb_tensor(*factors: LinComb) -> LinComb:
 
 def splice_at(x: LinComb, index: int, f: Callable[[Any], LinComb]) -> LinComb:
     """Apply a linear map to one tensor slot, splicing Tensor-valued images in place."""
-    data: dict[Any, Fraction] = {}
+    data: dict[Any, Scalar] = {}
     for t, c in x.items():
         image = LinComb.lift(f(t.parts[index]))
         head, tail = t.parts[:index], t.parts[index + 1:]
@@ -263,13 +267,13 @@ def splice_at(x: LinComb, index: int, f: Callable[[Any], LinComb]) -> LinComb:
 
 
 def pair_eval(x: LinComb, y: LinComb,
-              pairing: Callable[[Any, Any], Fraction | None]) -> Fraction:
+              pairing: Callable[[Any, Any], Scalar | None]) -> Scalar:
     """Bilinear extension of a basis-level pairing.
 
     The pairing callback returns the scalar value, or None when the pair is
     outside its domain (which is an error, reported with both elements named).
     """
-    total = _ZERO
+    total = 0
     for b1, c1 in x.items():
         for b2, c2 in y.items():
             v = pairing(b1, b2)
@@ -279,16 +283,16 @@ def pair_eval(x: LinComb, y: LinComb,
     return total
 
 
-def kronecker(b1: Any, b2: Any) -> Fraction:
-    return Fraction(1) if b1 == b2 else _ZERO
+def kronecker(b1: Any, b2: Any) -> int:
+    return 1 if b1 == b2 else 0
 
 
 def functional_convolve(f: Callable[[Any], Scalar], g: Callable[[Any], Scalar],
-                        coproduct: Callable[[Any], LinComb]) -> Callable[[Any], Fraction]:
+                        coproduct: Callable[[Any], LinComb]) -> Callable[[Any], Scalar]:
     """Convolution product of two functionals with respect to a coproduct."""
 
-    def conv(basis: Any) -> Fraction:
-        total = _ZERO
+    def conv(basis: Any) -> Scalar:
+        total = 0
         for t, c in coproduct(basis).items():
             a, b = t.parts
             total += c * as_fraction(f(a)) * as_fraction(g(b))

@@ -1,8 +1,9 @@
 """Exact Gaussian elimination over sparse rational vectors.
 
 Vectors are mappings from hashable basis keys (sortable via ``sort_key``)
-to Fraction.  Used for rank computations (free Lie algebra dimensions, PBW
-bases) and for expressing elements in the span of a generating family.
+to exact scalars (int or Fraction).  Used for rank computations (free Lie
+algebra dimensions, PBW bases) and for expressing elements in the span of a
+generating family.
 """
 
 from __future__ import annotations
@@ -10,10 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
-_ZERO = Fraction(0)
+from .algebra import Scalar
 
 
-def _as_dict(vec: Mapping[Any, Fraction]) -> dict[Any, Fraction]:
+def _as_dict(vec: Mapping[Any, Scalar]) -> dict[Any, Scalar]:
     return {k: v for k, v in vec.items() if v}
 
 
@@ -32,13 +33,13 @@ def _reduce(vec: dict, combo: dict, pivots: list[tuple[Any, dict, dict]], sign: 
         if not c:
             continue
         for k, v in prow.items():
-            acc = vec.get(k, _ZERO) - c * v
+            acc = vec.get(k, 0) - c * v
             if acc:
                 vec[k] = acc
             else:
                 vec.pop(k, None)
         for i, v in pcombo.items():
-            acc = combo.get(i, _ZERO) + sign * c * v
+            acc = combo.get(i, 0) + sign * c * v
             if acc:
                 combo[i] = acc
             else:
@@ -51,13 +52,13 @@ def _insert_pivot(vec: dict, combo: dict, pivots: list) -> bool:
     if not vec:
         return False
     key = min(vec, key=_key_order)
-    inv = 1 / vec[key]
+    inv = Fraction(1) / vec[key]
     pivots.append((key, {k: v * inv for k, v in vec.items()},
                    {i: v * inv for i, v in combo.items()}))
     return True
 
 
-def exact_rank(vectors: Iterable[Mapping[Any, Fraction]]) -> int:
+def exact_rank(vectors: Iterable[Mapping[Any, Scalar]]) -> int:
     pivots: list[tuple[Any, dict, dict]] = []
     rank = 0
     for vec in vectors:
@@ -67,14 +68,14 @@ def exact_rank(vectors: Iterable[Mapping[Any, Fraction]]) -> int:
     return rank
 
 
-def solve_in_span(basis: Sequence[Mapping[Any, Fraction]],
-                  target: Mapping[Any, Fraction]) -> list[Fraction] | None:
+def solve_in_span(basis: Sequence[Mapping[Any, Scalar]],
+                  target: Mapping[Any, Scalar]) -> list[Scalar] | None:
     """Coefficients x with target = sum x_i * basis_i, or None if unsolvable."""
     pivots: list[tuple[Any, dict, dict]] = []
     for i, vec in enumerate(basis):
-        v = _reduce(_as_dict(vec), combo := {i: Fraction(1)}, pivots, -1)
+        v = _reduce(_as_dict(vec), combo := {i: 1}, pivots, -1)
         _insert_pivot(v, combo, pivots)
     vec = _reduce(_as_dict(target), sol := {}, pivots, +1)
     if vec:
         return None
-    return [sol.get(i, _ZERO) for i in range(len(basis))]
+    return [sol.get(i, 0) for i in range(len(basis))]

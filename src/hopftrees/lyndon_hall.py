@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -407,7 +408,7 @@ def lyndon_poly_decompose(x: LinComb) -> LinComb:
             for _, copies in itertools.groupby(factors, key=alpha_key):
                 denom *= factorial(len(list(copies)))
             m = shuffle_monomial(*factors)
-            coeff = rem.coeff(w) / denom
+            coeff = Fraction(rem.coeff(w), denom)
             terms.append((m, coeff))
             rem = LinComb.sum([rem, (expand_shuffle_monomial(m), -coeff)])
     return LinComb(terms)

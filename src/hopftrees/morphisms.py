@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .algebra import LinComb, ParseError, Scalar, Tensor, as_fraction
@@ -29,8 +30,8 @@ from .trees import (EMPTY_FOREST, Forest, PlanarForest, PlanarTree,
                     enumerate_trees, planar_ladder,
                     planar_variants, forget_order_forest, sym_order)
 from .tree_hopf import gl_product, gl_unit
-from .words import (ADDITIVE, EMPTY_WORD, Word, quasi_shuffle, shuffle, word,
-                    word_antipode, words_of_weight)
+from .words import (ADDITIVE, Word, quasi_shuffle, word, word_antipode,
+                    words_of_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +47,7 @@ def pi(x: LinComb | Forest) -> LinComb:
 
 
 def alpha_of(x: LinComb | Forest,
-             coeffs: Mapping[Word, Scalar] | Callable[[Word], Scalar]) -> Fraction:
+             coeffs: Mapping[Word, Scalar] | Callable[[Word], Scalar]) -> Scalar:
     """Evaluate a word-indexed coefficient family on a labeled forest."""
     if callable(coeffs):
         lookup = coeffs
@@ -198,7 +199,7 @@ def qsym_coproduct(x: LinComb | Composition) -> LinComb:
     return LinComb.lift(x).map_basis(on_comp)
 
 
-def qsym_counit(x: LinComb | Composition) -> Fraction:
+def qsym_counit(x: LinComb | Composition) -> Scalar:
     return LinComb.lift(x).coeff(EMPTY_COMPOSITION)
 
 
@@ -255,13 +256,13 @@ def _e_products(n: int) -> list[tuple[tuple[int, ...], LinComb]]:
     return out
 
 
-def sym_e_decompose(x: LinComb) -> list[tuple[tuple[int, ...], Fraction]]:
+def sym_e_decompose(x: LinComb) -> list[tuple[tuple[int, ...], Scalar]]:
     """Write a symmetric element of QSYM in the elementary basis.
 
     Solved exactly per weight class; raises if some graded piece lies
     outside the span (i.e. the input is not symmetric).
     """
-    out: list[tuple[tuple[int, ...], Fraction]] = []
+    out: list[tuple[tuple[int, ...], Scalar]] = []
     by_weight: dict[int, list] = {}
     for c, v in x.items():
         by_weight.setdefault(c.weight, []).append((c, v))
@@ -531,18 +532,21 @@ def beta2(x: LinComb | PlanarForest, max_weight: int) -> LinComb:
 
 
 def beta4(x: LinComb | Composition, max_weight: int) -> LinComb:
-    """SYM -> words: e_n to the sum of all length-n words of weight <= N."""
+    """SYM -> words: e_n to the sum of all length-n words of weight <= N.
 
-    def letter_sum(n: int) -> LinComb:
-        return LinComb((w, 1) for k in range(n, max_weight + 1)
-                       for w in words_of_weight(k) if len(w) == n)
+    beta4 is multiplicative into the shuffle algebra, so e_mu goes to the
+    shuffle of the letter sums for the parts of mu, truncated at weight N.
+    A word of length n = |mu| arises in that shuffle once for each way of
+    choosing which of its positions come from which factor, so e_mu goes
+    to the multinomial C(n; mu) times the sum of all length-n words of
+    weight <= N.
+    """
 
     def e_image(mu: tuple[int, ...]) -> LinComb:
-        prod = LinComb.term(EMPTY_WORD)
-        for p in mu:
-            prod = shuffle(prod, letter_sum(p))
-            prod = prod.graded_part(lambda w: w.weight, max_weight)
-        return prod
+        n = sum(mu)
+        multinomial = factorial(n) // prod(factorial(p) for p in mu)
+        return LinComb((w, multinomial) for k in range(n, max_weight + 1)
+                       for w in words_of_weight(k) if len(w) == n)
 
     return LinComb.sum((e_image(mu), c) for mu, c in sym_e_decompose(LinComb.lift(x)))
 

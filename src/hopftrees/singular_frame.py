@@ -23,9 +23,6 @@ from .tree_hopf import char_exp, char_log, convolution_powers
 from .trees import EMPTY_FOREST, Forest, RootedTree, linear_extensions, sym_order
 from .words import EMPTY_WORD, Word, words_of_weight
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # exact univariate polynomials
@@ -51,7 +48,7 @@ class UnivariatePoly:
     def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
         if not self.coeffs or not other.coeffs:
             return UnivariatePoly()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -59,14 +56,14 @@ class UnivariatePoly:
 
     def weighted_integral(self, k: int) -> "UnivariatePoly":
         """g(x) -> integral of g(s) s^(k-1) ds from 0 to x."""
-        out = [_ZERO] * (len(self.coeffs) + k)
+        out = [0] * (len(self.coeffs) + k)
         for i, a in enumerate(self.coeffs):
-            out[i + k] = a / (i + k)
+            out[i + k] = Fraction(a, i + k)
         return UnivariatePoly(tuple(out))
 
-    def eval(self, x: Scalar) -> Fraction:
+    def eval(self, x: Scalar) -> Scalar:
         x = as_fraction(x)
-        total = _ZERO
+        total = 0
         for a in reversed(self.coeffs):
             total = total * x + a
         return total
@@ -103,11 +100,11 @@ def iterated_integral(w: Word) -> Fraction:
 # ---------------------------------------------------------------------------
 # alpha^U on labeled forests
 
-def alphaU_word_sum(u: Forest) -> Fraction:
+def alphaU_word_sum(u: Forest) -> Scalar:
     """Sum of frame coefficients over the linear extensions of u."""
     if u == EMPTY_FOREST:
-        return _ONE
-    return sum((frame_coefficient(w) for w in linear_extensions(u)), _ZERO)
+        return 1
+    return sum(frame_coefficient(w) for w in linear_extensions(u))
 
 
 @lru_cache(maxsize=None)
@@ -125,10 +122,10 @@ def _alphaU_tree(t: RootedTree) -> Fraction:
     return _alphaU_poly(t).eval(1)
 
 
-def alphaU(u: Forest) -> Fraction:
+def alphaU(u: Forest) -> Scalar:
     """alpha^U by the integral recursion: polynomials all the way up,
     evaluated at 1 only at the end."""
-    total = _ONE
+    total = 1
     for t in u.trees:
         total *= _alphaU_tree(t)
     return total
@@ -137,27 +134,27 @@ def alphaU(u: Forest) -> Fraction:
 # ---------------------------------------------------------------------------
 # exp and log of forest functionals
 
-def forest_exp(a: Callable[[Forest], Scalar]) -> Callable[[Forest], Fraction]:
+def forest_exp(a: Callable[[Forest], Scalar]) -> Callable[[Forest], Scalar]:
     """Convolution exponential; the argument must kill the empty forest."""
     if as_fraction(a(EMPTY_FOREST)):
         raise ValueError("forest_exp needs a(I) = 0")
     return char_exp(a)
 
 
-def forest_log(a: Callable[[Forest], Scalar]) -> Callable[[Forest], Fraction]:
+def forest_log(a: Callable[[Forest], Scalar]) -> Callable[[Forest], Scalar]:
     """Convolution logarithm; the argument must send the empty forest to 1."""
     if as_fraction(a(EMPTY_FOREST)) != 1:
         raise ValueError("forest_log needs a(I) = 1")
 
-    def reduced(u: Forest) -> Fraction:
-        return as_fraction(a(u)) - (_ONE if u == EMPTY_FOREST else _ZERO)
+    def reduced(u: Forest) -> Scalar:
+        return as_fraction(a(u)) - (1 if u == EMPTY_FOREST else 0)
 
     power = convolution_powers(reduced)
 
-    def log_a(u: Forest) -> Fraction:
+    def log_a(u: Forest) -> Scalar:
         if u == EMPTY_FOREST:
-            return _ZERO
-        total = _ZERO
+            return 0
+        total = 0
         for k in range(1, u.size + 1):
             total += Fraction((-1) ** (k + 1), k) * power(k, u)
         return total
@@ -165,7 +162,7 @@ def forest_log(a: Callable[[Forest], Scalar]) -> Callable[[Forest], Fraction]:
     return log_a
 
 
-def betaU(max_weight: int | None = None) -> Callable[[Forest], Fraction]:
+def betaU(max_weight: int | None = None) -> Callable[[Forest], Scalar]:
     """The tree-supported logarithm of alpha^U.
 
     When max_weight is given, values on all labeled forests up to that
@@ -235,7 +232,7 @@ def hall_representation(max_weight: int) -> LinComb:
     overcounts each Hall coefficient by exactly |sym(s)|.
     """
     beta = betaU()
-    return LinComb((t, beta(Forest((t.tree,))) / sym_order(t.tree))
+    return LinComb((t, Fraction(beta(Forest((t.tree,))), sym_order(t.tree)))
                    for t in hall_set(max_weight))
 
 
@@ -243,7 +240,7 @@ def _truncate_words(x: LinComb, max_weight: int) -> LinComb:
     return x.graded_part(lambda w: w.weight, max_weight)
 
 
-def _concat_truncated(x: LinComb, by_weight: list[tuple[Word, Fraction]],
+def _concat_truncated(x: LinComb, by_weight: list[tuple[Word, Scalar]],
                       max_weight: int) -> LinComb:
     """The weight <= max_weight part of concat(x, y), y given as its terms
     sorted by weight; pairs past the bound are never formed."""

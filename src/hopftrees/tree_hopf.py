@@ -36,8 +36,6 @@ from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,
                     PlanarTree, RootedTree, forest_mul, leaf, strip_root,
                     sym_order)
 
-_ZERO = Fraction(0)
-
 
 # ---------------------------------------------------------------------------
 # cut coproduct algebra on forests, unordered (commutative) or ordered
@@ -105,8 +103,10 @@ def ck_coproduct(x: LinComb | Forest | PlanarForest) -> LinComb:
     return LinComb.lift(x).map_basis(coproduct_forest)
 
 
-def ck_counit(x: LinComb | Forest) -> Fraction:
-    return LinComb.lift(x).coeff(EMPTY_FOREST)
+def ck_counit(x: LinComb | Forest | PlanarForest) -> Scalar:
+    """The coefficient of the empty forest, unordered or ordered."""
+    x = LinComb.lift(x)
+    return x.coeff(EMPTY_FOREST) + x.coeff(EMPTY_PLANAR_FOREST)
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +201,7 @@ def gl_coproduct(x: LinComb | RootedTree) -> LinComb:
     return LinComb.lift(x).map_basis(on_tree)
 
 
-def gl_counit(x: LinComb | RootedTree) -> Fraction:
+def gl_counit(x: LinComb | RootedTree) -> Scalar:
     return LinComb.lift(x).coeff(GL_UNIT_TREE)
 
 
@@ -236,16 +236,16 @@ def ck_gl_dual(t: RootedTree) -> tuple[Forest, int]:
     return u, sym_order(u)
 
 
-def ck_gl_pairing(t: RootedTree, v: Forest) -> Fraction:
+def ck_gl_pairing(t: RootedTree, v: Forest) -> int:
     """<B+(u), v> = |sym(u)| if u == v else 0, u the branch forest of t."""
     u, s = ck_gl_dual(t)
-    return Fraction(s) if u == v else _ZERO
+    return s if u == v else 0
 
 
-def pair_gl_ck(x: LinComb | RootedTree, y: LinComb | Forest) -> Fraction:
+def pair_gl_ck(x: LinComb | RootedTree, y: LinComb | Forest) -> Scalar:
     """<x, y>, one coefficient lookup in y per tree of x."""
     y = LinComb.lift(y)
-    total = _ZERO
+    total = 0
     for t, c in LinComb.lift(x).items():
         u, s = ck_gl_dual(t)
         cy = y.coeff(u)
@@ -322,8 +322,8 @@ def foissy_coproduct(x: LinComb | PlanarForest) -> LinComb:
     return ck_coproduct(x)
 
 
-def foissy_counit(x: LinComb | PlanarForest) -> Fraction:
-    return LinComb.lift(x).coeff(EMPTY_PLANAR_FOREST)
+def foissy_counit(x: LinComb | PlanarForest) -> Scalar:
+    return ck_counit(x)
 
 
 def foissy_antipode(x: LinComb | PlanarForest) -> LinComb:
@@ -340,10 +340,10 @@ class Character:
     def __init__(self, tree_values: Mapping[RootedTree, Scalar]):
         self.tree_values = {t: as_fraction(v) for t, v in tree_values.items()}
 
-    def __call__(self, u: Forest) -> Fraction:
-        total = Fraction(1)
+    def __call__(self, u: Forest) -> Scalar:
+        total = 1
         for t in u.trees:
-            total *= self.tree_values.get(t, _ZERO)
+            total *= self.tree_values.get(t, 0)
         return total
 
 
@@ -353,34 +353,34 @@ class InfinitesimalCharacter:
     def __init__(self, tree_values: Mapping[RootedTree, Scalar]):
         self.tree_values = {t: as_fraction(v) for t, v in tree_values.items()}
 
-    def __call__(self, u: Forest) -> Fraction:
+    def __call__(self, u: Forest) -> Scalar:
         if len(u.trees) != 1:
-            return _ZERO
-        return self.tree_values.get(u.trees[0], _ZERO)
+            return 0
+        return self.tree_values.get(u.trees[0], 0)
 
 
-def convolution_unit(u: Forest) -> Fraction:
-    return Fraction(1) if u == EMPTY_FOREST else _ZERO
+def convolution_unit(u: Forest) -> int:
+    return 1 if u == EMPTY_FOREST else 0
 
 
 def char_convolution(f: Callable[[Forest], Scalar],
-                     g: Callable[[Forest], Scalar]) -> Callable[[Forest], Fraction]:
+                     g: Callable[[Forest], Scalar]) -> Callable[[Forest], Scalar]:
     return functional_convolve(f, g, coproduct_forest)
 
 
-def convolution_powers(a: Callable[[Forest], Scalar]) -> Callable[[int, Forest], Fraction]:
+def convolution_powers(a: Callable[[Forest], Scalar]) -> Callable[[int, Forest], Scalar]:
     """k, u -> a^(*k)(u) by a^(*k) = a * a^(*(k-1)) over the cut coproduct,
     memoized per call; a^(*0) is the convolution unit."""
-    cache: dict[tuple[int, Forest], Fraction] = {}
+    cache: dict[tuple[int, Forest], Scalar] = {}
 
-    def power(k: int, u: Forest) -> Fraction:
+    def power(k: int, u: Forest) -> Scalar:
         if k == 0:
             return convolution_unit(u)
         if k == 1:
             return as_fraction(a(u))
         key = (k, u)
         if key not in cache:
-            total = _ZERO
+            total = 0
             for t, c in coproduct_forest(u).items():
                 left, right = t.parts
                 av = as_fraction(a(left))
@@ -392,7 +392,7 @@ def convolution_powers(a: Callable[[Forest], Scalar]) -> Callable[[int, Forest],
     return power
 
 
-def char_exp(g: Callable[[Forest], Scalar]) -> Callable[[Forest], Fraction]:
+def char_exp(g: Callable[[Forest], Scalar]) -> Callable[[Forest], Scalar]:
     """Convolution exponential of a functional g that kills the unit.
 
     Since g kills the unit, g^(*k)(u) vanishes for k > |u| and the sum is
@@ -403,12 +403,12 @@ def char_exp(g: Callable[[Forest], Scalar]) -> Callable[[Forest], Fraction]:
         raise ValueError("convolution exponential needs g(I) = 0")
     power = convolution_powers(g)
 
-    def exp_g(u: Forest) -> Fraction:
+    def exp_g(u: Forest) -> Scalar:
         total = convolution_unit(u)
         fact = 1
         for k in range(1, u.size + 1):
             fact *= k
-            total += power(k, u) / fact
+            total += Fraction(power(k, u), fact)
         return total
 
     return exp_g
@@ -419,7 +419,7 @@ def _log_weight(n: int, j: int) -> Fraction:
     return Fraction((-1) ** (j + 1) * comb(n, j), j)
 
 
-def char_log(tree_value: Callable[[RootedTree], Scalar]) -> Callable[[Forest], Fraction]:
+def char_log(tree_value: Callable[[RootedTree], Scalar]) -> Callable[[Forest], Scalar]:
     """Convolution logarithm of the character with the given tree values.
 
     Every convolution power a^(*j) of a character is again a character, so
@@ -432,16 +432,16 @@ def char_log(tree_value: Callable[[RootedTree], Scalar]) -> Callable[[Forest], F
     with a^(*j)(t) the sum of m a(P) a^(*(j-1))(R) over the splits (P, R, m)
     of t (a^(*0) is 1 on a pruned-away trunk).  Values are memoized per call.
     """
-    splits: dict[RootedTree, list[tuple[Fraction, RootedTree | None]]] = {}
-    powers: dict[tuple[int, RootedTree], Fraction] = {}
+    splits: dict[RootedTree, list[tuple[Scalar, RootedTree | None]]] = {}
+    powers: dict[tuple[int, RootedTree], Scalar] = {}
 
-    def weighted_splits(t: RootedTree) -> list[tuple[Fraction, RootedTree | None]]:
+    def weighted_splits(t: RootedTree) -> list[tuple[Scalar, RootedTree | None]]:
         # the splits (P, R, m) of t as (m a(P), R), zero weights dropped
         got = splits.get(t)
         if got is None:
             got = []
             for pruned, trunk, mult in _tree_splits(t):
-                weight = as_fraction(mult)
+                weight = mult
                 for s in pruned.trees:
                     weight *= as_fraction(tree_value(s))
                 if weight:
@@ -449,11 +449,11 @@ def char_log(tree_value: Callable[[RootedTree], Scalar]) -> Callable[[Forest], F
             splits[t] = got
         return got
 
-    def power(j: int, t: RootedTree) -> Fraction:
+    def power(j: int, t: RootedTree) -> Scalar:
         key = (j, t)
         got = powers.get(key)
         if got is None:
-            got = _ZERO
+            got = 0
             for weight, trunk in weighted_splits(t):
                 if trunk is None:
                     got += weight
@@ -462,8 +462,8 @@ def char_log(tree_value: Callable[[RootedTree], Scalar]) -> Callable[[Forest], F
             powers[key] = got
         return got
 
-    def log_a(u: Forest) -> Fraction:
-        total = _ZERO
+    def log_a(u: Forest) -> Scalar:
+        total = 0
         n = u.size
         for j in range(1, n + 1):
             term = _log_weight(n, j)

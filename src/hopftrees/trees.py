@@ -308,16 +308,24 @@ def _trees_upto_key(n: int) -> list[RootedTree]:
 
 
 def _multisets(total: int, pool: list, size_of) -> Iterator[tuple]:
-    """Multisets from pool with given total size; pool must be sorted."""
+    """Multisets of distinct pool items with given total size, each once.
+
+    Items are taken in order of size (stably, so in pool order within one
+    size), and a level stops scanning at the first item larger than what
+    remains.
+    """
+    items = sorted(pool, key=size_of)
+    sizes = [size_of(t) for t in items]
+
     def rec(rest: int, start: int) -> Iterator[tuple]:
         if rest == 0:
             yield ()
             return
-        for i in range(start, len(pool)):
-            s = size_of(pool[i])
-            if s <= rest:
-                for tail in rec(rest - s, i):
-                    yield (pool[i],) + tail
+        for i in range(start, len(items)):
+            if sizes[i] > rest:
+                break
+            for tail in rec(rest - sizes[i], i):
+                yield (items[i],) + tail
     return rec(total, 0)
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Literal
 
-from .algebra import LinComb, ParseError, Tensor
+from .algebra import LinComb, ParseError, Scalar, Tensor
 
 Pairing = Literal["zero", "additive"]
 ZERO: Pairing = "zero"
@@ -191,7 +191,7 @@ def deconcat(w: Word) -> LinComb:
     return LinComb((Tensor((w[:i], w[i:])), 1) for i in range(len(w.letters) + 1))
 
 
-def word_counit(x: LinComb) -> Fraction:
+def word_counit(x: LinComb) -> Scalar:
     return x.coeff(EMPTY_WORD)
 
 

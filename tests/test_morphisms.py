@@ -59,7 +59,7 @@ from hopftrees.trees import (
     ladder,
     leaf,
 )
-from hopftrees.words import EMPTY_WORD, concat, word
+from hopftrees.words import EMPTY_WORD, concat, shuffle, word, words_of_weight
 
 L2 = ladder(2)
 L3 = ladder(3)
@@ -342,6 +342,37 @@ def test_beta_values():
     assert beta4(composition(1, 1), 2) == LinComb.term(word(1, 1))
     assert beta2_star(2).sorted_items()[0][1] == 1
     assert len(beta1(word(2))) == 1
+
+
+def _beta4_by_shuffles(x: LinComb, max_weight: int) -> LinComb:
+    """beta4 by its definition: e_mu to the product of the letter sums for
+    the parts of mu in the shuffle algebra, truncated at each step."""
+
+    def letter_sum(n: int) -> LinComb:
+        return LinComb((w, 1) for k in range(n, max_weight + 1)
+                       for w in words_of_weight(k) if len(w) == n)
+
+    def e_image(mu):
+        out = LinComb.term(EMPTY_WORD)
+        for p in mu:
+            out = shuffle(out, letter_sum(p)).graded_part(lambda w: w.weight, max_weight)
+        return out
+
+    return LinComb.sum((e_image(mu), c) for mu, c in sym_e_decompose(x))
+
+
+def test_beta4_closed_form_matches_the_shuffle_route():
+    for n in range(1, 8):
+        for mu in partitions(n):
+            e_mu = LinComb.term(EMPTY_COMPOSITION)
+            for p in mu:
+                e_mu = qsym_product(e_mu, e_basis(p))
+            for x in (m_lambda(mu), e_mu):
+                for max_weight in sorted({n - 1, n, 7}):
+                    assert beta4(x, max_weight) == _beta4_by_shuffles(x, max_weight), (mu, max_weight)
+    assert not beta4(e_basis(3), 2)
+    assert beta4(m_lambda((2, 1)) + LinComb.term(EMPTY_COMPOSITION), 3) == \
+        _beta4_by_shuffles(m_lambda((2, 1)) + LinComb.term(EMPTY_COMPOSITION), 3)
 
 
 def test_word_formatters():

@@ -148,6 +148,16 @@ def test_counit_values():
     assert ck_counit(forest(leaf())) == 0
 
 
+def test_counit_serves_ordered_forests():
+    assert ck_counit(EMPTY_PLANAR_FOREST) == 1
+    assert ck_counit(LinComb.term(EMPTY_PLANAR_FOREST)) == 1
+    assert ck_counit(LinComb.term(EMPTY_PLANAR_FOREST, 3)
+                     + LinComb.term(PlanarForest((pleaf(),)))) == 3
+    for u in [f for n in range(4) for f in enumerate_planar_forests(n)]:
+        x = LinComb.term(u, 2)
+        assert ck_counit(x) == foissy_counit(x) == (2 if not u.trees else 0)
+
+
 def test_antipode_of_the_ladder():
     assert ck_antipode(forest(L2)) == tf(forest(L2), -1) + tf(forest(leaf(), leaf()))
 

@@ -37,6 +37,7 @@ from hopftrees.trees import (
     strip_root,
     sym_order,
 )
+from hopftrees.trees import _multisets, _trees_upto_key
 from hopftrees.words import word
 
 CHERRY = bplus(forest(leaf(), leaf()))
@@ -188,6 +189,40 @@ def test_labeled_enumeration_matches_the_count_recurrence():
     for n in range(1, 6):
         assert len(labeled_trees_of_weight(n)) == trees[n]
         assert len(labeled_forests_of_weight(n)) == forests[n]
+
+
+def _multisets_full_scan(total, pool, size_of):
+    """Multisets from a sorted pool by scanning the whole pool at every level."""
+    def rec(rest, start):
+        if rest == 0:
+            yield ()
+            return
+        for i in range(start, len(pool)):
+            s = size_of(pool[i])
+            if s <= rest:
+                for tail in rec(rest - s, i):
+                    yield (pool[i],) + tail
+    return rec(total, 0)
+
+
+def _forests(tuples):
+    out = [Forest(ts) for ts in tuples]
+    return sorted(out, key=lambda f: f._key)
+
+
+def test_multisets_match_the_full_scan():
+    for n in range(9):
+        pool = _trees_upto_key(n)
+        size = lambda t: t.size
+        assert _forests(_multisets(n, pool, size)) == _forests(_multisets_full_scan(n, pool, size))
+        assert list(enumerate_forests(n)) == _forests(_multisets_full_scan(n, pool, size))
+    for w in range(1, 9):
+        pool = sorted((t for k in range(1, w + 1) for t in labeled_trees_of_weight(k)),
+                      key=lambda t: t._key)
+        weight = lambda t: t.weight
+        expected = _forests(_multisets_full_scan(w, pool, weight))
+        assert _forests(_multisets(w, pool, weight)) == expected
+        assert list(labeled_forests_of_weight(w)) == expected
 
 
 def test_labeled_weight_one():
