@@ -18,6 +18,9 @@ The output JSON holds both commit SHAs (the working tree's HEAD, with
 per-pair metric values and, per workload and metric, the median and
 quartiles of each side and the number of pairs in which the change read
 better.  Every metric of perfbench's ``--trace 0`` result is lower-better.
+It also records the lines of ``src/`` added and removed between the parent
+and the working tree (``git diff --numstat``; tracked files only) and their
+difference, the net change.
 """
 
 from __future__ import annotations
@@ -72,6 +75,17 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+def src_lines(rev: str) -> dict:
+    """Lines of src/ added and removed from rev to the working tree, and the net."""
+    added = removed = 0
+    for line in git("diff", "--numstat", rev, "--", "src/").splitlines():
+        a, r, _ = line.split("\t", 2)
+        if a != "-":  # binary files count no lines
+            added += int(a)
+            removed += int(r)
+    return {"added": added, "removed": removed, "net": added - removed}
+
+
 def quartiles(xs: list[float]) -> dict:
     if len(xs) < 2:
         return {"median": xs[0], "q1": xs[0], "q3": xs[0]}
@@ -105,6 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {platform.processor() or 'unknown cpu'}",
+        "src_lines": src_lines(args.parent),
         "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "workloads": {},
     }

@@ -1,4 +1,5 @@
-"""Exact scalars, sparse linear combinations, tensors, pairings, convolution.
+"""Exact scalars, sparse linear combinations, tensors, pairings, convolution
+and the antipode recursion shared by every Hopf algebra in the package.
 
 Every algebraic object in this package is a finite formal sum of canonical
 basis elements (trees, forests, words, tensors, ...) with exact rational
@@ -285,6 +286,21 @@ def pair_eval(x: LinComb, y: LinComb,
 
 def kronecker(b1: Any, b2: Any) -> int:
     return 1 if b1 == b2 else 0
+
+
+def recursive_antipode(b: Any, coproduct: Callable[[Any], LinComb],
+                       product: Callable[[LinComb, Any], LinComb],
+                       antipode: Callable[[Any], LinComb], unit: Any) -> LinComb:
+    """S(b) = -sum c S(b') b'' over the terms c b' (x) b'' of coproduct(b)
+    with b'' != unit: the antipode law S * id = 0 solved for S(b), b != unit.
+
+    The term 1 (x) b contributes -b; antipode is called on the left factors,
+    which have lower degree in a connected graded bialgebra, and must give
+    the unit on the unit.
+    """
+    return LinComb.sum((product(antipode(left), right), -c)
+                       for t, c in coproduct(b).items()
+                       for left, right in (t.parts,) if right != unit)
 
 
 def functional_convolve(f: Callable[[Any], Scalar], g: Callable[[Any], Scalar],

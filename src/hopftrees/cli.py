@@ -13,11 +13,12 @@ import argparse
 import sys
 from typing import Callable
 
-from .algebra import LinComb, ParseError
+from .algebra import ParseError
 from .checks import SUITES, run_suite
 from .lyndon_hall import hall_polynomial, hall_set
-from .morphisms import (eword_str, parse_composition, pi, qsym_antipode,
-                        qsym_coproduct, qsym_product, zhao_eps, zhao_k)
+from .morphisms import (composition_str, eword_str, parse_composition, pi,
+                        qsym_antipode, qsym_coproduct, qsym_product, zhao_eps,
+                        zhao_k)
 from .singular_frame import frame_series
 from .tree_hopf import (ck_antipode, ck_coproduct, ck_product, gl_antipode,
                         gl_coproduct, gl_product, planar_diamond,
@@ -29,11 +30,13 @@ from .words import (ADDITIVE, ZERO, deconcat, parse_word, quasi_shuffle,
 
 class _Algebra:
     def __init__(self, parse: Callable[[str], object],
-                 product: Callable, coproduct: Callable, antipode: Callable):
+                 product: Callable, coproduct: Callable, antipode: Callable,
+                 fmt: Callable[[object], str] = str):
         self.parse = parse
         self.product = product
         self.coproduct = coproduct
         self.antipode = antipode
+        self.fmt = fmt
 
 
 ALGEBRAS: dict[str, _Algebra] = {
@@ -50,7 +53,7 @@ ALGEBRAS: dict[str, _Algebra] = {
                          lambda x, y: quasi_shuffle(x, y, ADDITIVE), deconcat,
                          lambda x: word_antipode(x, ADDITIVE)),
     "qsym": _Algebra(parse_composition, qsym_product, qsym_coproduct,
-                     qsym_antipode),
+                     qsym_antipode, composition_str),
 }
 
 
@@ -122,14 +125,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_coproduct(args) -> int:
     alg = ALGEBRAS[args.algebra]
     x = alg.parse(args.input)
-    print(alg.coproduct(x))
+    print(alg.coproduct(x).format(alg.fmt))
     return 0
 
 
 def _cmd_antipode(args) -> int:
     alg = ALGEBRAS[args.algebra]
     x = alg.parse(args.input)
-    print(alg.antipode(LinComb.lift(x)))
+    print(alg.antipode(x).format(alg.fmt))
     return 0
 
 
@@ -139,7 +142,7 @@ def _cmd_product(args, parser: argparse.ArgumentParser) -> int:
     alg = ALGEBRAS[args.algebra]
     x = alg.parse(args.input[0])
     y = alg.parse(args.input[1])
-    print(alg.product(x, y))
+    print(alg.product(x, y).format(alg.fmt))
     return 0
 
 

@@ -7,10 +7,14 @@ ladder-tree square maps alpha_1..alpha_4 with their duals, Zhao's
 homomorphism and its dual, the truncated lifts rho/beta/Z_u/F, and a
 data-driven commuting-diagram checker.
 
-Encoding conventions: NSYM words in the z_n generators and enveloping
-algebra words in the e_{-n} generators are both stored as Word values over
-positive integers; only formatting and the choice of maps distinguish
-them.  SYM lives inside QSYM as combinations of monomial basis elements.
+Encoding conventions: NSYM words in the z_n generators, enveloping
+algebra words in the e_{-n} generators and the compositions indexing the
+monomial basis M_I of QSYM are all stored as Word values over positive
+integers; only formatting (``zword_str``, ``eword_str``,
+``composition_str``) and the choice of maps distinguish them.  QSYM is the
+quasi-shuffle algebra of words under the additive bracket, so its product,
+coproduct, counit and antipode are those of ``words``.  SYM lives inside
+QSYM as combinations of monomial basis elements.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .trees import (EMPTY_FOREST, Forest, PlanarForest, PlanarTree,
                     enumerate_trees, planar_ladder,
                     planar_variants, forget_order_forest, sym_order)
 from .tree_hopf import gl_product, gl_unit
-from .words import (ADDITIVE, Word, quasi_shuffle, word, word_antipode,
-                    words_of_weight)
+from .words import (ADDITIVE, EMPTY_WORD, Word, deconcat, quasi_shuffle, word,
+                    word_antipode, word_counit, words_of_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -105,44 +109,21 @@ def kernel_generators(max_weight: int) -> list[LinComb]:
 # ---------------------------------------------------------------------------
 # quasi-symmetric functions: monomial basis indexed by compositions
 
-class Composition:
-    """A composition indexing the monomial basis element M_I."""
-
-    __slots__ = ("parts", "weight", "_hash")
-
-    def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError("composition parts must be positive")
-        self.parts = parts
-        self.weight = sum(parts)
-        self._hash = hash(("Composition", parts))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Composition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def sort_key(self):
-        return (self.weight, len(self.parts), self.parts)
-
-    def __str__(self) -> str:
-        return "M(" + ",".join(str(p) for p in self.parts) + ")"
-
-    def __repr__(self) -> str:
-        return f"Composition({self.parts!r})"
+# the composition (i_1, ..., i_k) is the word f_{i_1} ... f_{i_k}
+Composition = Word
+EMPTY_COMPOSITION = EMPTY_WORD
+composition = word
 
 
-EMPTY_COMPOSITION = Composition(())
+def composition_str(x: Word | Tensor) -> str:
+    """``M(2,1)`` for the word f2.f1 (unit: ``M()``), slotwise on a tensor."""
+    if isinstance(x, Tensor):
+        return " (x) ".join(composition_str(p) for p in x.parts)
+    return "M(" + ",".join(str(p) for p in x.letters) + ")"
 
 
-def composition(*parts: int) -> Composition:
-    return Composition(parts)
-
-
-def parse_composition(text: str) -> Composition:
-    """Parse ``M(1,2)`` (unit: ``M()``); errors carry the byte offset."""
+def parse_composition(text: str) -> Word:
+    """Parse ``M(1,2)`` (unit: ``M()``) into its word; errors carry the byte offset."""
     s = text.strip()
     base = text.index(s) if s else 0
     if not s.startswith("M("):
@@ -171,47 +152,30 @@ def parse_composition(text: str) -> Composition:
             raise ParseError("expected ',' or ')'", base + pos)
     if pos != len(s):
         raise ParseError("unexpected input after composition", base + pos)
-    return Composition(parts)
+    return Word(parts)
 
 
-def _as_compositions(x: LinComb) -> LinComb:
-    """A combination of words read as one of compositions."""
-    return LinComb((Composition(w.letters), c) for w, c in x.items())
-
-
-def qsym_product(x: LinComb | Composition, y: LinComb | Composition) -> LinComb:
+def qsym_product(x: LinComb | Word, y: LinComb | Word) -> LinComb:
     """Quasi-shuffle of compositions with additive part merging."""
-
-    def on_pair(a: Composition, b: Composition) -> LinComb:
-        return _as_compositions(quasi_shuffle(Word(a.parts), Word(b.parts), ADDITIVE))
-
-    return LinComb.lift(x).bilinear(LinComb.lift(y), on_pair)
+    return quasi_shuffle(x, y, ADDITIVE)
 
 
-def qsym_coproduct(x: LinComb | Composition) -> LinComb:
+def qsym_coproduct(x: LinComb | Word) -> LinComb:
     """Deconcatenation of compositions."""
-
-    def on_comp(c: Composition) -> LinComb:
-        return LinComb(
-            (Tensor((Composition(c.parts[:k]), Composition(c.parts[k:]))), 1)
-            for k in range(len(c.parts) + 1))
-
-    return LinComb.lift(x).map_basis(on_comp)
+    return LinComb.lift(x).map_basis(deconcat)
 
 
-def qsym_counit(x: LinComb | Composition) -> Scalar:
-    return LinComb.lift(x).coeff(EMPTY_COMPOSITION)
+qsym_counit = word_counit
 
 
-def qsym_antipode(x: LinComb | Composition) -> LinComb:
-    """The quasi-shuffle antipode of the word of parts, read as compositions."""
-    return LinComb.lift(x).map_basis(
-        lambda c: _as_compositions(word_antipode(Word(c.parts), ADDITIVE)))
+def qsym_antipode(x: LinComb | Word) -> LinComb:
+    """The antipode of the additive quasi-shuffle algebra."""
+    return word_antipode(x, ADDITIVE)
 
 
-def Aplus(x: LinComb | Composition) -> LinComb:
+def Aplus(x: LinComb | Word) -> LinComb:
     """Append a part 1: M_I -> M_{I.(1)}."""
-    return LinComb.lift(x).map_basis(lambda c: Composition(c.parts + (1,)))
+    return LinComb.lift(x).map_basis(lambda c: Word(c.letters + (1,)))
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
@@ -237,12 +201,12 @@ def m_lambda(parts: Iterable[int]) -> LinComb:
     """The symmetric monomial m_lambda = sum of M_I over orderings of lambda."""
     parts = tuple(sorted(parts, reverse=True))
     orderings = set(itertools.permutations(parts))
-    return LinComb((Composition(p), 1) for p in orderings)
+    return LinComb((Word(p), 1) for p in orderings)
 
 
 def e_basis(n: int) -> LinComb:
     """The elementary symmetric function e_n = M_(1,...,1)."""
-    return LinComb.term(Composition((1,) * n))
+    return LinComb.term(Word((1,) * n))
 
 
 @lru_cache(maxsize=None)
@@ -326,7 +290,7 @@ def alpha3(x: LinComb | Word) -> LinComb:
     return LinComb.lift(x).map_basis(on_word)
 
 
-def alpha4(x: LinComb | Composition) -> LinComb:
+def alpha4(x: LinComb | Word) -> LinComb:
     """SYM -> forests: e_n to the unlabeled ladder l_n."""
     return LinComb((Forest(tuple(ladder(p) for p in mu)), c)
                    for mu, c in sym_e_decompose(LinComb.lift(x)))
@@ -358,7 +322,7 @@ def alpha1_star(x: LinComb | PlanarTree) -> LinComb:
         sizes = _ladder_branch_sizes(t)
         if sizes is None:
             return LinComb.zero()
-        return LinComb.term(Composition(sizes))
+        return LinComb.term(Word(sizes))
 
     return LinComb.lift(x).map_basis(on_tree)
 
@@ -531,7 +495,7 @@ def beta2(x: LinComb | PlanarForest, max_weight: int) -> LinComb:
     return LinComb.lift(x).map_basis(on_forest)
 
 
-def beta4(x: LinComb | Composition, max_weight: int) -> LinComb:
+def beta4(x: LinComb | Word, max_weight: int) -> LinComb:
     """SYM -> words: e_n to the sum of all length-n words of weight <= N.
 
     beta4 is multiplicative into the shuffle algebra, so e_mu goes to the
@@ -621,8 +585,8 @@ def _mlambda_probes(max_weight: int) -> list[tuple[str, LinComb]]:
     return out
 
 
-def _fmt_words(x: LinComb) -> str:
-    return x.format(lambda w: str(w))
+def _fmt_qsym(x: LinComb) -> str:
+    return x.format(composition_str)
 
 
 DIAGRAMS: dict[str, DiagramSpec] = {
@@ -639,6 +603,7 @@ DIAGRAMS: dict[str, DiagramSpec] = {
         probes=_gl_tree_probes,
         left=lambda x, n: alpha4_star(x),
         right=lambda x, n: alpha1_star(alpha2_star(x)),
+        fmt=_fmt_qsym,
     ),
     "propdiag": DiagramSpec(
         name="propdiag",
@@ -646,7 +611,6 @@ DIAGRAMS: dict[str, DiagramSpec] = {
         probes=_zword_probes,
         left=lambda x, n: beta2(beta1(x), n),
         right=lambda x, n: beta4(alpha3(x), n),
-        fmt=_fmt_words,
     ),
     "propdiag-dual": DiagramSpec(
         name="propdiag-dual",
@@ -654,6 +618,7 @@ DIAGRAMS: dict[str, DiagramSpec] = {
         probes=_eletter_probes,
         left=lambda x, n: x.map_basis(_beta4_star_word),
         right=lambda x, n: alpha1_star(x.map_basis(_beta2_star_word)),
+        fmt=_fmt_qsym,
     ),
     "hex1": DiagramSpec(
         name="hex1",
@@ -661,7 +626,6 @@ DIAGRAMS: dict[str, DiagramSpec] = {
         probes=_mlambda_probes,
         left=lambda x, n: rho(alpha4(x), n),
         right=lambda x, n: beta4(x, n),
-        fmt=_fmt_words,
         report_only=True,
     ),
     "hex2": DiagramSpec(
@@ -670,6 +634,7 @@ DIAGRAMS: dict[str, DiagramSpec] = {
         probes=_eword_probes,
         left=lambda x, n: alpha4_star(rho_star(x)),
         right=lambda x, n: x.map_basis(_beta4_star_word),
+        fmt=_fmt_qsym,
         report_only=True,
     ),
 }

@@ -15,6 +15,12 @@ Four structures are implemented:
 * the root-branch shuffle product with deconcatenation of branches on
   planar trees (selector ``planar``).
 
+Every antipode here is ``algebra.recursive_antipode`` fed with the
+structure's own coproduct and product.  The cut antipode recurses per tree,
+over the splits of that tree, and extends to forests (anti)multiplicatively;
+the attachment and branch-shuffle antipodes recurse on the branch splits of
+an unlabeled root.
+
 Functionals on forests come in two flavours (characters, multiplicative;
 infinitesimal characters, Leibniz) with convolution exponentials, plus the
 universal lift through a graded bialgebra equipped with one Hochschild
@@ -31,7 +37,7 @@ from math import comb
 from typing import Callable, Iterable, Mapping
 
 from .algebra import (LinComb, Scalar, Tensor, as_fraction, functional_convolve,
-                      lincomb_tensor)
+                      lincomb_tensor, recursive_antipode)
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,
                     PlanarTree, RootedTree, forest_mul, leaf, strip_root,
                     sym_order)
@@ -83,18 +89,23 @@ def _tree_splits(t: RootedTree | PlanarTree) -> tuple[tuple[Forest, RootedTree |
     return tuple((p, r, m) for (p, r), m in acc.items())
 
 
+def _tree_coproduct(t: RootedTree | PlanarTree) -> LinComb:
+    """Coproduct of one tree, pruned forest (x) trunk as a one-tree forest
+    (the unit forest when the whole tree is pruned)."""
+    forest = _FOREST_OF[type(t)]
+    unit = forest(())
+    return LinComb((Tensor((pruned, unit if trunk is None else forest((trunk,)))), mult)
+                   for pruned, trunk, mult in _tree_splits(t))
+
+
 @lru_cache(maxsize=None)
 def coproduct_forest(u: Forest | PlanarForest) -> LinComb:
     """Coproduct of a basis forest, as a sum of Forest (x) Forest tensors
     (PlanarForest tensors for an ordered forest)."""
-    forest = type(u)
-    unit = forest(())
+    unit = type(u)(())
     total = LinComb.term(Tensor((unit, unit)))
     for t in u.trees:
-        one = LinComb(
-            (Tensor((pruned, unit if trunk is None else forest((trunk,)))), mult)
-            for pruned, trunk, mult in _tree_splits(t))
-        total = total.bilinear(one, lambda a, b: Tensor(
+        total = total.bilinear(_tree_coproduct(t), lambda a, b: Tensor(
             (forest_mul(a.parts[0], b.parts[0]), forest_mul(a.parts[1], b.parts[1]))))
     return total
 
@@ -111,13 +122,8 @@ def ck_counit(x: LinComb | Forest | PlanarForest) -> Scalar:
 
 @lru_cache(maxsize=None)
 def _antipode_tree(t: RootedTree | PlanarTree) -> LinComb:
-    forest = _FOREST_OF[type(t)]
-    parts = [(LinComb.term(forest((t,))), -1)]
-    for pruned, trunk, mult in _tree_splits(t):
-        if trunk is not None and pruned.trees:
-            parts.append((ck_product(ck_antipode(LinComb.term(pruned)),
-                                     LinComb.term(forest((trunk,)))), -mult))
-    return LinComb.sum(parts)
+    return recursive_antipode(t, _tree_coproduct, ck_product, ck_antipode,
+                              _FOREST_OF[type(t)](()))
 
 
 def ck_antipode(x: LinComb | Forest | PlanarForest) -> LinComb:
@@ -212,12 +218,7 @@ def _gl_antipode_tree(t: RootedTree) -> LinComb:
         raise ValueError(f"attachment antipode needs an unlabeled root, got {t}")
     if t == GL_UNIT_TREE:
         return gl_unit()
-    parts = [(LinComb.term(t), -1)]
-    for ten, c in gl_coproduct(LinComb.term(t)).items():
-        left, right = ten.parts
-        if left != GL_UNIT_TREE and right != GL_UNIT_TREE:
-            parts.append((gl_product(_gl_antipode_tree(left), LinComb.term(right)), -c))
-    return LinComb.sum(parts)
+    return recursive_antipode(t, gl_coproduct, gl_product, _gl_antipode_tree, GL_UNIT_TREE)
 
 
 def gl_antipode(x: LinComb | RootedTree) -> LinComb:
@@ -231,13 +232,16 @@ def ck_gl_dual(t: RootedTree) -> tuple[Forest, int]:
 
     The pairing is diagonal, <B+(u), v> = |sym(u)| if u == v else 0, so
     t = B+(u) pairs only with its branch forest u, with value |sym(u)|.
+    The attachment basis trees have an unlabeled root, so a tree with a
+    labeled root pairs with nothing: its value is 0.
     """
     u = strip_root(t)
-    return u, sym_order(u)
+    return u, 0 if t.label is not None else sym_order(u)
 
 
 def ck_gl_pairing(t: RootedTree, v: Forest) -> int:
-    """<B+(u), v> = |sym(u)| if u == v else 0, u the branch forest of t."""
+    """<B+(u), v> = |sym(u)| if u == v else 0, u the branch forest of t
+    (0 on a labeled root)."""
     u, s = ck_gl_dual(t)
     return s if u == v else 0
 
@@ -297,12 +301,8 @@ def _diamond_antipode_tree(t: PlanarTree) -> LinComb:
         raise ValueError(f"branch-shuffle antipode needs an unlabeled root, got {t}")
     if not t.children:
         return LinComb.term(t)
-    parts = [(LinComb.term(t), -1)]
-    for k in range(1, len(t.children)):
-        left = PlanarTree(None, t.children[:k])
-        right = PlanarTree(None, t.children[k:])
-        parts.append((planar_diamond(_diamond_antipode_tree(left), LinComb.term(right)), -1))
-    return LinComb.sum(parts)
+    return recursive_antipode(t, planar_diamond_coproduct, planar_diamond,
+                              _diamond_antipode_tree, PlanarTree(None, ()))
 
 
 def planar_diamond_antipode(x: LinComb | PlanarTree) -> LinComb:

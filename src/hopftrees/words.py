@@ -3,7 +3,8 @@
 The letter f_k has weight k.  Two bialgebra structures live on the span of
 words: the shuffle product (bracket-free) and the quasi-shuffle product for
 an additive bracket [f_a, f_b] = f_{a+b}, both with the deconcatenation
-coproduct.  The graded dual carries the concatenation product; its elements
+coproduct.  The additive quasi-shuffle algebra is QSYM in its monomial
+basis, a word f_{i_1}...f_{i_k} standing for M_(i_1,...,i_k).  The graded dual carries the concatenation product; its elements
 reuse the Word type and only pick up a trailing ``*`` when printed.
 """
 
@@ -14,7 +15,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Literal
 
-from .algebra import LinComb, ParseError, Scalar, Tensor
+from .algebra import LinComb, ParseError, Scalar, Tensor, recursive_antipode
 
 Pairing = Literal["zero", "additive"]
 ZERO: Pairing = "zero"
@@ -191,17 +192,16 @@ def deconcat(w: Word) -> LinComb:
     return LinComb((Tensor((w[:i], w[i:])), 1) for i in range(len(w.letters) + 1))
 
 
-def word_counit(x: LinComb) -> Scalar:
-    return x.coeff(EMPTY_WORD)
+def word_counit(x: LinComb | Word) -> Scalar:
+    return LinComb.lift(x).coeff(EMPTY_WORD)
 
 
 @lru_cache(maxsize=None)
 def _antipode_rec(w: Word, pairing: Pairing) -> LinComb:
     if not w.letters:
         return LinComb.term(w)
-    return LinComb.sum(
-        (quasi_shuffle(_antipode_rec(w[:k], pairing), LinComb.term(w[k:]), pairing), -1)
-        for k in range(len(w.letters)))
+    return recursive_antipode(w, deconcat, lambda x, y: quasi_shuffle(x, y, pairing),
+                              lambda v: _antipode_rec(v, pairing), EMPTY_WORD)
 
 
 def word_antipode(x: LinComb | Word, pairing: Pairing) -> LinComb:

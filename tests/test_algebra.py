@@ -1,6 +1,8 @@
 """Linear combinations, tensors, pairings, and convolution plumbing."""
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from hopftrees.algebra import (
     kronecker,
     lincomb_tensor,
     pair_eval,
+    recursive_antipode,
     splice_at,
 )
 from hopftrees.words import word
@@ -185,3 +188,19 @@ def test_bilinear_equals_the_naive_fold(x, y, table):
     naive = _fold((_naive_image(table[a + b]), c1 * c2)
                   for a, c1 in x.items() for b, c2 in y.items())
     assert x.bilinear(y, lambda a, b: table[a + b]) == naive
+
+
+def test_recursive_antipode_on_the_binomial_bialgebra():
+    # k[x] with x primitive, basis element n standing for x^n: S(x^n) = (-1)^n x^n
+    def coproduct(n):
+        return LinComb((Tensor((k, n - k)), comb(n, k)) for k in range(n + 1))
+
+    def product(x, m):
+        return x.map_basis(lambda k: k + m)
+
+    @lru_cache(maxsize=None)
+    def antipode(n):
+        return LinComb.term(0) if n == 0 else recursive_antipode(n, coproduct, product, antipode, 0)
+
+    for n in range(8):
+        assert antipode(n) == LinComb.term(n, (-1) ** n)

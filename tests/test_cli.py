@@ -64,6 +64,17 @@ def test_qsym_product(capsys):
     assert capsys.readouterr().out == "1*M(2) + 2*M(1,1)\n"
 
 
+def test_qsym_coproduct(capsys):
+    assert main(["coproduct", "--algebra", "qsym", "--input", "M(2,1)"]) == 0
+    assert capsys.readouterr().out == (
+        "1*M() (x) M(2,1) + 1*M(2) (x) M(1) + 1*M(2,1) (x) M()\n")
+
+
+def test_qsym_antipode(capsys):
+    assert main(["antipode", "--algebra", "qsym", "--input", "M(1,2)"]) == 0
+    assert capsys.readouterr().out == "1*M(3) + 1*M(2,1)\n"
+
+
 def test_gl_antipode(capsys):
     assert main(["antipode", "--algebra", "gl", "--input", "[[],[]]"]) == 0
     assert capsys.readouterr().out == "1*[[],[]] + 2*[[[]]]\n"

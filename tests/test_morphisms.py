@@ -28,6 +28,7 @@ from hopftrees.morphisms import (
     beta4,
     circ,
     composition,
+    composition_str,
     diagram_check,
     e_basis,
     eword_str,
@@ -59,7 +60,7 @@ from hopftrees.trees import (
     ladder,
     leaf,
 )
-from hopftrees.words import EMPTY_WORD, concat, shuffle, word, words_of_weight
+from hopftrees.words import EMPTY_WORD, Word, concat, shuffle, word, words_of_weight
 
 L2 = ladder(2)
 L3 = ladder(3)
@@ -408,3 +409,19 @@ def test_hexagons_run_in_report_mode():
 def test_unknown_diagram_is_an_error():
     with pytest.raises(KeyError):
         diagram_check("pentagon", 3)
+
+
+# ---------------------------------------------------------------------------
+# compositions are words printed as M(...)
+
+
+@given(st.lists(st.integers(1, 40), max_size=8).map(Word))
+def test_composition_strings_round_trip(w):
+    assert parse_composition(composition_str(w)) == w
+
+
+def test_composition_printing():
+    assert composition_str(EMPTY_COMPOSITION) == "M()"
+    assert composition_str(composition(2, 1)) == "M(2,1)"
+    assert composition_str(Tensor((EMPTY_COMPOSITION, composition(3)))) == "M() (x) M(3)"
+    assert composition(2, 1) == word(2, 1)

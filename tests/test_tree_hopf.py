@@ -350,6 +350,16 @@ def _lincombs(pool):
                     max_size=6).map(LinComb)
 
 
+def test_labeled_roots_pair_with_nothing():
+    # the attachment basis trees have an unlabeled root
+    for t in (leaf(1), leaf(3), bplus(forest(leaf()), 2), bplus(forest(leaf(1), leaf(2)), 1)):
+        u = strip_root(t)
+        assert ck_gl_pairing(t, u) == 0
+        assert pair_gl_ck(t, u) == 0
+    assert pair_gl_ck(leaf(), EMPTY_FOREST) == 1
+    assert pair_gl_ck(bplus(forest(leaf(1))), forest(leaf(1))) == 1
+
+
 @given(_lincombs(_pairing_trees), _lincombs(_pairing_forests))
 def test_pairing_lookup_matches_the_scan(x, y):
     scan = Fraction(0)

@@ -9,6 +9,8 @@ from hopftrees.trees import (
     EMPTY_FOREST,
     MAX_PARSE_DEPTH,
     Forest,
+    PlanarForest,
+    PlanarTree,
     RootedTree,
     admissible_cuts,
     bbr_parse,
@@ -316,3 +318,48 @@ def test_bbr_refuses_deep_nesting():
 def test_bbr_round_trips_at_the_depth_limit():
     text = "<" * MAX_PARSE_DEPTH + ">" * MAX_PARSE_DEPTH
     assert bbr_print(bbr_parse(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# printing and parsing are inverse on arbitrary trees and forests
+
+_no_label = st.none()
+_label = st.integers(1, 12)
+_any_label = st.one_of(st.none(), _label)
+
+
+def _random_trees(cls, labels):
+    return st.recursive(
+        st.builds(cls, labels, st.just(())),
+        lambda kids: st.builds(cls, labels, st.lists(kids, max_size=3)),
+        max_leaves=10)
+
+
+@given(_random_trees(RootedTree, _no_label))
+def test_unlabeled_tree_strings_round_trip(t):
+    assert parse_tree(str(t)) == t
+
+
+@given(_random_trees(RootedTree, _label))
+def test_labeled_tree_strings_round_trip(t):
+    assert parse_tree(str(t)) == t
+
+
+@given(_random_trees(RootedTree, _any_label))
+def test_partly_labeled_tree_strings_round_trip(t):
+    assert parse_tree(str(t)) == t
+
+
+@given(st.lists(_random_trees(RootedTree, _any_label), max_size=4).map(Forest))
+def test_random_forest_strings_round_trip(u):
+    assert parse_forest(str(u)) == u
+
+
+@given(_random_trees(PlanarTree, _any_label))
+def test_planar_tree_strings_round_trip(t):
+    assert parse_tree(str(t), planar=True) == t
+
+
+@given(st.lists(_random_trees(PlanarTree, _any_label), max_size=4).map(PlanarForest))
+def test_planar_forest_strings_round_trip(u):
+    assert parse_forest(str(u), planar=True) == u

@@ -208,3 +208,8 @@ def test_lie_bracket_and_primitivity():
 def test_concat_then_counit(u, v):
     w = concat(u, v)
     assert word_counit(w) == (1 if u == EMPTY_WORD and v == EMPTY_WORD else 0)
+
+
+@given(st.lists(st.integers(1, 40), max_size=8).map(Word))
+def test_word_strings_round_trip(w):
+    assert parse_word(str(w)) == w
