@@ -16,8 +16,11 @@ afterwards; the repository's ``.git`` is not touched.
 The output JSON holds both commit SHAs (the working tree's HEAD, with
 ``dirty`` set if it has uncommitted changes), the Python version, the
 per-pair metric values and, per workload and metric, the median and
-quartiles of each side and the number of pairs in which the change read
-better.  Every metric of perfbench's ``--trace 0`` result is lower-better.
+quartiles of each side, the number of pairs in which the change read
+better, the parent's interquartile range (q3 - q1) and ``gain_rule_met``:
+true when the change read better in at least nine tenths of the pairs and
+its median is below the parent's by more than that range.  Every metric
+of perfbench's ``--trace 0`` result is lower-better.
 It also records the lines of ``src/`` added and removed between the parent
 and the working tree (``git diff --numstat``; tracked files only) and their
 difference, the net change.
@@ -98,9 +101,13 @@ def summarize(pairs: list[dict]) -> dict:
     for name in pairs[0]["parent"]["metrics"]:
         before = [p["parent"]["metrics"][name] for p in pairs]
         after = [p["change"]["metrics"][name] for p in pairs]
-        out[name] = {"parent": quartiles(before), "change": quartiles(after),
-                     "change_better": sum(a < b for a, b in zip(after, before)),
-                     "pairs": len(pairs)}
+        parent, change = quartiles(before), quartiles(after)
+        better = sum(a < b for a, b in zip(after, before))
+        iqr = parent["q3"] - parent["q1"]
+        out[name] = {"parent": parent, "change": change, "change_better": better,
+                     "pairs": len(pairs), "parent_iqr": iqr,
+                     "gain_rule_met": (10 * better >= 9 * len(pairs)
+                                       and parent["median"] - change["median"] > iqr)}
     return out
 
 

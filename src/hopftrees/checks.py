@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 from .algebra import LinComb, Tensor, lincomb_tensor, splice_at
 from .lyndon_hall import hall_axiom_report
 from .morphisms import DIAGRAMS, diagram_check, kernel_generators, pi
-from .singular_frame import (alphaU, alphaU_word_sum, betaU, frame_coefficient,
+from .singular_frame import (alphaU, alphaU_extension_sum, betaU, frame_coefficient,
                              iterated_integral, prop53_check)
 from .tree_hopf import (ck_antipode, ck_gl_dual, ck_product, coproduct_forest,
                         gl_coproduct, gl_product, shuffle_target,
@@ -38,6 +38,22 @@ class CheckRow:
     @property
     def failed(self) -> bool:
         return self.passed is False
+
+
+def _agreement_row(name: str, unit: str, sides: tuple[str, str],
+                   cases: Iterable[tuple[dict, object, object]]) -> CheckRow:
+    """A row over (case, left, right) triples, a case mapping names to
+    values: the row passes with the number of cases, or stops at the first
+    case whose sides differ and names it and both sides.  Cases are
+    formatted only on failure."""
+    n = 0
+    for case, left, right in cases:
+        if left != right:
+            named = ", ".join(f"{k}={v}" for k, v in case.items())
+            return CheckRow(name, False, f"first failure at {unit} {n}: {named}: "
+                                         f"{sides[0]} = {left}, {sides[1]} = {right}")
+        n += 1
+    return CheckRow(name, True, f"{n} {unit}s")
 
 
 # ---------------------------------------------------------------------------
@@ -221,65 +237,47 @@ def suite_duality(max_degree: int = 5) -> list[CheckRow]:
 # the linear-extension morphism
 
 def suite_pi_kernel(max_weight: int = 5) -> list[CheckRow]:
-    rows: list[CheckRow] = []
     forests = labeled_forests_up_to_weight(max_weight)
 
-    ok = True
-    n = 0
-    for u in forests:
-        for a in range(1, max_weight - u.weight + 1):
-            if pi(forest(bplus(u, a))) != concat(pi(u), LinComb.term(word(a))):
-                ok = False
-            n += 1
-    rows.append(CheckRow("pi/bplus-law", ok, f"{n} cases"))
+    def bplus_law():
+        for u in forests:
+            for a in range(1, max_weight - u.weight + 1):
+                yield ({"u": u, "a": a}, pi(forest(bplus(u, a))),
+                       concat(pi(u), LinComb.term(word(a))))
 
-    ok = True
-    n = 0
-    for u in forests:
-        if not u.trees or u.weight >= max_weight:
-            continue
-        for v in labeled_forests_up_to_weight(max_weight - u.weight):
-            if not v.trees:
+    def product_law():
+        for u in forests:
+            if not u.trees or u.weight >= max_weight:
                 continue
-            if pi(forest_mul(u, v)) != shuffle(pi(u), pi(v)):
-                ok = False
-            n += 1
-    rows.append(CheckRow("pi/product-law", ok, f"{n} pairs"))
+            for v in labeled_forests_up_to_weight(max_weight - u.weight):
+                if v.trees:
+                    yield {"u": u, "v": v}, pi(forest_mul(u, v)), shuffle(pi(u), pi(v))
 
-    ok = True
-    n = 0
-    for u in forests:
-        lhs = LinComb.sum((lincomb_tensor(pi(t.parts[0]), pi(t.parts[1])), c)
-                          for t, c in coproduct_forest(u).items())
-        if lhs != pi(u).map_basis(deconcat):
-            ok = False
-        n += 1
-    rows.append(CheckRow("pi/coalgebra-morphism", ok, f"{n} forests"))
-
-    gens = kernel_generators(max_weight)
-    ok = all(not pi(g) for g in gens)
-    rows.append(CheckRow("pi/kernel-generators", ok, f"{len(gens)} generators"))
-
-    ok = True
-    n = 0
-    for w in words_up_to_weight(max_weight):
-        if not len(w):
-            continue
-        if pi(forest(labeled_ladder(w))) != LinComb.term(w):
-            ok = False
-        n += 1
-    rows.append(CheckRow("pi/onto-ladders", ok, f"{n} words"))
+    def coalgebra_morphism():
+        for u in forests:
+            lhs = LinComb.sum((lincomb_tensor(pi(t.parts[0]), pi(t.parts[1])), c)
+                              for t, c in coproduct_forest(u).items())
+            yield {"u": u}, lhs, pi(u).map_basis(deconcat)
 
     target = shuffle_target(range(1, max_weight + 1))
-    ok = True
-    n = 0
-    for u in forests:
-        if universal_cocycle_map(target, u) != pi(u):
-            ok = False
-        n += 1
-    rows.append(CheckRow("pi/universal-cocycle-lift", ok, f"{n} forests"))
-
-    return rows
+    return [
+        _agreement_row("pi/bplus-law", "case", ("pi(B+_a(u))", "pi(u).a"),
+                       bplus_law()),
+        _agreement_row("pi/product-law", "pair", ("pi(uv)", "pi(u) sh pi(v)"),
+                       product_law()),
+        _agreement_row("pi/coalgebra-morphism", "forest",
+                       ("(pi (x) pi)(cop u)", "deconcat(pi(u))"), coalgebra_morphism()),
+        _agreement_row("pi/kernel-generators", "generator", ("pi(g)", "expected"),
+                       (({"g": g}, pi(g), LinComb.zero())
+                        for g in kernel_generators(max_weight))),
+        _agreement_row("pi/onto-ladders", "word", ("pi(ladder(w))", "w"),
+                       (({"w": w}, pi(forest(labeled_ladder(w))), LinComb.term(w))
+                        for w in words_up_to_weight(max_weight) if len(w))),
+        _agreement_row("pi/universal-cocycle-lift", "forest",
+                       ("cocycle lift", "pi(u)"),
+                       (({"u": u}, universal_cocycle_map(target, u), pi(u))
+                        for u in forests)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -317,33 +315,21 @@ def suite_prop53(max_weight: int = 5) -> list[CheckRow]:
         rows.append(CheckRow(f"frame/prop53-weight-{n}", prop53_check(n),
                              "word-by-word"))
 
+    forests = labeled_forests_up_to_weight(max_weight)
     beta = betaU()
-    ok = True
-    n = 0
-    for u in labeled_forests_up_to_weight(max_weight):
-        if len(u.trees) >= 2:
-            if beta(u):
-                ok = False
-            n += 1
-    rows.append(CheckRow("frame/betaU-kills-proper-forests", ok, f"{n} forests"))
+    rows.append(_agreement_row(
+        "frame/betaU-kills-proper-forests", "forest", ("betaU(u)", "expected"),
+        (({"u": u}, beta(u), 0) for u in forests if len(u.trees) >= 2)))
 
-    ok = True
-    n = 0
-    for u in labeled_forests_up_to_weight(max_weight):
-        if alphaU(u) != alphaU_word_sum(u):
-            ok = False
-        n += 1
-    rows.append(CheckRow("frame/alphaU-two-routes", ok, f"{n} forests"))
+    extension_sum = alphaU_extension_sum()
+    rows.append(_agreement_row(
+        "frame/alphaU-two-routes", "forest", ("alphaU(u)", "extension sum"),
+        (({"u": u}, alphaU(u), extension_sum(u)) for u in forests)))
 
-    ok = True
-    n = 0
-    for w in words_up_to_weight(max_weight):
-        if not len(w):
-            continue
-        if frame_coefficient(w) != iterated_integral(w):
-            ok = False
-        n += 1
-    rows.append(CheckRow("frame/coefficient-vs-integral", ok, f"{n} words"))
+    rows.append(_agreement_row(
+        "frame/coefficient-vs-integral", "word", ("frame coefficient", "iterated integral"),
+        (({"w": w}, frame_coefficient(w), iterated_integral(w))
+         for w in words_up_to_weight(max_weight) if len(w))))
 
     for name, ok in hall_axiom_report(max_weight):
         rows.append(CheckRow(f"hall/axiom-{name}", ok, f"weight <= {max_weight}"))

@@ -6,6 +6,13 @@ simultaneously values of iterated integrals over the ordered simplex, of
 the functional alpha^U on labeled forests, and of the exponential of a
 tree-supported functional beta^U, whose Hall-polynomial expansion is the
 representation checked by prop53_check.
+
+alpha^U is computed by two independent routes: alphaU, by the integral
+recursion (one polynomial per tree, evaluated at 1), and
+alphaU_extension_sum, which sums the frame coefficients over the linear
+extensions of the forest by recursion on the root read last.
+alphaU_word_sum lists the extensions one by one and is kept as the
+enumerating test oracle.
 """
 
 from __future__ import annotations
@@ -101,7 +108,11 @@ def iterated_integral(w: Word) -> Fraction:
 # alpha^U on labeled forests
 
 def alphaU_word_sum(u: Forest) -> Scalar:
-    """Sum of frame coefficients over the linear extensions of u."""
+    """Sum of frame coefficients over the linear extensions of u.
+
+    The enumerating test oracle: it lists every extension word, so it is
+    kept for tests at low weight and no check calls it.
+    """
     if u == EMPTY_FOREST:
         return 1
     return sum(frame_coefficient(w) for w in linear_extensions(u))
@@ -129,6 +140,37 @@ def alphaU(u: Forest) -> Scalar:
     for t in u.trees:
         total *= _alphaU_tree(t)
     return total
+
+
+def alphaU_extension_sum() -> Callable[[Forest], Scalar]:
+    """alpha^U as the sum over linear extensions, summed without listing them.
+
+    An extension word of u ends with the root letter of one of u's trees,
+    and the last partial sum of every word of u is weight(u), so with
+    A(I) = 1,
+
+        A(u) = (sum over the trees t of u of A(u - t + branches of t)) / weight(u),
+
+    the sum running over tree positions, so that equal trees count once
+    each, as linear_extensions counts them.  The memo lives as long as the
+    returned callable.
+    """
+    memo: dict[Forest, Scalar] = {EMPTY_FOREST: 1}
+
+    def extension_sum(u: Forest) -> Scalar:
+        if u not in memo:
+            ts = u.trees
+            total = sum(extension_sum(Forest(ts[:i] + ts[i + 1:] + t.children))
+                        for i, t in enumerate(ts))
+            memo[u] = Fraction(total, u.weight)
+        return memo[u]
+
+    def alpha(u: Forest) -> Scalar:
+        if not u.is_fully_labeled():
+            raise ValueError(f"alpha^U needs a fully labeled forest, got {u}")
+        return extension_sum(u)
+
+    return alpha
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""The duality suite against the scan it replaced, and its failure reports."""
+"""The duality suite against the scan it replaced, and the failure reports
+of the duality, pi-kernel and prop53 suites."""
 
 from fractions import Fraction
 
-from hopftrees import checks
+from hopftrees import checks, singular_frame
 from hopftrees.algebra import LinComb
-from hopftrees.checks import CheckRow, suite_duality
+from hopftrees.checks import CheckRow, suite_duality, suite_pi_kernel, suite_prop53
 from hopftrees.tree_hopf import (ck_gl_pairing, coproduct_forest, gl_coproduct,
                                  gl_product)
 from hopftrees.trees import (bplus, enumerate_forests, enumerate_trees,
                              forest_mul, labeled_forests_of_weight)
+from hopftrees.words import word
 
 
 # ---------------------------------------------------------------------------
@@ -123,3 +125,76 @@ def test_broken_coproduct_names_the_counterexample(monkeypatch):
         "first failure at pairing 0: x=[], u=I, v=I: "
         "<cop x, u (x) v> = 0, <x, uv> = 1")
     assert rows["duality/unlabeled-product-vs-coproduct"].passed is True
+
+
+def test_a_pi_that_drops_a_term_is_named(monkeypatch):
+    right = checks.pi
+
+    def drop_first_term(x):
+        p = right(x)
+        if len(p) < 2:
+            return p
+        t, c = p.sorted_items()[0]
+        return p - LinComb.term(t, c)
+
+    monkeypatch.setattr(checks, "pi", drop_first_term)
+    rows = {r.name: r for r in suite_pi_kernel(3)}
+    assert rows["pi/product-law"].passed is False
+    assert rows["pi/product-law"].detail == (
+        "first failure at pair 1: u=f1, v=f2: "
+        "pi(uv) = 1*f2.f1, pi(u) sh pi(v) = 1*f1.f2 + 1*f2.f1")
+    assert rows["pi/universal-cocycle-lift"].detail == (
+        "first failure at forest 6: u=f1 f2: "
+        "cocycle lift = 1*f1.f2 + 1*f2.f1, pi(u) = 1*f2.f1")
+    assert rows["pi/coalgebra-morphism"].passed is False
+    assert rows["pi/bplus-law"] == CheckRow("pi/bplus-law", True, "8 cases")
+
+
+def test_a_pi_with_an_extra_term_fails_every_pi_row_by_name(monkeypatch):
+    right = checks.pi
+    monkeypatch.setattr(checks, "pi", lambda x: right(x) + LinComb.term(word(1)))
+    rows = {r.name: r for r in suite_pi_kernel(3)}
+    assert len(rows) == 6
+    assert all(r.passed is False for r in rows.values())
+    assert rows["pi/bplus-law"].detail == (
+        "first failure at case 0: u=I, a=1: pi(B+_a(u)) = 2*f1, pi(u).a = 1*f1 + 1*f1.f1")
+    assert rows["pi/kernel-generators"].detail == (
+        "first failure at generator 0: g=1*f1 f1 + -2*f1[f1]: pi(g) = 1*f1, expected = 0")
+    assert rows["pi/onto-ladders"].detail == (
+        "first failure at word 0: w=f1: pi(ladder(w)) = 2*f1, w = 1*f1")
+
+
+def test_a_wrong_alphaU_is_named_by_the_two_routes_row(monkeypatch):
+    right = singular_frame._alphaU_tree
+    monkeypatch.setattr(singular_frame, "_alphaU_tree",
+                        lambda t: right(t) + (1 if t.size == 2 else 0))
+    rows = {r.name: r for r in suite_prop53(3)}
+    assert rows["frame/alphaU-two-routes"] == CheckRow(
+        "frame/alphaU-two-routes", False,
+        "first failure at forest 4: u=f1[f1]: alphaU(u) = 3/2, extension sum = 1/2")
+
+
+def test_a_nonzero_betaU_on_a_proper_forest_is_named(monkeypatch):
+    right = checks.betaU
+
+    def leaky_beta():
+        beta = right()
+        return lambda u: beta(u) + (Fraction(1, 7) if u.weight == 3 else 0)
+
+    monkeypatch.setattr(checks, "betaU", leaky_beta)
+    rows = {r.name: r for r in suite_prop53(3)}
+    assert rows["frame/betaU-kills-proper-forests"] == CheckRow(
+        "frame/betaU-kills-proper-forests", False,
+        "first failure at forest 1: u=f1 f2: betaU(u) = 1/7, expected = 0")
+
+
+def test_a_wrong_iterated_integral_is_named(monkeypatch):
+    right = checks.iterated_integral
+    monkeypatch.setattr(checks, "iterated_integral",
+                        lambda w: right(w) * (2 if len(w) == 3 else 1))
+    rows = {r.name: r for r in suite_prop53(3)}
+    assert rows["frame/coefficient-vs-integral"] == CheckRow(
+        "frame/coefficient-vs-integral", False,
+        "first failure at word 6: w=f1.f1.f1: frame coefficient = 1/6, iterated integral = 1/3")
+    assert rows["frame/alphaU-two-routes"] == CheckRow(
+        "frame/alphaU-two-routes", True, "13 forests")

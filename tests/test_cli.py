@@ -235,6 +235,12 @@ def test_hall_golden():
     assert proc.stdout == (GOLDEN / "hall_w4.txt").read_text()
 
 
+def test_prop53_golden():
+    proc = run_cli("check", "--suite", "prop53", "--max-weight", "8")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "prop53_w8.txt").read_text()
+
+
 def test_output_is_deterministic():
     first = run_cli("frame", "--max-weight", "4", "--format", "json")
     second = run_cli("frame", "--max-weight", "4", "--format", "json")

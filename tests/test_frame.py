@@ -20,6 +20,7 @@ from hopftrees.singular_frame import (
     UnivariatePoly,
     _alphaU_tree,
     alphaU,
+    alphaU_extension_sum,
     alphaU_word_sum,
     betaU,
     exp_concat,
@@ -150,6 +151,44 @@ def test_alphaU_memo_keeps_rejecting_unlabeled_trees():
             alphaU(forest(half_labeled))
         with pytest.raises(ValueError, match="labeled"):
             alphaU(forest(leaf(1), leaf()))
+
+
+def test_extension_sum_matches_the_word_sum():
+    alpha = alphaU_extension_sum()
+    for u in labeled_forests_up_to_weight(7):
+        assert alpha(u) == alphaU_word_sum(u), u
+
+
+def test_extension_sum_matches_alphaU():
+    alpha = alphaU_extension_sum()
+    for u in labeled_forests_up_to_weight(9):
+        assert alpha(u) == alphaU(u), u
+
+
+def test_extension_sum_needs_labels():
+    alpha = alphaU_extension_sum()
+    assert alpha(forest(leaf(1))) == 1
+    for _ in range(2):
+        for u in (forest(leaf()), forest(bplus(forest(leaf()), 1)),
+                  forest(leaf(1), leaf())):
+            with pytest.raises(ValueError, match="labeled"):
+                alpha(u)
+
+
+def _tree_factorial_weight(t):
+    """1 over the label weight of the subtree at each vertex, multiplied."""
+    value = Fraction(1, t.weight)
+    for c in t.children:
+        value *= _tree_factorial_weight(c)
+    return value
+
+
+def test_alphaU_is_the_weighted_tree_factorial():
+    for u in labeled_forests_up_to_weight(8):
+        value = 1
+        for t in u.trees:
+            value *= _tree_factorial_weight(t)
+        assert value == alphaU(u), u
 
 
 # ---------------------------------------------------------------------------
