@@ -21,6 +21,10 @@ better, the parent's interquartile range (q3 - q1) and ``gain_rule_met``:
 true when the change read better in at least nine tenths of the pairs and
 its median is below the parent's by more than that range.  Every metric
 of perfbench's ``--trace 0`` result is lower-better.
+After the pairs of a workload it runs ``--trace 1`` once per side, seed 1,
+and stores perfbench's per-layer values under ``layers`` as
+``{metric: {"parent": value, "change": value}}``; the direction in which
+each layer metric is better is listed in ``BENCHMARK.json``.
 It also records the lines of ``src/`` added and removed between the parent
 and the working tree (``git diff --numstat``; tracked files only) and their
 difference, the net change.
@@ -62,12 +66,13 @@ def clear_bytecode(checkout: Path) -> None:
             shutil.rmtree(d, ignore_errors=True)
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: int = 0) -> dict:
     """perfbench's JSON result (its last stdout line) for one run."""
     clear_bytecode(checkout)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench failed in {checkout} ({workload}, seed {seed}):\n"
@@ -111,6 +116,14 @@ def summarize(pairs: list[dict]) -> dict:
     return out
 
 
+def layer_rows(sides: dict, workload: str, seconds: float) -> dict:
+    """{metric: {side: value}} from one ``--trace 1`` run per side, seed 1."""
+    traced = {side: run_bench(checkout, workload, 1, seconds, trace=1)["metrics"]
+              for side, checkout in sides.items()}
+    return {name: {side: traced[side][name] for side in sides}
+            for name in traced["parent"]}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
@@ -145,7 +158,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} seed {seed}: wall_s "
                       f"{pair['parent']['metrics']['wall_s']:.3f} -> "
                       f"{pair['change']['metrics']['wall_s']:.3f}", file=sys.stderr)
-            report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
+            report["workloads"][workload] = {
+                "pairs": pairs, "summary": summarize(pairs),
+                "layers": layer_rows(sides, workload, args.seconds)}
         clear_bytecode(ROOT)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -18,7 +18,7 @@ from .singular_frame import (FrameSeries, FrameTerm, UnivariatePoly, alphaU,
                              alphaU_word_sum, betaU, forest_exp, forest_log,
                              frame_coefficient, frame_series,
                              hall_representation, iterated_integral,
-                             prop53_check)
+                             prop53_check, prop53_counterexample)
 from .tree_hopf import (Character, CocycleLawError, CocycleTarget,
                         InfinitesimalCharacter, char_convolution, char_exp,
                         char_log, ck_antipode, ck_coproduct, ck_counit,
@@ -37,5 +37,21 @@ from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,
 from .words import (ADDITIVE, EMPTY_WORD, ZERO, Word, concat, deconcat,
                     hoffman_psi, hoffman_tau, lie_bracket, parse_word,
                     quasi_shuffle, shuffle, word, word_antipode, words_of_weight)
+
+
+def clear_caches() -> None:
+    """Empty every memo the package keeps: each module-level lru_cache and
+    each module-level dict named *_CACHE, found by walking the package's
+    modules."""
+    import importlib
+    import pkgutil
+    for info in pkgutil.iter_modules(__path__):
+        module = importlib.import_module(f"{__name__}.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+            elif name.endswith("_CACHE") and isinstance(obj, dict):
+                obj.clear()
+
 
 __all__ = [name for name in dir() if not name.startswith("_")]

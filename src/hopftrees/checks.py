@@ -14,7 +14,7 @@ from .algebra import LinComb, Tensor, lincomb_tensor, splice_at
 from .lyndon_hall import hall_axiom_report
 from .morphisms import DIAGRAMS, diagram_check, kernel_generators, pi
 from .singular_frame import (alphaU, alphaU_extension_sum, betaU, frame_coefficient,
-                             iterated_integral, prop53_check)
+                             iterated_integral, prop53_counterexample)
 from .tree_hopf import (ck_antipode, ck_gl_dual, ck_product, coproduct_forest,
                         gl_coproduct, gl_product, shuffle_target,
                         universal_cocycle_map)
@@ -40,18 +40,18 @@ class CheckRow:
         return self.passed is False
 
 
-def _agreement_row(name: str, unit: str, sides: tuple[str, str],
-                   cases: Iterable[tuple[dict, object, object]]) -> CheckRow:
-    """A row over (case, left, right) triples, a case mapping names to
-    values: the row passes with the number of cases, or stops at the first
-    case whose sides differ and names it and both sides.  Cases are
-    formatted only on failure."""
+def _agreement_row(name: str, unit: str, sides: tuple[str, ...],
+                   cases: Iterable[tuple]) -> CheckRow:
+    """A row over (case, value, value, ...) tuples, one value per side and
+    a case mapping names to values: the row passes with the number of
+    cases, or stops at the first case whose values differ and names it and
+    every side.  Cases are formatted only on failure."""
     n = 0
-    for case, left, right in cases:
-        if left != right:
+    for case, *values in cases:
+        if any(v != values[0] for v in values[1:]):
             named = ", ".join(f"{k}={v}" for k, v in case.items())
-            return CheckRow(name, False, f"first failure at {unit} {n}: {named}: "
-                                         f"{sides[0]} = {left}, {sides[1]} = {right}")
+            shown = ", ".join(f"{side} = {v}" for side, v in zip(sides, values))
+            return CheckRow(name, False, f"first failure at {unit} {n}: {named}: {shown}")
         n += 1
     return CheckRow(name, True, f"{n} {unit}s")
 
@@ -59,56 +59,39 @@ def _agreement_row(name: str, unit: str, sides: tuple[str, str],
 # ---------------------------------------------------------------------------
 # generic Hopf-axiom machinery
 
-def _coassociative(elements: Iterable, cop: Callable) -> tuple[bool, int]:
-    n = 0
-    for u in elements:
-        d = cop(u)
-        if splice_at(d, 0, cop) != splice_at(d, 1, cop):
-            return False, n
-        n += 1
-    return True, n
-
-
-def _counit_laws(elements: Iterable, cop: Callable, unit_elem) -> tuple[bool, int]:
-    n = 0
-    for u in elements:
-        splits = [(t.parts, c) for t, c in cop(u).items()]
-        left = LinComb((b, c) for (a, b), c in splits if a == unit_elem)
-        right = LinComb((a, c) for (a, b), c in splits if b == unit_elem)
-        if left != LinComb.term(u) or right != LinComb.term(u):
-            return False, n
-        n += 1
-    return True, n
-
-
-def _antipode_laws(elements: Iterable, cop: Callable, antipode: Callable,
-                   product: Callable, unit_elem) -> tuple[bool, int]:
-    n = 0
-    for u in elements:
-        target = LinComb.term(unit_elem) if u == unit_elem else LinComb.zero()
-        splits = [(LinComb.term(t.parts[0]), LinComb.term(t.parts[1]), c)
-                  for t, c in cop(u).items()]
-        left = LinComb.sum((product(antipode(a), b), c) for a, b, c in splits)
-        right = LinComb.sum((product(a, antipode(b)), c) for a, b, c in splits)
-        if left != target or right != target:
-            return False, n
-        n += 1
-    return True, n
-
-
 def _hopf_rows(tag: str, elements: Sequence, cop, antipode, product,
                unit_elem) -> list[CheckRow]:
-    def detail(ok: bool, n: int) -> str:
-        return (f"{len(elements)} elements" if ok
-                else f"first failure at element {n}: {elements[n]}")
+    """Coassociativity, the counit laws and the antipode law on each
+    element; a failing row names the element and every side."""
 
-    ok, n = _coassociative(elements, cop)
-    rows = [CheckRow(f"hopf/{tag}-coassoc", ok, detail(ok, n))]
-    ok, n = _counit_laws(elements, cop, unit_elem)
-    rows.append(CheckRow(f"hopf/{tag}-counit", ok, detail(ok, n)))
-    ok, n = _antipode_laws(elements, cop, antipode, product, unit_elem)
-    rows.append(CheckRow(f"hopf/{tag}-antipode", ok, detail(ok, n)))
-    return rows
+    def coassoc():
+        for u in elements:
+            d = cop(u)
+            yield {"u": u}, splice_at(d, 0, cop), splice_at(d, 1, cop)
+
+    def counit():
+        for u in elements:
+            splits = [(t.parts, c) for t, c in cop(u).items()]
+            yield ({"u": u}, LinComb((b, c) for (a, b), c in splits if a == unit_elem),
+                   LinComb.term(u), LinComb((a, c) for (a, b), c in splits if b == unit_elem))
+
+    def antipode_law():
+        for u in elements:
+            splits = [(LinComb.term(t.parts[0]), LinComb.term(t.parts[1]), c)
+                      for t, c in cop(u).items()]
+            yield ({"u": u}, LinComb.sum((product(antipode(a), b), c) for a, b, c in splits),
+                   LinComb.term(unit_elem) if u == unit_elem else LinComb.zero(),
+                   LinComb.sum((product(a, antipode(b)), c) for a, b, c in splits))
+
+    return [
+        _agreement_row(f"hopf/{tag}-coassoc", "element",
+                       ("(cop (x) id) cop u", "(id (x) cop) cop u"), coassoc()),
+        _agreement_row(f"hopf/{tag}-counit", "element",
+                       ("(eps (x) id) cop u", "u", "(id (x) eps) cop u"), counit()),
+        _agreement_row(f"hopf/{tag}-antipode", "element",
+                       ("m(S (x) id) cop u", "eps(u) 1", "m(id (x) S) cop u"),
+                       antipode_law()),
+    ]
 
 
 def suite_hopf_axioms(ck_vertices: int = 6, labeled_weight: int = 5,
@@ -312,8 +295,13 @@ def suite_prop53(max_weight: int = 5) -> list[CheckRow]:
     rows: list[CheckRow] = []
 
     for n in range(1, max_weight + 1):
-        rows.append(CheckRow(f"frame/prop53-weight-{n}", prop53_check(n),
-                             "word-by-word"))
+        failure = prop53_counterexample(n)
+        detail = "word-by-word"
+        if failure is not None:
+            w, series, exponential = failure
+            detail = (f"first failure: w={w}: frame series = {series}, "
+                      f"exp(Hall representation) = {exponential}")
+        rows.append(CheckRow(f"frame/prop53-weight-{n}", failure is None, detail))
 
     forests = labeled_forests_up_to_weight(max_weight)
     beta = betaU()

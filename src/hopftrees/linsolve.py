@@ -3,13 +3,13 @@
 Vectors are mappings from hashable basis keys (sortable via ``sort_key``)
 to exact scalars (int or Fraction).  Used for rank computations (free Lie
 algebra dimensions, PBW bases) and for expressing elements in the span of a
-generating family.
+generating family, eliminated once and reused for every target.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .algebra import Scalar
 
@@ -68,14 +68,26 @@ def exact_rank(vectors: Iterable[Mapping[Any, Scalar]]) -> int:
     return rank
 
 
-def solve_in_span(basis: Sequence[Mapping[Any, Scalar]],
-                  target: Mapping[Any, Scalar]) -> list[Scalar] | None:
-    """Coefficients x with target = sum x_i * basis_i, or None if unsolvable."""
+def span_solver(basis: Sequence[Mapping[Any, Scalar]]
+                ) -> Callable[[Mapping[Any, Scalar]], list[Scalar] | None]:
+    """Eliminate the basis once; the returned callable gives, for each
+    target, coefficients x with target = sum x_i * basis_i, or None if the
+    target is outside the span."""
     pivots: list[tuple[Any, dict, dict]] = []
     for i, vec in enumerate(basis):
         v = _reduce(_as_dict(vec), combo := {i: 1}, pivots, -1)
         _insert_pivot(v, combo, pivots)
-    vec = _reduce(_as_dict(target), sol := {}, pivots, +1)
-    if vec:
-        return None
-    return [sol.get(i, 0) for i in range(len(basis))]
+    n = len(basis)
+
+    def solve(target: Mapping[Any, Scalar]) -> list[Scalar] | None:
+        if _reduce(_as_dict(target), sol := {}, pivots, +1):
+            return None
+        return [sol.get(i, 0) for i in range(n)]
+
+    return solve
+
+
+def solve_in_span(basis: Sequence[Mapping[Any, Scalar]],
+                  target: Mapping[Any, Scalar]) -> list[Scalar] | None:
+    """Coefficients x with target = sum x_i * basis_i, or None if unsolvable."""
+    return span_solver(basis)(target)

@@ -27,7 +27,7 @@ from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .algebra import LinComb, ParseError, Scalar, Tensor, as_fraction
-from .linsolve import solve_in_span
+from .linsolve import span_solver
 from .trees import (EMPTY_FOREST, Forest, PlanarForest, PlanarTree,
                     RootedTree, bplus, forest, graft, ladder,
                     labeled_ladder, leaf, linear_extensions,
@@ -210,14 +210,17 @@ def e_basis(n: int) -> LinComb:
 
 
 @lru_cache(maxsize=None)
-def _e_products(n: int) -> list[tuple[tuple[int, ...], LinComb]]:
-    out = []
-    for mu in partitions(n):
+def _e_solver(n: int) -> tuple[list[tuple[int, ...]], Callable[[LinComb], list[Scalar] | None]]:
+    """The partitions mu of n, and coordinates in the e_mu basis of weight
+    n; the basis is eliminated once per weight."""
+    mus = partitions(n)
+    products = []
+    for mu in mus:
         prod = LinComb.term(EMPTY_COMPOSITION)
         for p in mu:
             prod = qsym_product(prod, e_basis(p))
-        out.append((mu, prod))
-    return out
+        products.append(prod)
+    return mus, span_solver(products)
 
 
 def sym_e_decompose(x: LinComb) -> list[tuple[tuple[int, ...], Scalar]]:
@@ -235,13 +238,11 @@ def sym_e_decompose(x: LinComb) -> list[tuple[tuple[int, ...], Scalar]]:
         if n == 0:
             out.append(((), target.coeff(EMPTY_COMPOSITION)))
             continue
-        basis = _e_products(n)
-        sol = solve_in_span([v for _, v in basis], target)
+        mus, solve = _e_solver(n)
+        sol = solve(target)
         if sol is None:
             raise ValueError(f"not a symmetric element: {target}")
-        for (mu, _), c in zip(basis, sol):
-            if c:
-                out.append((mu, c))
+        out.extend((mu, c) for mu, c in zip(mus, sol) if c)
     return out
 
 

@@ -318,6 +318,22 @@ def exp_concat(x: LinComb, max_weight: int) -> LinComb:
     return LinComb.sum(parts)
 
 
+def prop53_counterexample(max_weight: int, bracket: str = "rl"
+                          ) -> tuple[Word, Scalar, Scalar] | None:
+    """The first word, by weight, through the given weight where the frame
+    series and the exponential of the Hall representation differ, with the
+    series coefficient and the exponential's; None where they agree."""
+    rep = LinComb.sum((hall_polynomial(t, bracket), c)
+                      for t, c in hall_representation(max_weight).items())
+    exp = exp_concat(rep, max_weight)
+    for n in range(1, max_weight + 1):
+        for w in words_of_weight(n):
+            series, exponential = frame_coefficient(w), exp.coeff(w)
+            if series != exponential:
+                return w, series, exponential
+    return None
+
+
 def prop53_check(max_weight: int, bracket: str = "rl") -> bool:
     """Word-by-word equality of the frame series with the exponential of
     the Hall representation, through the given weight.
@@ -325,8 +341,4 @@ def prop53_check(max_weight: int, bracket: str = "rl") -> bool:
     Exact for every weight with the default bracket orientation; the
     flipped orientation first fails at weight 3.
     """
-    words = [w for n in range(1, max_weight + 1) for w in words_of_weight(n)]
-    lhs = LinComb([(EMPTY_WORD, 1)] + [(w, frame_coefficient(w)) for w in words])
-    rep = LinComb.sum((hall_polynomial(t, bracket), c)
-                      for t, c in hall_representation(max_weight).items())
-    return lhs == exp_concat(rep, max_weight)
+    return prop53_counterexample(max_weight, bracket) is None

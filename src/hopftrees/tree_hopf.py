@@ -16,8 +16,9 @@ Four structures are implemented:
   planar trees (selector ``planar``).
 
 Every antipode here is ``algebra.recursive_antipode`` fed with the
-structure's own coproduct and product.  The cut antipode recurses per tree,
-over the splits of that tree, and extends to forests (anti)multiplicatively;
+structure's own coproduct and product.  The cut antipode is memoized per
+forest: it recurses over the splits of a single tree, and splits a longer
+forest into halves, (anti)multiplicatively;
 the attachment and branch-shuffle antipodes recurse on the branch splits of
 an unlabeled root.
 
@@ -121,23 +122,26 @@ def ck_counit(x: LinComb | Forest | PlanarForest) -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def _antipode_tree(t: RootedTree | PlanarTree) -> LinComb:
-    return recursive_antipode(t, _tree_coproduct, ck_product, ck_antipode,
-                              _FOREST_OF[type(t)](()))
+def _antipode_forest(u: Forest | PlanarForest) -> LinComb:
+    """S(u) for a basis forest, memoized per forest: the recursion over the
+    splits of a single tree, and S(ab) = S(b) S(a) on a forest of k > 1
+    trees split into halves a and b, so the depth grows as log k."""
+    forest = type(u)
+    if len(u.trees) > 1:
+        h = len(u.trees) // 2
+        return ck_product(_antipode_forest(forest(u.trees[h:])),
+                          _antipode_forest(forest(u.trees[:h])))
+    if not u.trees:
+        return _UNIT[forest]
+    return recursive_antipode(u.trees[0], _tree_coproduct, ck_product, _antipode_forest,
+                              forest(()))
 
 
 def ck_antipode(x: LinComb | Forest | PlanarForest) -> LinComb:
     """Antipode: S(t) = -t - sum S(pruned) * trunk, extended to forests by
     S(t_1 ... t_k) = S(t_k) ... S(t_1), an antihomomorphism on ordered
     forests and the multiplicative extension on unordered ones."""
-
-    def on_forest(u: Forest | PlanarForest) -> LinComb:
-        total = _UNIT[type(u)]
-        for t in u.trees:
-            total = ck_product(_antipode_tree(t), total)
-        return total
-
-    return LinComb.lift(x).map_basis(on_forest)
+    return LinComb.lift(x).map_basis(_antipode_forest)
 
 
 def cut_coproduct_tree(t: RootedTree) -> LinComb:

@@ -129,7 +129,12 @@ def forest(*trees: RootedTree) -> Forest:
 
 def forest_mul(u: Forest | PlanarForest, v: Forest | PlanarForest) -> Forest | PlanarForest:
     """The product of forests: disjoint union, commutative on Forest values,
-    and concatenation on ordered forests."""
+    and concatenation on ordered forests.  Forests are immutable, so a
+    product with the empty forest is the other factor itself."""
+    if not u.trees:
+        return v
+    if not v.trees:
+        return u
     return type(u)(u.trees + v.trees)
 
 

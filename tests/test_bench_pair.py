@@ -1,6 +1,8 @@
-"""The per-metric summary of scripts/bench_pair.py on synthetic pairs."""
+"""The per-metric summary and the written JSON of scripts/bench_pair.py, on
+synthetic pairs and a stubbed runner."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,37 @@ def test_a_slower_change_never_meets_the_gain_rule():
     s = bench_pair.summarize(_pairs(PARENT, [x + 0.25 for x in PARENT]))["wall_s"]
     assert s["change_better"] == 0
     assert s["gain_rule_met"] is False
+
+
+def test_written_json_has_pairs_summary_and_layer_rows(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        side = "parent" if checkout != bench_pair.ROOT else "change"
+        calls.append((side, workload, seed, seconds, trace))
+        if trace:
+            return {"correct": True, "attempted": 3, "failed": 0,
+                    "metrics": {"tree_hopf.calls": {"parent": 70, "change": 50}[side],
+                                "cache.hit_ratio": 0.5}}
+        wall = {"parent": 2.0, "change": 1.5}[side] + seed / 100
+        return {"correct": True, "attempted": 3, "failed": 0, "metrics": {"wall_s": wall}}
+
+    monkeypatch.setattr(bench_pair, "run_bench", fake_run)
+    monkeypatch.setattr(bench_pair, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pair, "clear_bytecode", lambda checkout: None)
+    monkeypatch.setattr(bench_pair, "src_lines", lambda rev: {"added": 2, "removed": 5, "net": -3})
+    monkeypatch.setattr(bench_pair, "git", lambda *args: "" if args[0] == "status" else "abc")
+    out = tmp_path / "bench.json"
+    assert bench_pair.main(["--parent", "HEAD~1", "--workload", "suites",
+                            "--pairs", "2", "--seconds", "5", "--out", str(out)]) == 0
+
+    report = json.loads(out.read_text())
+    assert report["dirty"] is False and report["src_lines"]["net"] == -3
+    suites = report["workloads"]["suites"]
+    assert [p["first"] for p in suites["pairs"]] == ["parent", "change"]
+    assert suites["summary"]["wall_s"]["change_better"] == 2
+    assert suites["layers"] == {"tree_hopf.calls": {"parent": 70, "change": 50},
+                                "cache.hit_ratio": {"parent": 0.5, "change": 0.5}}
+    traced = [c for c in calls if c[4] == 1]
+    assert sorted(traced) == [("change", "suites", 1, 5.0, 1), ("parent", "suites", 1, 5.0, 1)]
+    assert len(calls) == 2 * 2 + 2

@@ -1,14 +1,14 @@
 """The duality suite against the scan it replaced, and the failure reports
-of the duality, pi-kernel and prop53 suites."""
+of the Hopf-axiom, duality, pi-kernel and prop53 suites."""
 
 from fractions import Fraction
 
 from hopftrees import checks, singular_frame
-from hopftrees.algebra import LinComb
+from hopftrees.algebra import LinComb, Tensor
 from hopftrees.checks import CheckRow, suite_duality, suite_pi_kernel, suite_prop53
-from hopftrees.tree_hopf import (ck_gl_pairing, coproduct_forest, gl_coproduct,
-                                 gl_product)
-from hopftrees.trees import (bplus, enumerate_forests, enumerate_trees,
+from hopftrees.tree_hopf import (ck_antipode, ck_gl_pairing, ck_product,
+                                 coproduct_forest, gl_coproduct, gl_product)
+from hopftrees.trees import (EMPTY_FOREST, bplus, enumerate_forests, enumerate_trees,
                              forest_mul, labeled_forests_of_weight)
 from hopftrees.words import word
 
@@ -198,3 +198,50 @@ def test_a_wrong_iterated_integral_is_named(monkeypatch):
         "first failure at word 6: w=f1.f1.f1: frame coefficient = 1/6, iterated integral = 1/3")
     assert rows["frame/alphaU-two-routes"] == CheckRow(
         "frame/alphaU-two-routes", True, "13 forests")
+
+
+SMALL_FORESTS = [f for n in range(4) for f in enumerate_forests(n)]
+
+
+def test_a_wrong_antipode_is_named_with_both_sides_and_the_expected_unit():
+    rows = checks._hopf_rows("ck", SMALL_FORESTS, coproduct_forest, LinComb.lift,
+                             ck_product, EMPTY_FOREST)
+    assert rows == [
+        CheckRow("hopf/ck-coassoc", True, "8 elements"),
+        CheckRow("hopf/ck-counit", True, "8 elements"),
+        CheckRow("hopf/ck-antipode", False,
+                 "first failure at element 1: u=[]: m(S (x) id) cop u = 2*[], "
+                 "eps(u) 1 = 0, m(id (x) S) cop u = 2*[]"),
+    ]
+
+
+def test_a_wrong_coproduct_is_named_with_both_sides():
+    def no_unit_on_the_left(u):
+        d = coproduct_forest(u)
+        return d - LinComb.term(Tensor((EMPTY_FOREST, u))) if u.trees else d
+
+    rows = checks._hopf_rows("ck", SMALL_FORESTS, no_unit_on_the_left, ck_antipode,
+                             ck_product, EMPTY_FOREST)
+    assert all(r.passed is False for r in rows)
+    assert rows[0].detail == (
+        "first failure at element 2: u=[] []: "
+        "(cop (x) id) cop u = 2*[] (x) I (x) [] + 2*[] (x) [] (x) I + 1*[] [] (x) I (x) I, "
+        "(id (x) cop) cop u = 2*[] (x) [] (x) I + 1*[] [] (x) I (x) I")
+    assert rows[1].detail == (
+        "first failure at element 1: u=[]: (eps (x) id) cop u = 0, u = 1*[], "
+        "(id (x) eps) cop u = 1*[]")
+    assert rows[2].detail == (
+        "first failure at element 1: u=[]: m(S (x) id) cop u = -1*[], eps(u) 1 = 0, "
+        "m(id (x) S) cop u = 1*[]")
+
+
+def test_a_failing_prop53_row_names_the_word_and_both_coefficients(monkeypatch):
+    right = singular_frame._alphaU_tree
+    monkeypatch.setattr(singular_frame, "_alphaU_tree",
+                        lambda t: right(t) + (1 if t.size == 2 else 0))
+    rows = {r.name: r for r in suite_prop53(3)}
+    assert rows["frame/prop53-weight-2"] == CheckRow(
+        "frame/prop53-weight-2", True, "word-by-word")
+    assert rows["frame/prop53-weight-3"] == CheckRow(
+        "frame/prop53-weight-3", False,
+        "first failure: w=f1.f2: frame series = 1/3, exp(Hall representation) = 4/3")

@@ -31,6 +31,7 @@ from hopftrees.singular_frame import (
     hall_representation,
     iterated_integral,
     prop53_check,
+    prop53_counterexample,
 )
 from hopftrees.tree_hopf import Character, char_log
 from hopftrees.trees import (
@@ -419,3 +420,12 @@ def test_flipped_bracket_orientation_fails_at_weight_three():
     assert prop53_check(1, bracket="lr")
     assert prop53_check(2, bracket="lr")
     assert not prop53_check(3, bracket="lr")
+
+
+def test_prop53_counterexample_names_a_word_and_both_coefficients():
+    assert prop53_counterexample(2, bracket="lr") is None
+    assert all(prop53_counterexample(n) is None for n in range(1, 5))
+    w, series, exponential = prop53_counterexample(3, bracket="lr")
+    assert w.weight == 3
+    assert series == frame_coefficient(w)
+    assert series != exponential

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopftrees.algebra import LinComb, ParseError, Tensor, splice_at
+from hopftrees.linsolve import solve_in_span
 from hopftrees.morphisms import (
     DIAGRAMS,
     Aplus,
@@ -248,6 +249,26 @@ def test_sym_e_decomposition_round_trips():
             prod = qsym_product(prod, e_basis(k))
         total = total + prod.scale(c)
     assert total == x
+
+
+def test_sym_e_decompose_matches_a_fresh_solve_on_every_basis_element():
+    for n in range(1, 9):
+        products = []
+        for mu in partitions(n):
+            prod = LinComb.term(EMPTY_COMPOSITION)
+            for p in mu:
+                prod = qsym_product(prod, e_basis(p))
+            products.append(prod)
+        for x in [m_lambda(lam) for lam in partitions(n)] + products:
+            sol = solve_in_span(products, x)
+            assert sym_e_decompose(x) == [(mu, c) for mu, c in zip(partitions(n), sol) if c]
+
+
+def test_sym_e_decompose_rejects_a_non_symmetric_element():
+    with pytest.raises(ValueError, match="not a symmetric element"):
+        sym_e_decompose(LinComb.term(composition(1, 2)))
+    with pytest.raises(ValueError, match="not a symmetric element"):
+        sym_e_decompose(m_lambda((2, 1)) + LinComb.term(composition(1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Cut, attachment, and planar Hopf structures on trees."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopftrees import clear_caches
 from hopftrees.algebra import LinComb, Tensor, lincomb_tensor, splice_at
 from hopftrees.tree_hopf import (
     GL_UNIT_TREE,
@@ -538,3 +540,56 @@ def test_lift_rejects_a_broken_cocycle():
 def test_lift_reports_missing_labels():
     with pytest.raises(KeyError, match="no cocycle for label"):
         universal_cocycle_map(shuffle_target((1,)), forest(leaf(2)))
+
+
+# ---------------------------------------------------------------------------
+# the per-forest antipode memo against closed forms
+
+
+def _edge_cuts(t):
+    """(kept tree through the root, detached trees, cut count) over every
+    subset of the edges of t."""
+    out = []
+    per_child = [_edge_cuts(c) for c in t.children]
+    for combo in itertools.product(*[[(opt, cut) for opt in opts for cut in (False, True)]
+                                     for opts in per_child]):
+        kept, detached, cuts = [], [], 0
+        for (child, rest, k), cut in combo:
+            detached += rest
+            cuts += k
+            if cut:
+                detached.append(child)
+                cuts += 1
+            else:
+                kept.append(child)
+        out.append((type(t)(t.label, kept), detached, cuts))
+    return out
+
+
+def _all_edge_cuts_antipode(u):
+    """S(F) = sum over edge sets C of (-1)^(|C| + #trees(F)) F_C."""
+    terms = [((), 0)]
+    for t in u.trees:
+        terms = [(pieces + (kept,) + tuple(detached), cuts + k)
+                 for pieces, cuts in terms for kept, detached, k in _edge_cuts(t)]
+    return LinComb((Forest(pieces), (-1) ** (cuts + len(u.trees))) for pieces, cuts in terms)
+
+
+def test_antipode_matches_the_all_edge_cuts_formula():
+    clear_caches()
+    unlabeled = [f for n in range(8) for f in enumerate_forests(n)]
+    for u in unlabeled + labeled_forests_up_to_weight(5):
+        assert ck_antipode(u) == _all_edge_cuts_antipode(u), u
+
+
+def test_ordered_forest_antipode_reverses_the_trees():
+    for n in range(7):
+        for u in enumerate_planar_forests(n):
+            want = LinComb.term(EMPTY_PLANAR_FOREST)
+            for t in u.trees:
+                want = ck_product(ck_antipode(PlanarForest((t,))), want)
+            assert foissy_antipode(u) == want, u
+
+
+def test_antipode_of_a_wide_forest_does_not_recurse_per_tree():
+    assert ck_antipode(Forest([leaf()] * 3000)) == tf(Forest([leaf()] * 3000))

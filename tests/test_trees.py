@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hopftrees.algebra import ParseError
 from hopftrees.trees import (
     EMPTY_FOREST,
+    EMPTY_PLANAR_FOREST,
     MAX_PARSE_DEPTH,
     Forest,
     PlanarForest,
@@ -98,6 +99,16 @@ def test_strip_root_inverts_bplus(t):
 def test_grafting_is_a_monoid_action(t, u, v):
     assert graft(t, EMPTY_FOREST) == t
     assert graft(graft(t, u), v) == graft(t, forest_mul(u, v))
+
+
+def test_forest_mul_returns_the_other_factor_of_an_empty_forest():
+    u = forest(CHERRY, leaf(2))
+    assert forest_mul(u, EMPTY_FOREST) is u
+    assert forest_mul(EMPTY_FOREST, u) is u
+    v = PlanarForest((pleaf(), pleaf(1)))
+    assert forest_mul(EMPTY_PLANAR_FOREST, v) is v
+    assert forest_mul(v, EMPTY_PLANAR_FOREST) is v
+    assert forest_mul(v, v).trees == v.trees + v.trees
 
 
 @given(unlabeled_trees)
