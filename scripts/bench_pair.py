@@ -20,7 +20,10 @@ quartiles of each side, the number of pairs in which the change read
 better, the parent's interquartile range (q3 - q1) and ``gain_rule_met``:
 true when the change read better in at least nine tenths of the pairs and
 its median is below the parent's by more than that range.  Every metric
-of perfbench's ``--trace 0`` result is lower-better.
+of perfbench's ``--trace 0`` result is lower-better.  Each end-to-end
+metric listed in ``BENCHMARK.json`` also gets its ``bound`` from there and
+``within_bound``: true when the change's median is at most the parent's
+median times (1 + bound), the benchmark's no-regression check.
 After the pairs of a workload it runs ``--trace 1`` once per side, seed 1,
 and stores perfbench's per-layer values under ``layers`` as
 ``{metric: {"parent": value, "change": value}}``; the direction in which
@@ -101,7 +104,14 @@ def quartiles(xs: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def end_to_end_bounds() -> dict[str, float]:
+    """{metric: bound} of the end-to-end metrics in BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
 def summarize(pairs: list[dict]) -> dict:
+    bounds = end_to_end_bounds()
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         before = [p["parent"]["metrics"][name] for p in pairs]
@@ -113,6 +123,10 @@ def summarize(pairs: list[dict]) -> dict:
                      "pairs": len(pairs), "parent_iqr": iqr,
                      "gain_rule_met": (10 * better >= 9 * len(pairs)
                                        and parent["median"] - change["median"] > iqr)}
+        if name in bounds:
+            out[name]["bound"] = bounds[name]
+            out[name]["within_bound"] = (
+                change["median"] <= parent["median"] * (1 + bounds[name]))
     return out
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .algebra import LinComb, Tensor, lincomb_tensor, splice_at
-from .lyndon_hall import hall_axiom_report
+from .lyndon_hall import hall_axiom_counterexamples
 from .morphisms import DIAGRAMS, diagram_check, kernel_generators, pi
 from .singular_frame import (alphaU, alphaU_extension_sum, betaU, frame_coefficient,
                              iterated_integral, prop53_counterexample)
@@ -319,8 +319,11 @@ def suite_prop53(max_weight: int = 5) -> list[CheckRow]:
         (({"w": w}, frame_coefficient(w), iterated_integral(w))
          for w in words_up_to_weight(max_weight) if len(w))))
 
-    for name, ok in hall_axiom_report(max_weight):
-        rows.append(CheckRow(f"hall/axiom-{name}", ok, f"weight <= {max_weight}"))
+    for name, failure in hall_axiom_counterexamples(max_weight):
+        detail = f"weight <= {max_weight}"
+        if failure is not None:
+            detail = "first failure: " + ", ".join(f"{k}={v}" for k, v in failure.items())
+        rows.append(CheckRow(f"hall/axiom-{name}", failure is None, detail))
 
     return rows
 

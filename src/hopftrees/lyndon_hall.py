@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial
 
 from .algebra import LinComb
-from .trees import Forest, RootedTree, forest, graft, leaf
+from .trees import Forest, RootedTree, _multisets, forest, graft, leaf
 from .words import EMPTY_WORD, Word, concat, lie_bracket, shuffle, word
 
 
@@ -293,63 +293,70 @@ def pbw_element(u: HallForest, bracket: str = "rl") -> LinComb:
 # ---------------------------------------------------------------------------
 # Definition-10 style axioms for the generated family
 
-def _hall_branch_multisets(pool: list[HallTree], max_total: int):
-    """Nonempty multisets of Hall trees with total weight <= max_total."""
-
-    def build(start: int, remaining: int, acc: list[HallTree]):
-        if acc:
-            yield tuple(acc)
-        for i in range(start, len(pool)):
-            t = pool[i]
-            if t.weight <= remaining:
-                acc.append(t)
-                yield from build(i, remaining - t.weight, acc)
-                acc.pop()
-
-    yield from build(0, max_total, [])
-
-
-def hall_axiom_report(max_weight: int) -> list[tuple[str, bool]]:
+def hall_axiom_counterexamples(max_weight: int) -> list[tuple[str, dict | None]]:
     """Check the four Hall set axioms on everything of weight <= max_weight.
 
-    The closure axiom is read with the standard decomposition: a candidate
-    B+_a(u) with branches t1 >= ... >= tm from the Hall set belongs to the
-    set iff dropping one copy of the minimal branch leaves a Hall tree t1'
-    with tm > t1'.
+    Each axiom comes with its first counterexample, or None when it holds:
+    a mapping from names to the offending trees and, for closure, to both
+    sides of the membership test.  The closure axiom is read with the
+    standard decomposition: a candidate B+_a(u) with branches t1 >= ... >=
+    tm from the Hall set belongs to the set iff dropping one copy of the
+    minimal branch leaves a Hall tree t1' with tm > t1'.
     """
     members = hall_set(max_weight)
 
-    total_order = len({alpha_key(t.foliage) for t in members}) == len(members)
+    def total_order():
+        seen: dict[tuple, HallTree] = {}
+        for t in members:
+            s = seen.setdefault(alpha_key(t.foliage), t)
+            if s is not t:
+                return {"s": s.tree, "t": t.tree}
+        return None
 
-    letters_in = all(is_hall_tree(leaf(a)) for a in range(1, max_weight + 1))
+    def letters():
+        for a in range(1, max_weight + 1):
+            if not is_hall_tree(leaf(a)):
+                return {"t": leaf(a)}
+        return None
 
-    closure = True
-    for a in range(1, max_weight):
-        pool = hall_set(max_weight - a)
-        for branches in _hall_branch_multisets(pool, max_weight - a):
-            trees = tuple(t.tree for t in branches)
-            cand = RootedTree(a, trees)
-            t_min = min(branches, key=lambda t: alpha_key(t.foliage))
-            rest = list(trees)
-            rest.remove(t_min.tree)
-            peeled = RootedTree(a, tuple(rest))
-            cond = (is_hall_tree(peeled)
-                    and word_less(foliage_word(peeled), t_min.foliage))
-            if is_hall_tree(cand) != cond:
-                closure = False
+    def closure():
+        for a in range(1, max_weight):
+            pool = hall_set(max_weight - a)
+            for total in range(1, max_weight - a + 1):
+                for branches in _multisets(total, pool, lambda t: t.weight):
+                    trees = tuple(t.tree for t in branches)
+                    cand = RootedTree(a, trees)
+                    t_min = min(branches, key=lambda t: alpha_key(t.foliage))
+                    rest = list(trees)
+                    rest.remove(t_min.tree)
+                    peeled = RootedTree(a, tuple(rest))
+                    cond = (is_hall_tree(peeled)
+                            and word_less(foliage_word(peeled), t_min.foliage))
+                    member = is_hall_tree(cand)
+                    if member != cond:
+                        return {"t": cand, "is_hall_tree(t)": member,
+                                "decomposition rule": cond}
+        return None
 
-    dominance = True
-    for t in members:
-        for c in t.tree.children:
-            if not word_less(t.foliage, foliage_word(c)):
-                dominance = False
+    def dominance():
+        for t in members:
+            for c in t.tree.children:
+                if not word_less(t.foliage, foliage_word(c)):
+                    return {"t": t.tree, "branch": c}
+        return None
 
     return [
-        ("total-order", total_order),
-        ("letters", letters_in),
-        ("closure", closure),
-        ("branch-dominance", dominance),
+        ("total-order", total_order()),
+        ("letters", letters()),
+        ("closure", closure()),
+        ("branch-dominance", dominance()),
     ]
+
+
+def hall_axiom_report(max_weight: int) -> list[tuple[str, bool]]:
+    """Each Hall set axiom with whether it holds to weight max_weight."""
+    return [(name, failure is None)
+            for name, failure in hall_axiom_counterexamples(max_weight)]
 
 
 # ---------------------------------------------------------------------------

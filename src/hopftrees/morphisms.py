@@ -402,14 +402,10 @@ def Z_u(x: LinComb | Word) -> LinComb:
 # ---------------------------------------------------------------------------
 # labelings and the truncated lifts
 
-def _relabel(t: RootedTree, labels: Iterator[int]) -> RootedTree:
+def _relabel(t: RootedTree | PlanarTree, labels: Iterator[int]) -> RootedTree | PlanarTree:
+    """t with its vertices labeled from labels, root first, in the tree's own class."""
     a = next(labels)
-    return RootedTree(a, tuple(_relabel(c, labels) for c in t.children))
-
-
-def _relabel_planar(t: PlanarTree, labels: Iterator[int]) -> PlanarTree:
-    a = next(labels)
-    return PlanarTree(a, tuple(_relabel_planar(c, labels) for c in t.children))
+    return type(t)(a, tuple(_relabel(c, labels) for c in t.children))
 
 
 def _label_tuples(n: int, max_weight: int) -> Iterator[tuple[int, ...]]:
@@ -438,7 +434,7 @@ def planar_slot_labelings(u: PlanarForest, max_weight: int) -> list[Forest]:
     out = []
     for combo in _label_tuples(u.size, max_weight):
         it = iter(combo)
-        labeled = PlanarForest(tuple(_relabel_planar(t, it) for t in u.trees))
+        labeled = PlanarForest(tuple(_relabel(t, it) for t in u.trees))
         out.append(forget_order_forest(labeled))
     return out
 
@@ -548,12 +544,10 @@ class DiagramSpec:
     report_only: bool = False
 
 
-def _zword_probes(max_weight: int) -> list[tuple[str, LinComb]]:
-    out = []
-    for n in range(1, max_weight + 1):
-        for w in words_of_weight(n):
-            out.append((zword_str(w), LinComb.term(w)))
-    return out
+def _word_probes(max_weight: int, fmt: Callable[[Word], str]) -> list[tuple[str, LinComb]]:
+    """Every word of weight 1..max_weight, named by fmt."""
+    return [(fmt(w), LinComb.term(w))
+            for n in range(1, max_weight + 1) for w in words_of_weight(n)]
 
 
 def _gl_tree_probes(max_weight: int) -> list[tuple[str, LinComb]]:
@@ -567,14 +561,6 @@ def _gl_tree_probes(max_weight: int) -> list[tuple[str, LinComb]]:
 def _eletter_probes(max_weight: int) -> list[tuple[str, LinComb]]:
     return [(eword_str(word(n)), LinComb.term(word(n)))
             for n in range(1, max_weight + 1)]
-
-
-def _eword_probes(max_weight: int) -> list[tuple[str, LinComb]]:
-    out = []
-    for n in range(1, max_weight + 1):
-        for w in words_of_weight(n):
-            out.append((eword_str(w), LinComb.term(w)))
-    return out
 
 
 def _mlambda_probes(max_weight: int) -> list[tuple[str, LinComb]]:
@@ -594,7 +580,7 @@ DIAGRAMS: dict[str, DiagramSpec] = {
     "thm5": DiagramSpec(
         name="thm5",
         description="ladder square: forests from NSYM two ways",
-        probes=_zword_probes,
+        probes=lambda n: _word_probes(n, zword_str),
         left=lambda x, n: alpha2(alpha1(x)),
         right=lambda x, n: alpha4(alpha3(x)),
     ),
@@ -609,7 +595,7 @@ DIAGRAMS: dict[str, DiagramSpec] = {
     "propdiag": DiagramSpec(
         name="propdiag",
         description="truncated lift square: words from NSYM two ways",
-        probes=_zword_probes,
+        probes=lambda n: _word_probes(n, zword_str),
         left=lambda x, n: beta2(beta1(x), n),
         right=lambda x, n: beta4(alpha3(x), n),
     ),
@@ -632,7 +618,7 @@ DIAGRAMS: dict[str, DiagramSpec] = {
     "hex2": DiagramSpec(
         name="hex2",
         description="dual hexagon: alpha4* after rho* vs multiplicative beta4*",
-        probes=_eword_probes,
+        probes=lambda n: _word_probes(n, eword_str),
         left=lambda x, n: alpha4_star(rho_star(x)),
         right=lambda x, n: x.map_basis(_beta4_star_word),
         fmt=_fmt_qsym,

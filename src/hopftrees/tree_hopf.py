@@ -47,10 +47,6 @@ from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,
 # ---------------------------------------------------------------------------
 # cut coproduct algebra on forests, unordered (commutative) or ordered
 
-_FOREST_OF = {RootedTree: Forest, PlanarTree: PlanarForest}
-_UNIT = {Forest: LinComb.term(EMPTY_FOREST), PlanarForest: LinComb.term(EMPTY_PLANAR_FOREST)}
-
-
 def ck_product(x: LinComb | Forest | PlanarForest, y: LinComb | Forest | PlanarForest) -> LinComb:
     return LinComb.lift(x).bilinear(LinComb.lift(y), forest_mul)
 
@@ -66,7 +62,7 @@ def _tree_splits(t: RootedTree | PlanarTree) -> tuple[tuple[Forest, RootedTree |
     split into ordered pruned forests and planar trunks, in branch order.
     """
     tree = type(t)
-    forest = _FOREST_OF[tree]
+    forest = tree.forest_class
     acc: dict[tuple[Forest, RootedTree | None], int] = {}
     acc[(forest((t,)), None)] = 1
     per_child = []
@@ -93,7 +89,7 @@ def _tree_splits(t: RootedTree | PlanarTree) -> tuple[tuple[Forest, RootedTree |
 def _tree_coproduct(t: RootedTree | PlanarTree) -> LinComb:
     """Coproduct of one tree, pruned forest (x) trunk as a one-tree forest
     (the unit forest when the whole tree is pruned)."""
-    forest = _FOREST_OF[type(t)]
+    forest = type(t).forest_class
     unit = forest(())
     return LinComb((Tensor((pruned, unit if trunk is None else forest((trunk,)))), mult)
                    for pruned, trunk, mult in _tree_splits(t))
@@ -132,7 +128,7 @@ def _antipode_forest(u: Forest | PlanarForest) -> LinComb:
         return ck_product(_antipode_forest(forest(u.trees[h:])),
                           _antipode_forest(forest(u.trees[:h])))
     if not u.trees:
-        return _UNIT[forest]
+        return LinComb.term(u)
     return recursive_antipode(u.trees[0], _tree_coproduct, ck_product, _antipode_forest,
                               forest(()))
 

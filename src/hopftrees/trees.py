@@ -1,8 +1,11 @@
 """Rooted trees and forests, plain and planar, labeled or not.
 
-Non-planar trees keep their children sorted by a canonical key, so equal
-trees are structurally identical; forests are multisets of trees stored the
-same way.  Planar trees keep children in given order.  Labels are positive
+One tree class and one forest class hold construction, equality, hashing,
+ordering and printing; the plain classes (RootedTree, Forest) sort their
+children and trees by a canonical key, so equal trees are structurally
+identical and forests are multisets, while the planar classes
+(PlanarTree, PlanarForest) keep the given order.  A plain and a planar
+value of the same shape are never equal.  Labels are positive
 integers (vertex labeled k stands for the letter f_k and has weight k);
 unlabeled vertices have label None and weight 0.
 
@@ -20,30 +23,39 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import factorial
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import ParseError
 from .words import Word
 
 
-class RootedTree:
-    """A rooted tree with canonically sorted children. Immutable."""
+# The canonical order of trees and forests, for sorting.
+_by_key = attrgetter("_key")
+
+
+class _Tree:
+    """A labeled root over a tuple of children; the shared body of
+    RootedTree and PlanarTree, which differ only in class attributes:
+    whether the given child order is kept, the repr tag, and the forest
+    class that holds their trees. Immutable."""
 
     __slots__ = ("label", "children", "size", "weight", "_key", "_hash")
 
-    def __init__(self, label: int | None = None, children: Iterable["RootedTree"] = ()):
+    def __init__(self, label: int | None = None, children: Iterable[_Tree] = ()):
         if label is not None and (not isinstance(label, int) or label < 1):
             raise ValueError(f"labels must be positive integers, got {label!r}")
-        kids = tuple(sorted(children, key=lambda t: t._key))
+        cls = type(self)
+        kids = tuple(children) if cls._ordered else tuple(sorted(children, key=_by_key))
         for t in kids:
-            if not isinstance(t, RootedTree):
-                raise TypeError("children must be RootedTree instances")
+            if not isinstance(t, cls):
+                raise TypeError(f"children must be {cls.__name__} instances")
         self.label = label
         self.children = kids
         self.size = 1 + sum(t.size for t in kids)
         self.weight = (label or 0) + sum(t.weight for t in kids)
         self._key = (self.size, label or 0, tuple(t._key for t in kids))
-        self._hash = hash(("RootedTree", label, kids))
+        self._hash = hash((cls.__name__, label, kids))
 
     def sort_key(self) -> tuple:
         return self._key
@@ -51,7 +63,7 @@ class RootedTree:
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        return (isinstance(other, RootedTree) and self._hash == other._hash
+        return (other.__class__ is self.__class__ and self._hash == other._hash
                 and self.label == other.label and self.children == other.children)
 
     def __hash__(self) -> int:
@@ -70,21 +82,24 @@ class RootedTree:
         return prefix + "[" + ",".join(str(c) for c in self.children) + "]"
 
     def __repr__(self) -> str:
-        return f"<tree {self}>"
+        return f"<{self._tag} {self}>"
 
 
-class Forest:
-    """A multiset of rooted trees, stored sorted. The unit forest is empty."""
+class _Forest:
+    """A tuple of trees; the shared body of Forest and PlanarForest, which
+    differ only in whether the given order is kept and in the repr tag.
+    The unit forest is empty."""
 
     __slots__ = ("trees", "size", "weight", "_key", "_hash")
 
-    def __init__(self, trees: Iterable[RootedTree] = ()):
-        ts = tuple(sorted(trees, key=lambda t: t._key))
+    def __init__(self, trees: Iterable[_Tree] = ()):
+        cls = type(self)
+        ts = tuple(trees) if cls._ordered else tuple(sorted(trees, key=_by_key))
         self.trees = ts
         self.size = sum(t.size for t in ts)
         self.weight = sum(t.weight for t in ts)
         self._key = (self.size, tuple(t._key for t in ts))
-        self._hash = hash(("Forest", ts))
+        self._hash = hash((cls.__name__, ts))
 
     def sort_key(self) -> tuple:
         return self._key
@@ -92,7 +107,7 @@ class Forest:
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        return (isinstance(other, Forest) and self._hash == other._hash
+        return (other.__class__ is self.__class__ and self._hash == other._hash
                 and self.trees == other.trees)
 
     def __hash__(self) -> int:
@@ -113,7 +128,41 @@ class Forest:
         return " ".join(str(t) for t in self.trees)
 
     def __repr__(self) -> str:
-        return f"<forest {self}>"
+        return f"<{self._tag} {self}>"
+
+
+class Forest(_Forest):
+    """A multiset of rooted trees, stored sorted. The unit forest is empty."""
+
+    __slots__ = ()
+    _ordered = False
+    _tag = "forest"
+
+
+class PlanarForest(_Forest):
+    """An ordered forest of planar trees (a word in planar trees)."""
+
+    __slots__ = ()
+    _ordered = True
+    _tag = "planar forest"
+
+
+class RootedTree(_Tree):
+    """A rooted tree with canonically sorted children. Immutable."""
+
+    __slots__ = ()
+    _ordered = False
+    _tag = "tree"
+    forest_class = Forest
+
+
+class PlanarTree(_Tree):
+    """A rooted tree whose children are ordered left to right. Immutable."""
+
+    __slots__ = ()
+    _ordered = True
+    _tag = "planar"
+    forest_class = PlanarForest
 
 
 EMPTY_FOREST = Forest(())
@@ -190,13 +239,9 @@ def sym_order(x: RootedTree | Forest) -> int:
 
 def per_count(x: RootedTree | Forest) -> int:
     """Number of vertex permutations respecting the forest structure:
-    per(B+_a(u)) = per(u) and per(prod t_j^(i_j)) = prod i_j! per(t_j)^(i_j)."""
-    if isinstance(x, RootedTree):
-        return per_count(Forest(x.children))
-    out = 1
-    for t, mult in _multiplicities(x.trees):
-        out *= factorial(mult) * per_count(t) ** mult
-    return out
+    per(B+_a(u)) = per(u) and per(prod t_j^(i_j)) = prod i_j! per(t_j)^(i_j),
+    the recursion of sym_order."""
+    return sym_order(x)
 
 
 def _multiplicities(trees: Sequence[RootedTree]) -> list[tuple[RootedTree, int]]:
@@ -269,7 +314,7 @@ def _extensions_increasing(trees: tuple[RootedTree, ...]) -> tuple[tuple[int, ..
     out = []
     for i, t in enumerate(trees):
         rest = trees[:i] + trees[i + 1:] + t.children
-        for tail in _extensions_increasing(tuple(sorted(rest, key=lambda s: s._key))):
+        for tail in _extensions_increasing(tuple(sorted(rest, key=_by_key))):
             out.append((t.label,) + tail)
     return tuple(out)
 
@@ -295,21 +340,21 @@ def enumerate_trees(n: int) -> tuple[RootedTree, ...]:
     if n < 1:
         return ()
     out = [bplus(f) for f in enumerate_forests(n - 1)]
-    return tuple(sorted(out, key=lambda t: t._key))
+    return tuple(sorted(out, key=_by_key))
 
 
 @lru_cache(maxsize=None)
 def enumerate_forests(n: int) -> tuple[Forest, ...]:
     """All unlabeled forests with n vertices total, canonical order."""
     out = [Forest(ts) for ts in _multisets(n, _trees_upto_key(n), lambda t: t.size)]
-    return tuple(sorted(out, key=lambda f: f._key))
+    return tuple(sorted(out, key=_by_key))
 
 
 def _trees_upto_key(n: int) -> list[RootedTree]:
     pool: list[RootedTree] = []
     for k in range(1, n + 1):
         pool.extend(enumerate_trees(k))
-    return sorted(pool, key=lambda t: t._key)
+    return sorted(pool, key=_by_key)
 
 
 def _multisets(total: int, pool: list, size_of) -> Iterator[tuple]:
@@ -343,7 +388,7 @@ def labeled_trees_of_weight(w: int) -> tuple[RootedTree, ...]:
     for root in range(1, w + 1):
         for f in labeled_forests_of_weight(w - root):
             out.append(bplus(f, root))
-    return tuple(sorted(out, key=lambda t: t._key))
+    return tuple(sorted(out, key=_by_key))
 
 
 @lru_cache(maxsize=None)
@@ -353,9 +398,9 @@ def labeled_forests_of_weight(w: int) -> tuple[Forest, ...]:
     pool: list[RootedTree] = []
     for k in range(1, w + 1):
         pool.extend(labeled_trees_of_weight(k))
-    pool.sort(key=lambda t: t._key)
+    pool.sort(key=_by_key)
     out = [Forest(ts) for ts in _multisets(w, pool, lambda t: t.weight)]
-    return tuple(sorted(out, key=lambda f: f._key))
+    return tuple(sorted(out, key=_by_key))
 
 
 def labeled_forests_up_to_weight(w: int) -> list[Forest]:
@@ -367,84 +412,6 @@ def labeled_forests_up_to_weight(w: int) -> list[Forest]:
 
 # ---------------------------------------------------------------------------
 # planar trees
-
-class PlanarTree:
-    """A rooted tree whose children are ordered left to right. Immutable."""
-
-    __slots__ = ("label", "children", "size", "weight", "_key", "_hash")
-
-    def __init__(self, label: int | None = None, children: Iterable["PlanarTree"] = ()):
-        if label is not None and (not isinstance(label, int) or label < 1):
-            raise ValueError(f"labels must be positive integers, got {label!r}")
-        kids = tuple(children)
-        for t in kids:
-            if not isinstance(t, PlanarTree):
-                raise TypeError("children must be PlanarTree instances")
-        self.label = label
-        self.children = kids
-        self.size = 1 + sum(t.size for t in kids)
-        self.weight = (label or 0) + sum(t.weight for t in kids)
-        self._key = (self.size, label or 0, tuple(t._key for t in kids))
-        self._hash = hash(("PlanarTree", label, kids))
-
-    def sort_key(self) -> tuple:
-        return self._key
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (isinstance(other, PlanarTree) and self._hash == other._hash
-                and self.label == other.label and self.children == other.children)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        prefix = f"f{self.label}" if self.label is not None else ""
-        if not self.children:
-            return prefix if prefix else "[]"
-        return prefix + "[" + ",".join(str(c) for c in self.children) + "]"
-
-    def __repr__(self) -> str:
-        return f"<planar {self}>"
-
-
-class PlanarForest:
-    """An ordered forest of planar trees (a word in planar trees)."""
-
-    __slots__ = ("trees", "size", "weight", "_key", "_hash")
-
-    def __init__(self, trees: Iterable[PlanarTree] = ()):
-        ts = tuple(trees)
-        self.trees = ts
-        self.size = sum(t.size for t in ts)
-        self.weight = sum(t.weight for t in ts)
-        self._key = (self.size, tuple(t._key for t in ts))
-        self._hash = hash(("PlanarForest", ts))
-
-    def sort_key(self) -> tuple:
-        return self._key
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (isinstance(other, PlanarForest) and self._hash == other._hash
-                and self.trees == other.trees)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __len__(self) -> int:
-        return len(self.trees)
-
-    def __str__(self) -> str:
-        if not self.trees:
-            return "I"
-        return " ".join(str(t) for t in self.trees)
-
-    def __repr__(self) -> str:
-        return f"<planar forest {self}>"
-
 
 EMPTY_PLANAR_FOREST = PlanarForest(())
 
@@ -483,7 +450,7 @@ def planar_variants(t: RootedTree) -> tuple[PlanarTree, ...]:
     for choice in itertools.product(*child_variants):
         for perm in itertools.permutations(choice):
             seen.add(PlanarTree(t.label, perm))
-    return tuple(sorted(seen, key=lambda p: p._key))
+    return tuple(sorted(seen, key=_by_key))
 
 
 @lru_cache(maxsize=None)
@@ -491,7 +458,7 @@ def enumerate_planar_trees(n: int) -> tuple[PlanarTree, ...]:
     if n < 1:
         return ()
     out = [pbplus(f) for f in enumerate_planar_forests(n - 1)]
-    return tuple(sorted(out, key=lambda t: t._key))
+    return tuple(sorted(out, key=_by_key))
 
 
 @lru_cache(maxsize=None)
@@ -504,7 +471,7 @@ def enumerate_planar_forests(n: int) -> tuple[PlanarForest, ...]:
         for t in enumerate_planar_trees(k):
             for rest in enumerate_planar_forests(n - k):
                 out.append(PlanarForest((t,) + rest.trees))
-    return tuple(sorted(out, key=lambda f: f._key))
+    return tuple(sorted(out, key=_by_key))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,28 @@ def test_a_slower_change_never_meets_the_gain_rule():
     assert s["gain_rule_met"] is False
 
 
+def test_each_end_to_end_metric_carries_its_bound_and_the_no_regression_check():
+    bounds = bench_pair.end_to_end_bounds()
+    assert bounds["wall_s"] == 0.25 and bounds["peak_rss_mb"] == 0.1
+    assert set(bounds) == {"wall_s", "req_p50_ms", "req_p95_ms", "peak_rss_mb", "setup_s"}
+
+    def summary(change):
+        pairs = [{"parent": {"metrics": {"wall_s": b, "peak_rss_mb": 30.0, "other": b}},
+                  "change": {"metrics": {"wall_s": a, "peak_rss_mb": r, "other": a}}}
+                 for b, a, r in zip(PARENT, change, [33.5] * 5 + [32.5] * 5)]
+        return bench_pair.summarize(pairs)
+
+    s = summary([x + 0.25 for x in PARENT])  # median 1.64 <= 1.39 * 1.25
+    assert s["wall_s"]["bound"] == 0.25 and s["wall_s"]["within_bound"] is True
+    assert s["peak_rss_mb"]["bound"] == 0.1  # median 33.0 <= 30.0 * 1.1
+    assert s["peak_rss_mb"]["within_bound"] is True
+    assert "bound" not in s["other"] and "within_bound" not in s["other"]
+    s = summary([x * 1.3 for x in PARENT])
+    assert s["wall_s"]["within_bound"] is False
+    s = summary([x * 1.25 for x in PARENT])  # exactly at the bound still passes
+    assert s["wall_s"]["within_bound"] is True
+
+
 def test_written_json_has_pairs_summary_and_layer_rows(tmp_path, monkeypatch):
     calls = []
 

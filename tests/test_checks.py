@@ -1,15 +1,16 @@
 """The duality suite against the scan it replaced, and the failure reports
-of the Hopf-axiom, duality, pi-kernel and prop53 suites."""
+of the Hopf-axiom, duality, pi-kernel and prop53 suites (with its Hall-axiom
+rows)."""
 
 from fractions import Fraction
 
-from hopftrees import checks, singular_frame
+from hopftrees import checks, lyndon_hall, singular_frame
 from hopftrees.algebra import LinComb, Tensor
 from hopftrees.checks import CheckRow, suite_duality, suite_pi_kernel, suite_prop53
 from hopftrees.tree_hopf import (ck_antipode, ck_gl_pairing, ck_product,
                                  coproduct_forest, gl_coproduct, gl_product)
 from hopftrees.trees import (EMPTY_FOREST, bplus, enumerate_forests, enumerate_trees,
-                             forest_mul, labeled_forests_of_weight)
+                             forest_mul, labeled_forests_of_weight, leaf)
 from hopftrees.words import word
 
 
@@ -245,3 +246,16 @@ def test_a_failing_prop53_row_names_the_word_and_both_coefficients(monkeypatch):
     assert rows["frame/prop53-weight-3"] == CheckRow(
         "frame/prop53-weight-3", False,
         "first failure: w=f1.f2: frame series = 1/3, exp(Hall representation) = 4/3")
+
+
+def test_a_rejected_letter_fails_the_hall_axioms_by_name(monkeypatch):
+    right = lyndon_hall.is_hall_tree
+    monkeypatch.setattr(lyndon_hall, "is_hall_tree", lambda t: t != leaf(2) and right(t))
+    rows = {r.name: r for r in suite_prop53(4)}
+    assert rows["hall/axiom-letters"] == CheckRow(
+        "hall/axiom-letters", False, "first failure: t=f2")
+    assert rows["hall/axiom-closure"] == CheckRow(
+        "hall/axiom-closure", False,
+        "first failure: t=f2[f1], is_hall_tree(t)=True, decomposition rule=False")
+    assert rows["hall/axiom-total-order"] == CheckRow(
+        "hall/axiom-total-order", True, "weight <= 4")

@@ -12,6 +12,7 @@ from hopftrees.lyndon_hall import (
     expand_lyndon_polynomial,
     expand_shuffle_monomial,
     foliage_word,
+    hall_axiom_counterexamples,
     hall_axiom_report,
     hall_forests,
     hall_polynomial,
@@ -209,6 +210,15 @@ def test_hall_axioms_hold_through_weight_five():
     assert report, "empty report"
     for name, ok in report:
         assert ok, f"axiom {name} failed"
+
+
+def test_hall_axiom_report_reads_the_counterexamples():
+    for n in range(1, 8):
+        found = hall_axiom_counterexamples(n)
+        assert [name for name, _ in found] == [
+            "total-order", "letters", "closure", "branch-dominance"]
+        assert all(failure is None for _, failure in found)
+        assert hall_axiom_report(n) == [(name, True) for name, _ in found]
 
 
 def test_xi_is_injective_on_small_hall_forests():

@@ -1,5 +1,8 @@
 """Rooted trees and forests: canonical forms, enumeration, cuts, parsing."""
 
+import itertools
+from math import factorial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,6 +38,7 @@ from hopftrees.trees import (
     parse_forest,
     parse_tree,
     per_count,
+    planar_ladder,
     planar_variants,
     pleaf,
     strip_root,
@@ -130,6 +134,27 @@ def test_per_counts():
     assert per_count(EMPTY_FOREST) == 1
     assert per_count(forest(leaf(1), leaf(1))) == 2
     assert per_count(forest(leaf(), leaf(), leaf())) == 6
+
+
+def _per_by_own_recursion(x) -> int:
+    """per(B+_a(u)) = per(u), per(prod t_j^(i_j)) = prod i_j! per(t_j)^(i_j),
+    as per_count computed it before it read sym_order."""
+    if isinstance(x, RootedTree):
+        return _per_by_own_recursion(Forest(x.children))
+    out = 1
+    for t, mult in itertools.groupby(x.trees):
+        mult = len(list(mult))
+        out *= factorial(mult) * _per_by_own_recursion(t) ** mult
+    return out
+
+
+def test_per_count_matches_its_recursion():
+    forests = [u for n in range(8) for u in enumerate_forests(n)]
+    forests += labeled_forests_up_to_weight(6)
+    for u in forests:
+        assert per_count(u) == _per_by_own_recursion(u), u
+        for t in u.trees:
+            assert per_count(t) == _per_by_own_recursion(t), t
 
 
 @given(unlabeled_forests)
@@ -374,3 +399,61 @@ def test_planar_tree_strings_round_trip(t):
 @given(st.lists(_random_trees(PlanarTree, _any_label), max_size=4).map(PlanarForest))
 def test_planar_forest_strings_round_trip(u):
     assert parse_forest(str(u), planar=True) == u
+
+
+# ---------------------------------------------------------------------------
+# the shared tree and forest classes, plain and planar
+
+
+def test_plain_and_planar_values_of_one_shape_are_unequal():
+    for n in range(1, 5):
+        for t in enumerate_planar_trees(n):
+            plain = forget_order(t)
+            assert plain != t and t != plain
+            assert Forest((plain,)) != PlanarForest((t,))
+            assert PlanarForest((t,)) != Forest((plain,))
+    assert EMPTY_FOREST != EMPTY_PLANAR_FOREST
+    assert len({leaf(), pleaf(), EMPTY_FOREST, EMPTY_PLANAR_FOREST}) == 4
+
+
+def test_mixed_children_are_refused_with_the_class_name():
+    with pytest.raises(TypeError, match="^children must be RootedTree instances$"):
+        RootedTree(None, (leaf(), pleaf()))
+    with pytest.raises(TypeError, match="^children must be PlanarTree instances$"):
+        PlanarTree(None, (pleaf(), leaf()))
+    with pytest.raises(ValueError, match="labels must be positive integers, got 0"):
+        PlanarTree(0)
+
+
+def test_reprs_name_the_class():
+    cherry = parse_tree("f1[f2,[]]", planar=True)
+    assert repr(parse_tree("f1[f2,[]]")) == "<tree f1[[],f2]>"
+    assert repr(cherry) == "<planar f1[f2,[]]>"
+    assert repr(forest(leaf(2), leaf())) == "<forest [] f2>"
+    assert repr(PlanarForest((pleaf(2), pleaf()))) == "<planar forest f2 []>"
+    assert repr(EMPTY_FOREST) == "<forest I>"
+    assert repr(EMPTY_PLANAR_FOREST) == "<planar forest I>"
+
+
+def test_planar_values_keep_the_given_order_and_plain_ones_sort():
+    big, small = planar_ladder(3), pleaf()
+    assert PlanarForest((big, small)).trees == (big, small)
+    assert PlanarForest((small, big)).trees == (small, big)
+    assert PlanarTree(None, (big, small)).children == (big, small)
+    assert PlanarTree(None, (big, small)) != PlanarTree(None, (small, big))
+    plain = (ladder(3), leaf())
+    assert Forest(plain).trees == Forest(plain[::-1]).trees == (leaf(), ladder(3))
+    assert RootedTree(None, plain).children == (leaf(), ladder(3))
+
+
+def test_tree_and_forest_instances_have_no_dict():
+    for x in (leaf(1), CHERRY, pleaf(), planar_ladder(2), EMPTY_FOREST,
+              forest(leaf()), EMPTY_PLANAR_FOREST, PlanarForest((pleaf(),))):
+        assert not hasattr(x, "__dict__"), type(x)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+
+
+def test_forest_class_of_each_tree_class():
+    assert RootedTree.forest_class is Forest
+    assert PlanarTree.forest_class is PlanarForest
