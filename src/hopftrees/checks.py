@@ -16,8 +16,7 @@ from .morphisms import DIAGRAMS, diagram_check, kernel_generators, pi
 from .singular_frame import (alphaU, alphaU_extension_sum, betaU, frame_coefficient,
                              iterated_integral, prop53_counterexample)
 from .tree_hopf import (ck_antipode, ck_gl_dual, ck_product, coproduct_forest,
-                        gl_coproduct, gl_product, shuffle_target,
-                        universal_cocycle_map)
+                        cocycle_lift, gl_coproduct, gl_product, shuffle_target)
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, bplus,
                     enumerate_forests, enumerate_planar_forests, enumerate_trees,
                     forest, forest_mul, labeled_forests_of_weight,
@@ -220,13 +219,18 @@ def suite_duality(max_degree: int = 5) -> list[CheckRow]:
 # the linear-extension morphism
 
 def suite_pi_kernel(max_weight: int = 5) -> list[CheckRow]:
+    """pi against concatenation, shuffle, deconcatenation, zero, ladder words
+    and the cocycle lift.  Each forest's image is computed once, kept for
+    this call only, and read by every row; the kernel row applies pi to each
+    generator as a whole."""
     forests = labeled_forests_up_to_weight(max_weight)
+    images = {u: pi(u) for u in forests}
 
     def bplus_law():
         for u in forests:
             for a in range(1, max_weight - u.weight + 1):
-                yield ({"u": u, "a": a}, pi(forest(bplus(u, a))),
-                       concat(pi(u), LinComb.term(word(a))))
+                yield ({"u": u, "a": a}, images[forest(bplus(u, a))],
+                       concat(images[u], LinComb.term(word(a))))
 
     def product_law():
         for u in forests:
@@ -234,15 +238,16 @@ def suite_pi_kernel(max_weight: int = 5) -> list[CheckRow]:
                 continue
             for v in labeled_forests_up_to_weight(max_weight - u.weight):
                 if v.trees:
-                    yield {"u": u, "v": v}, pi(forest_mul(u, v)), shuffle(pi(u), pi(v))
+                    yield ({"u": u, "v": v}, images[forest_mul(u, v)],
+                           shuffle(images[u], images[v]))
 
     def coalgebra_morphism():
         for u in forests:
-            lhs = LinComb.sum((lincomb_tensor(pi(t.parts[0]), pi(t.parts[1])), c)
+            lhs = LinComb.sum((lincomb_tensor(images[t.parts[0]], images[t.parts[1]]), c)
                               for t, c in coproduct_forest(u).items())
-            yield {"u": u}, lhs, pi(u).map_basis(deconcat)
+            yield {"u": u}, lhs, images[u].map_basis(deconcat)
 
-    target = shuffle_target(range(1, max_weight + 1))
+    lift = cocycle_lift(shuffle_target(range(1, max_weight + 1)))
     return [
         _agreement_row("pi/bplus-law", "case", ("pi(B+_a(u))", "pi(u).a"),
                        bplus_law()),
@@ -254,12 +259,11 @@ def suite_pi_kernel(max_weight: int = 5) -> list[CheckRow]:
                        (({"g": g}, pi(g), LinComb.zero())
                         for g in kernel_generators(max_weight))),
         _agreement_row("pi/onto-ladders", "word", ("pi(ladder(w))", "w"),
-                       (({"w": w}, pi(forest(labeled_ladder(w))), LinComb.term(w))
+                       (({"w": w}, images[forest(labeled_ladder(w))], LinComb.term(w))
                         for w in words_up_to_weight(max_weight) if len(w))),
         _agreement_row("pi/universal-cocycle-lift", "forest",
                        ("cocycle lift", "pi(u)"),
-                       (({"u": u}, universal_cocycle_map(target, u), pi(u))
-                        for u in forests)),
+                       (({"u": u}, lift(u), images[u]) for u in forests)),
     ]
 
 
@@ -340,12 +344,19 @@ SUITES: dict[str, Callable[[int], list[CheckRow]]] = {
 }
 
 
+# The largest --max-weight each suite runs: the largest weight that ran in
+# under 60 s and 512 MB peak RSS on a 2-core x86_64 machine (times in
+# CHANGES.md).  "all" runs up to the smallest of them.
+MAX_WEIGHTS: dict[str, int] = {"hopf-axioms": 8, "duality": 8, "pi-kernel": 8,
+                               "diagrams": 9, "prop53": 11}
+
+
 def run_suite(name: str, max_weight: int) -> list[CheckRow]:
-    if name == "all":
-        rows: list[CheckRow] = []
-        for key in SUITES:
-            rows.extend(SUITES[key](max_weight))
-        return rows
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](max_weight)
+    names = list(SUITES) if name == "all" else [name]
+    ceiling = min(MAX_WEIGHTS[key] for key in names)
+    if max_weight > ceiling:
+        raise ValueError(f"suite {name!r} runs up to --max-weight {ceiling}, "
+                         f"got {max_weight}")
+    return [row for key in names for row in SUITES[key](max_weight)]

@@ -510,31 +510,40 @@ def _check_cocycle(target: CocycleTarget, label: int | None, x: LinComb, probe: 
             f"cocycle law fails for label {label!r} at probe element {probe}")
 
 
-def universal_cocycle_map(target: CocycleTarget, x: LinComb | Forest) -> LinComb:
+def cocycle_lift(target: CocycleTarget) -> Callable[[LinComb | Forest], LinComb]:
     """The unique algebra morphism from forests sending B+_a to the a-cocycle.
 
-    The cocycle law is verified on every intermediate image unless the
-    target opts out.
+    The returned callable keeps the image of every tree and forest it has
+    built, so each intermediate image is built, and its cocycle law verified
+    (unless the target opts out), once per lift.  The memo lives as long as
+    the callable.
     """
-    cache: dict[Forest, LinComb] = {}
+    images: dict[RootedTree | Forest, LinComb] = {}
 
     def on_tree(t: RootedTree) -> LinComb:
-        inner = on_forest(strip_root(t))
-        if t.label not in target.cocycles:
-            raise KeyError(f"no cocycle for label {t.label!r} (tree {t})")
-        if target.verify:
-            _check_cocycle(target, t.label, inner, strip_root(t))
-        return target.cocycles[t.label](inner)
+        if t not in images:
+            inner = on_forest(strip_root(t))
+            if t.label not in target.cocycles:
+                raise KeyError(f"no cocycle for label {t.label!r} (tree {t})")
+            if target.verify:
+                _check_cocycle(target, t.label, inner, strip_root(t))
+            images[t] = target.cocycles[t.label](inner)
+        return images[t]
 
     def on_forest(u: Forest) -> LinComb:
-        if u not in cache:
+        if u not in images:
             total = target.unit
             for t in u.trees:
                 total = target.product(total, on_tree(t))
-            cache[u] = total
-        return cache[u]
+            images[u] = total
+        return images[u]
 
-    return LinComb.lift(x).map_basis(on_forest)
+    return lambda x: LinComb.lift(x).map_basis(on_forest)
+
+
+def universal_cocycle_map(target: CocycleTarget, x: LinComb | Forest) -> LinComb:
+    """The image of x under a fresh cocycle_lift(target)."""
+    return cocycle_lift(target)(x)
 
 
 def ck_target(labels: Iterable[int | None] = (None,), verify: bool = True) -> CocycleTarget:

@@ -21,8 +21,8 @@ implicit; there the same limit counts bracket levels below the root.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, partial
+from math import factorial, prod
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -168,8 +168,8 @@ class PlanarTree(_Tree):
 EMPTY_FOREST = Forest(())
 
 
-def leaf(label: int | None = None) -> RootedTree:
-    return RootedTree(label, ())
+def leaf(label: int | None = None, tree_class: type[_Tree] = RootedTree) -> _Tree:
+    return tree_class(label, ())
 
 
 def forest(*trees: RootedTree) -> Forest:
@@ -187,9 +187,10 @@ def forest_mul(u: Forest | PlanarForest, v: Forest | PlanarForest) -> Forest | P
     return type(u)(u.trees + v.trees)
 
 
-def bplus(u: Forest, label: int | None = None) -> RootedTree:
+def bplus(u: Forest | PlanarForest, label: int | None = None,
+          tree_class: type[_Tree] = RootedTree) -> _Tree:
     """Graft all trees of u onto a fresh root."""
-    return RootedTree(label, u.trees)
+    return tree_class(label, u.trees)
 
 
 def strip_root(t: RootedTree) -> Forest:
@@ -202,20 +203,22 @@ def graft(t: RootedTree, u: Forest) -> RootedTree:
     return RootedTree(t.label, t.children + u.trees)
 
 
-def canonicalize(t: RootedTree) -> RootedTree:
-    """Rebuild a tree bottom-up; idempotent since constructors sort children."""
+def canonicalize(t: RootedTree | PlanarTree) -> RootedTree:
+    """Rebuild a tree bottom-up as a RootedTree, which sorts children: the
+    identity on plain trees, and forgetting the order of a planar one."""
     return RootedTree(t.label, tuple(canonicalize(c) for c in t.children))
 
 
-def ladder(n: int, labels: Sequence[int] | None = None) -> RootedTree:
+def ladder(n: int, labels: Sequence[int] | None = None,
+           tree_class: type[_Tree] = RootedTree) -> _Tree:
     """The n-vertex ladder; labels, if given, run deepest vertex first."""
     if n < 1:
         raise ValueError("ladders need at least one vertex")
     if labels is not None and len(labels) != n:
         raise ValueError("need one label per vertex")
-    t = leaf(labels[0] if labels else None)
+    t = leaf(labels[0] if labels else None, tree_class)
     for i in range(1, n):
-        t = RootedTree(labels[i] if labels else None, (t,))
+        t = tree_class(labels[i] if labels else None, (t,))
     return t
 
 
@@ -319,27 +322,50 @@ def _extensions_increasing(trees: tuple[RootedTree, ...]) -> tuple[tuple[int, ..
     return tuple(out)
 
 
+# The most linear extensions linear_extensions lists; larger forests are
+# refused before enumerating (f1 ... f8 has 40,320; nine leaves 362,880).
+MAX_LINEAR_EXTENSIONS = 1_000_000
+
+
+def extension_count(u: Forest) -> int:
+    """The number of linear extensions of u, by the hook-length formula for
+    forests: size! over the product of all subtree sizes (Knuth, TAOCP
+    vol. 3, 5.1.4, ex. 20)."""
+    def hooks(t: RootedTree) -> int:
+        return t.size * prod(map(hooks, t.children))
+    return factorial(u.size) // prod(map(hooks, u.trees))
+
+
 def linear_extensions(u: Forest) -> tuple[Word, ...]:
     """Words of the total orders extending u's vertex order, greatest first.
 
     Every vertex precedes its parent, so each tree's root letter comes last.
     Extensions are counted with multiplicity: equal trees contribute equal
-    words once per choice.
+    words once per choice.  Equal words are one shared Word; they occur only
+    when a letter repeats, since every extension reads all of u's labels.
     """
     if not u.is_fully_labeled():
         raise ValueError(f"linear extensions need a fully labeled forest, got {u}")
-    return tuple(Word(tuple(reversed(seq))) for seq in _extensions_increasing(u.trees))
+    if extension_count(u) > MAX_LINEAR_EXTENSIONS:
+        raise ValueError(f"a forest of {u.size} vertices with more than "
+                         f"{MAX_LINEAR_EXTENSIONS:,} linear extensions is refused")
+    seqs = _extensions_increasing(u.trees)
+    if len(set(seqs[0])) == len(seqs[0]):
+        return tuple(Word(seq[::-1]) for seq in seqs)
+    words = {seq: Word(seq[::-1]) for seq in set(seqs)}
+    return tuple(map(words.__getitem__, seqs))
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
 @lru_cache(maxsize=None)
-def enumerate_trees(n: int) -> tuple[RootedTree, ...]:
-    """All unlabeled rooted trees with n vertices, canonical order."""
+def enumerate_trees(n: int, tree_class: type[_Tree] = RootedTree) -> tuple[_Tree, ...]:
+    """All unlabeled trees of the given class with n vertices, canonical order."""
     if n < 1:
         return ()
-    out = [bplus(f) for f in enumerate_forests(n - 1)]
+    forests = enumerate_planar_forests if tree_class._ordered else enumerate_forests
+    out = [bplus(f, None, tree_class) for f in forests(n - 1)]
     return tuple(sorted(out, key=_by_key))
 
 
@@ -416,31 +442,18 @@ def labeled_forests_up_to_weight(w: int) -> list[Forest]:
 EMPTY_PLANAR_FOREST = PlanarForest(())
 
 
-def pleaf(label: int | None = None) -> PlanarTree:
-    return PlanarTree(label, ())
+# The planar builders are the plain ones reading the planar tree class.
+pleaf = partial(leaf, tree_class=PlanarTree)
+pbplus = partial(bplus, tree_class=PlanarTree)
+planar_ladder = partial(ladder, tree_class=PlanarTree)
+planar_concat = forest_mul
 
 
-def pbplus(u: PlanarForest, label: int | None = None) -> PlanarTree:
-    return PlanarTree(label, u.trees)
-
-
-def planar_concat(u: PlanarForest, v: PlanarForest) -> PlanarForest:
-    return PlanarForest(u.trees + v.trees)
-
-
-def planar_ladder(n: int) -> PlanarTree:
-    t = pleaf()
-    for _ in range(1, n):
-        t = PlanarTree(None, (t,))
-    return t
-
-
-def forget_order(t: PlanarTree) -> RootedTree:
-    return RootedTree(t.label, tuple(forget_order(c) for c in t.children))
+forget_order = canonicalize
 
 
 def forget_order_forest(u: PlanarForest) -> Forest:
-    return Forest(forget_order(t) for t in u.trees)
+    return Forest(canonicalize(t) for t in u.trees)
 
 
 def planar_variants(t: RootedTree) -> tuple[PlanarTree, ...]:
@@ -453,12 +466,7 @@ def planar_variants(t: RootedTree) -> tuple[PlanarTree, ...]:
     return tuple(sorted(seen, key=_by_key))
 
 
-@lru_cache(maxsize=None)
-def enumerate_planar_trees(n: int) -> tuple[PlanarTree, ...]:
-    if n < 1:
-        return ()
-    out = [pbplus(f) for f in enumerate_planar_forests(n - 1)]
-    return tuple(sorted(out, key=_by_key))
+enumerate_planar_trees = partial(enumerate_trees, tree_class=PlanarTree)
 
 
 @lru_cache(maxsize=None)

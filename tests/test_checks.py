@@ -10,7 +10,7 @@ from hopftrees.checks import CheckRow, suite_duality, suite_pi_kernel, suite_pro
 from hopftrees.tree_hopf import (ck_antipode, ck_gl_pairing, ck_product,
                                  coproduct_forest, gl_coproduct, gl_product)
 from hopftrees.trees import (EMPTY_FOREST, bplus, enumerate_forests, enumerate_trees,
-                             forest_mul, labeled_forests_of_weight, leaf)
+                             forest, forest_mul, labeled_forests_of_weight, leaf)
 from hopftrees.words import word
 
 
@@ -259,3 +259,37 @@ def test_a_rejected_letter_fails_the_hall_axioms_by_name(monkeypatch):
         "first failure: t=f2[f1], is_hall_tree(t)=True, decomposition rule=False")
     assert rows["hall/axiom-total-order"] == CheckRow(
         "hall/axiom-total-order", True, "weight <= 4")
+
+
+def test_pi_kernel_case_counts_at_weight_six():
+    rows = suite_pi_kernel(6)
+    assert [(r.name, r.passed, r.detail) for r in rows] == [
+        ("pi/bplus-law", True, "166 cases"),
+        ("pi/product-law", True, "478 pairs"),
+        ("pi/coalgebra-morphism", True, "332 forests"),
+        ("pi/kernel-generators", True, "272 generators"),
+        ("pi/onto-ladders", True, "63 words"),
+        ("pi/universal-cocycle-lift", True, "332 forests"),
+    ]
+
+
+def test_one_wrong_pi_image_fails_the_rows_that_read_it(monkeypatch):
+    # the rows share one image per forest, yet each compares it with a second
+    # route, so a wrong image of f1[f2] (read root first) cannot pass unseen
+    right = checks.pi
+    wrong = forest(bplus(forest(leaf(2)), 1))
+    monkeypatch.setattr(checks, "pi", lambda x: (LinComb.term(word(1, 2)) if x == wrong
+                                                 else right(x)))
+    rows = {r.name: r for r in suite_pi_kernel(4)}
+    assert rows["pi/product-law"] == CheckRow(
+        "pi/product-law", False,
+        "first failure at pair 6: u=f1, v=f1[f2]: pi(uv) = 1*f1.f2.f1 + 2*f2.f1.f1, "
+        "pi(u) sh pi(v) = 2*f1.f1.f2 + 1*f1.f2.f1")
+    assert rows["pi/coalgebra-morphism"] == CheckRow(
+        "pi/coalgebra-morphism", False,
+        "first failure at forest 7: u=f1[f2]: (pi (x) pi)(cop u) = "
+        "1*1 (x) f1.f2 + 1*f2 (x) f1 + 1*f1.f2 (x) 1, deconcat(pi(u)) = "
+        "1*1 (x) f1.f2 + 1*f1 (x) f2 + 1*f1.f2 (x) 1")
+    assert rows["pi/universal-cocycle-lift"].passed is False
+    assert "u=f1[f2]" in rows["pi/universal-cocycle-lift"].detail
+    assert rows["pi/kernel-generators"].passed is True

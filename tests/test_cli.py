@@ -4,11 +4,13 @@ and byte-for-byte determinism."""
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from hopftrees.checks import SUITES
+from hopftrees import checks
+from hopftrees.checks import MAX_WEIGHTS, SUITES
 from hopftrees.cli import main
 from hopftrees.trees import MAX_PARSE_DEPTH
 
@@ -185,6 +187,50 @@ def test_max_weight_below_one_is_a_usage_error(argv, capsys):
 def test_every_registered_suite_is_a_choice(suite, capsys):
     assert main(["check", "--suite", suite, "--max-weight", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("PASS: ")
+
+
+def _stub_suites(monkeypatch):
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda n: [checks.CheckRow("stub", True, f"{n}")])
+
+
+@pytest.mark.parametrize("suite", [*sorted(SUITES), "all"])
+def test_check_runs_up_to_the_suite_ceiling(suite, monkeypatch, capsys):
+    _stub_suites(monkeypatch)
+    ceiling = min(MAX_WEIGHTS.values()) if suite == "all" else MAX_WEIGHTS[suite]
+    assert main(["check", "--suite", suite, "--max-weight", str(ceiling)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].startswith("PASS: ") and err == ""
+
+    assert main(["check", "--suite", suite, "--max-weight", str(ceiling + 1)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: suite {suite!r} runs up to --max-weight {ceiling}, "
+                   f"got {ceiling + 1}\n")
+
+
+def test_every_suite_has_a_ceiling_above_the_weights_in_use():
+    assert set(MAX_WEIGHTS) == set(SUITES)
+    # the prop53 golden file is weight 8; perfbench runs every suite at <= 7
+    assert min(MAX_WEIGHTS.values()) >= 8
+
+
+def test_a_huge_check_weight_is_refused_at_once(capsys):
+    assert main(["check", "--suite", "pi-kernel",
+                 "--max-weight", "99999999999999999999"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+
+
+def test_pi_refuses_too_many_linear_extensions(capsys):
+    text = " ".join(f"f{k}" for k in range(1, 12))
+    start = time.perf_counter()
+    assert main(["pi", "--input", text]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: a forest of 11 vertices with more than 1,000,000 "
+                   "linear extensions is refused\n")
 
 
 def test_unknown_suite_is_a_usage_error(capsys):

@@ -22,6 +22,7 @@ from hopftrees.tree_hopf import (
     ck_gl_pairing,
     ck_product,
     ck_target,
+    cocycle_lift,
     coproduct_forest,
     convolution_unit,
     cut_coproduct_tree,
@@ -63,7 +64,7 @@ from hopftrees.trees import (
     pleaf,
     strip_root,
 )
-from hopftrees.words import EMPTY_WORD, concat, word
+from hopftrees.words import EMPTY_WORD, concat, deconcat, word
 from hopftrees.morphisms import pi
 
 L2 = ladder(2)
@@ -535,6 +536,61 @@ def test_lift_rejects_a_broken_cocycle():
     # probe needs two distinct labels to expose the broken law
     with pytest.raises(CocycleLawError, match="cocycle law fails"):
         universal_cocycle_map(broken, forest(bplus(forest(leaf(1)), 2)))
+
+
+def _counted(target):
+    """target with each cocycle wrapped to count its calls."""
+    calls = []
+
+    def wrap(L):
+        return lambda x: calls.append(x) or L(x)
+
+    target.cocycles = {a: wrap(L) for a, L in target.cocycles.items()}
+    return target, calls
+
+
+def test_one_lift_builds_and_verifies_each_tree_once():
+    forests = labeled_forests_up_to_weight(5)
+    trees = {t for u in forests for t in u.trees}
+
+    target, calls = _counted(shuffle_target(range(1, 6), verify=False))
+    lift = cocycle_lift(target)
+    for u in forests:
+        lift(u)
+    assert len(calls) == len(trees)
+
+    # a verification applies the cocycle twice to the branch image x and
+    # once to the right factor of each term of cop(x); the build once more
+    target, calls = _counted(shuffle_target(range(1, 6)))
+    lift = cocycle_lift(target)
+    for u in forests:
+        assert lift(u) == pi(u)
+    assert len(calls) == sum(3 + len(pi(strip_root(t)).map_basis(deconcat)) for t in trees)
+
+
+def test_a_broken_cocycle_raises_through_the_lift_every_time():
+    from hopftrees.words import Word, shuffle
+
+    def prepend(a):
+        return lambda x: x.map_basis(lambda w: Word((a,) + w.letters))
+
+    lift = cocycle_lift(CocycleTarget(
+        unit=LinComb.term(EMPTY_WORD), product=shuffle, coproduct=deconcat,
+        cocycles={1: prepend(1), 2: prepend(2)}))
+    assert lift(forest(leaf(1), leaf(2))) == pi(forest(leaf(1), leaf(2)))
+    for _ in range(2):
+        with pytest.raises(CocycleLawError, match="cocycle law fails for label 2"):
+            lift(forest(leaf(1), bplus(forest(leaf(1)), 2)))
+
+
+def test_one_lift_agrees_with_a_fresh_lift_per_forest():
+    forests = labeled_forests_up_to_weight(4)
+    for target in (shuffle_target(range(1, 5)), ck_target(range(1, 5))):
+        lift = cocycle_lift(target)
+        for u in forests:
+            assert lift(u) == universal_cocycle_map(target, u), u
+        assert lift(LinComb.sum(LinComb.term(u) for u in forests)) == LinComb.sum(
+            universal_cocycle_map(target, u) for u in forests)
 
 
 def test_lift_reports_missing_labels():

@@ -22,6 +22,7 @@ from hopftrees.trees import (
     bplus,
     canonicalize,
     enumerate_forests,
+    enumerate_planar_forests,
     enumerate_planar_trees,
     enumerate_trees,
     forest,
@@ -33,7 +34,11 @@ from hopftrees.trees import (
     labeled_ladder,
     labeled_trees_of_weight,
     ladder,
+    pbplus,
+    planar_concat,
     leaf,
+    MAX_LINEAR_EXTENSIONS,
+    extension_count,
     linear_extensions,
     parse_forest,
     parse_tree,
@@ -203,6 +208,31 @@ def test_linear_extensions_count_equal_branches_with_multiplicity():
 def test_linear_extensions_need_labels():
     with pytest.raises(ValueError):
         linear_extensions(forest(leaf()))
+
+
+def test_extension_count_is_the_number_listed():
+    for u in labeled_forests_up_to_weight(7):
+        assert extension_count(u) == len(linear_extensions(u)), u
+
+
+def test_equal_extension_words_are_one_shared_word():
+    words = linear_extensions(forest(leaf(1), leaf(1), leaf(2)))
+    assert len(words) == 6 and len({id(w) for w in words}) == 3
+    assert len({id(w) for w in linear_extensions(forest(leaf(1), leaf(2)))}) == 2
+
+
+def test_nine_leaves_are_within_the_extension_limit():
+    # counted only: listing 9! words takes seconds
+    nine = forest(*[leaf(1)] * 9)
+    assert extension_count(nine) == factorial(9) <= MAX_LINEAR_EXTENSIONS
+    assert extension_count(forest(*[leaf(1)] * 10)) > MAX_LINEAR_EXTENSIONS
+
+
+def test_too_many_linear_extensions_are_refused_before_listing():
+    eleven = forest(*(leaf(k) for k in range(1, 12)))
+    assert extension_count(eleven) == factorial(11)
+    with pytest.raises(ValueError, match="more than 1,000,000 linear extensions"):
+        linear_extensions(eleven)
 
 
 def _labeled_count_oracle(max_weight):
@@ -457,3 +487,18 @@ def test_tree_and_forest_instances_have_no_dict():
 def test_forest_class_of_each_tree_class():
     assert RootedTree.forest_class is Forest
     assert PlanarTree.forest_class is PlanarForest
+
+
+def test_planar_builders_are_the_plain_ones_on_planar_trees():
+    assert pleaf(2) == PlanarTree(2, ())
+    assert pbplus(PlanarForest((pleaf(1), pleaf())), 3) == PlanarTree(3, (pleaf(1), pleaf()))
+    assert planar_ladder(3) == PlanarTree(None, (PlanarTree(None, (pleaf(),)),))
+    assert forget_order(planar_ladder(4)) == ladder(4)
+    with pytest.raises(ValueError, match="at least one vertex"):
+        planar_ladder(0)
+    assert planar_concat is forest_mul
+    for n in range(6):
+        want = sorted((PlanarTree(None, f.trees) for f in enumerate_planar_forests(n - 1)),
+                      key=lambda t: t.sort_key()) if n else []
+        assert list(enumerate_planar_trees(n)) == want
+        assert all(type(t) is RootedTree for t in enumerate_trees(n))
