@@ -215,7 +215,8 @@ def test_every_suite_has_a_ceiling_above_the_weights_in_use():
     assert min(MAX_WEIGHTS.values()) >= 8
 
 
-def test_a_huge_check_weight_is_refused_at_once(capsys):
+def test_a_huge_check_weight_is_refused_at_once(monkeypatch, capsys):
+    _stub_suites(monkeypatch)
     assert main(["check", "--suite", "pi-kernel",
                  "--max-weight", "99999999999999999999"]) == 1
     out, err = capsys.readouterr()
