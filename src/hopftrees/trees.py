@@ -21,7 +21,7 @@ implicit; there the same limit counts bracket levels below the root.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial, prod
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
@@ -204,8 +204,7 @@ def graft(t: RootedTree, u: Forest) -> RootedTree:
 
 
 def canonicalize(t: RootedTree | PlanarTree) -> RootedTree:
-    """Rebuild a tree bottom-up as a RootedTree, which sorts children: the
-    identity on plain trees, and forgetting the order of a planar one."""
+    """Rebuild a tree bottom-up as a RootedTree, which sorts children."""
     return RootedTree(t.label, tuple(canonicalize(c) for c in t.children))
 
 
@@ -341,32 +340,28 @@ def linear_extensions(u: Forest) -> tuple[Word, ...]:
 
     Every vertex precedes its parent, so each tree's root letter comes last.
     Extensions are counted with multiplicity: equal trees contribute equal
-    words once per choice.  Equal words are one shared Word; they occur only
-    when a letter repeats, since every extension reads all of u's labels.
+    words once per choice.
     """
     if not u.is_fully_labeled():
         raise ValueError(f"linear extensions need a fully labeled forest, got {u}")
     if extension_count(u) > MAX_LINEAR_EXTENSIONS:
         raise ValueError(f"a forest of {u.size} vertices with more than "
                          f"{MAX_LINEAR_EXTENSIONS:,} linear extensions is refused")
-    seqs = _extensions_increasing(u.trees)
-    if len(set(seqs[0])) == len(seqs[0]):
-        return tuple(Word(seq[::-1]) for seq in seqs)
-    words = {seq: Word(seq[::-1]) for seq in set(seqs)}
-    return tuple(map(words.__getitem__, seqs))
+    return tuple(Word(seq[::-1]) for seq in _extensions_increasing(u.trees))
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
+def _grafted(forests: Iterable, tree_class: type[_Tree]) -> tuple[_Tree, ...]:
+    """Each forest grafted onto a fresh unlabeled root, canonical order."""
+    return tuple(sorted((tree_class(None, f.trees) for f in forests), key=_by_key))
+
+
 @lru_cache(maxsize=None)
-def enumerate_trees(n: int, tree_class: type[_Tree] = RootedTree) -> tuple[_Tree, ...]:
-    """All unlabeled trees of the given class with n vertices, canonical order."""
-    if n < 1:
-        return ()
-    forests = enumerate_planar_forests if tree_class._ordered else enumerate_forests
-    out = [bplus(f, None, tree_class) for f in forests(n - 1)]
-    return tuple(sorted(out, key=_by_key))
+def enumerate_trees(n: int) -> tuple[RootedTree, ...]:
+    """All unlabeled rooted trees with n vertices, canonical order."""
+    return _grafted(enumerate_forests(n - 1), RootedTree) if n >= 1 else ()
 
 
 @lru_cache(maxsize=None)
@@ -442,18 +437,29 @@ def labeled_forests_up_to_weight(w: int) -> list[Forest]:
 EMPTY_PLANAR_FOREST = PlanarForest(())
 
 
-# The planar builders are the plain ones reading the planar tree class.
-pleaf = partial(leaf, tree_class=PlanarTree)
-pbplus = partial(bplus, tree_class=PlanarTree)
-planar_ladder = partial(ladder, tree_class=PlanarTree)
-planar_concat = forest_mul
+def pleaf(label: int | None = None) -> PlanarTree:
+    return leaf(label, PlanarTree)
 
 
-forget_order = canonicalize
+def pbplus(u: PlanarForest, label: int | None = None) -> PlanarTree:
+    return bplus(u, label, PlanarTree)
+
+
+def planar_concat(u: PlanarForest, v: PlanarForest) -> PlanarForest:
+    return forest_mul(u, v)
+
+
+def planar_ladder(n: int) -> PlanarTree:
+    """The n-vertex planar ladder; n < 1 gives a single vertex."""
+    return ladder(max(n, 1), None, PlanarTree)
+
+
+def forget_order(t: PlanarTree) -> RootedTree:
+    return canonicalize(t)
 
 
 def forget_order_forest(u: PlanarForest) -> Forest:
-    return Forest(canonicalize(t) for t in u.trees)
+    return Forest(forget_order(t) for t in u.trees)
 
 
 def planar_variants(t: RootedTree) -> tuple[PlanarTree, ...]:
@@ -466,7 +472,9 @@ def planar_variants(t: RootedTree) -> tuple[PlanarTree, ...]:
     return tuple(sorted(seen, key=_by_key))
 
 
-enumerate_planar_trees = partial(enumerate_trees, tree_class=PlanarTree)
+@lru_cache(maxsize=None)
+def enumerate_planar_trees(n: int) -> tuple[PlanarTree, ...]:
+    return _grafted(enumerate_planar_forests(n - 1), PlanarTree) if n >= 1 else ()
 
 
 @lru_cache(maxsize=None)
