@@ -1,8 +1,11 @@
-"""Named verification suites over exhaustive basis ranges.
+"""The Hopf-algebra registry and named verification suites over exhaustive
+basis ranges.
 
-Each suite returns a list of CheckRow results; a row with passed=None is
-informational (report-only) and never fails a run.  The suites back the
-``check`` CLI subcommand and the acceptance tests.
+``ALGEBRAS`` wires each Hopf algebra once, for both the CLI's operation
+subcommands and the hopf-axioms suite.  Each suite returns a list of
+CheckRow results; a row with passed=None is informational (report-only)
+and never fails a run.  The suites back the ``check`` CLI subcommand and
+the acceptance tests.
 """
 
 from __future__ import annotations
@@ -12,18 +15,21 @@ from typing import Callable, Iterable, Sequence
 
 from .algebra import LinComb, Tensor, lincomb_tensor, splice_at
 from .lyndon_hall import hall_axiom_counterexamples
-from .morphisms import DIAGRAMS, diagram_check, kernel_generators, pi
+from .morphisms import (DIAGRAMS, composition_str, diagram_check, kernel_generators,
+                        parse_composition, pi, qsym_antipode, qsym_product)
 from .singular_frame import (alphaU, alphaU_extension_sum, betaU, frame_coefficient,
                              iterated_integral, prop53_counterexample)
-from .tree_hopf import (ck_antipode, ck_gl_dual, ck_product, coproduct_forest,
-                        cocycle_lift, gl_coproduct, gl_product, shuffle_target)
+from .tree_hopf import (GL_UNIT_TREE, ck_antipode, ck_gl_dual, ck_product,
+                        coproduct_forest, cocycle_lift, gl_antipode, gl_coproduct,
+                        gl_product, planar_diamond, planar_diamond_antipode,
+                        planar_diamond_coproduct, shuffle_target)
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, bplus,
                     enumerate_forests, enumerate_planar_forests, enumerate_trees,
                     forest, forest_mul, labeled_forests_of_weight,
-                    labeled_forests_up_to_weight, labeled_ladder, sym_order)
-from .words import (ADDITIVE, EMPTY_WORD, ZERO, concat, deconcat,
-                    quasi_shuffle, shuffle, word, word_antipode,
-                    words_up_to_weight)
+                    labeled_forests_up_to_weight, labeled_ladder, parse_forest,
+                    parse_tree, pleaf, sym_order)
+from .words import (EMPTY_WORD, ZERO, concat, deconcat, parse_word, shuffle, word,
+                    word_antipode, words_up_to_weight)
 
 
 @dataclass
@@ -56,7 +62,38 @@ def _agreement_row(name: str, unit: str, sides: tuple[str, ...],
 
 
 # ---------------------------------------------------------------------------
-# generic Hopf-axiom machinery
+# the Hopf-algebra registry and the generic Hopf-axiom machinery
+
+@dataclass(frozen=True)
+class HopfAlgebra:
+    """A Hopf algebra on a basis: parse reads a basis element, fmt prints one
+    (slotwise on a tensor), product, coproduct and antipode take basis
+    elements, and unit is the unit basis element."""
+
+    parse: Callable[[str], object]
+    product: Callable
+    coproduct: Callable
+    antipode: Callable
+    unit: object
+    fmt: Callable[[object], str] = str
+
+
+ALGEBRAS: dict[str, HopfAlgebra] = {
+    "ck": HopfAlgebra(parse_forest, ck_product, coproduct_forest, ck_antipode,
+                      EMPTY_FOREST),
+    "gl": HopfAlgebra(parse_tree, gl_product, gl_coproduct, gl_antipode, GL_UNIT_TREE),
+    "foissy": HopfAlgebra(lambda s: parse_forest(s, planar=True), ck_product,
+                          coproduct_forest, ck_antipode, EMPTY_PLANAR_FOREST),
+    "planar": HopfAlgebra(lambda s: parse_tree(s, planar=True), planar_diamond,
+                          planar_diamond_coproduct, planar_diamond_antipode, pleaf()),
+    "shuffle": HopfAlgebra(parse_word, shuffle, deconcat,
+                           lambda x: word_antipode(x, ZERO), EMPTY_WORD),
+    "qshuffle": HopfAlgebra(parse_word, qsym_product, deconcat, qsym_antipode,
+                            EMPTY_WORD),
+    "qsym": HopfAlgebra(parse_composition, qsym_product, deconcat, qsym_antipode,
+                        EMPTY_WORD, composition_str),
+}
+
 
 def _hopf_rows(tag: str, elements: Sequence, cop, antipode, product,
                unit_elem) -> list[CheckRow]:
@@ -95,29 +132,20 @@ def _hopf_rows(tag: str, elements: Sequence, cop, antipode, product,
 
 def suite_hopf_axioms(ck_vertices: int = 6, labeled_weight: int = 5,
                       word_weight: int = 5, foissy_vertices: int = 5) -> list[CheckRow]:
-    """Coassociativity, counit, and antipode convolution laws, exhaustively."""
+    """Coassociativity, counit, and antipode convolution laws, exhaustively,
+    on the registry's ck, shuffle, qshuffle and foissy algebras."""
+    words = words_up_to_weight(word_weight)
     rows: list[CheckRow] = []
-
-    unlabeled = [f for n in range(ck_vertices + 1) for f in enumerate_forests(n)]
-    rows += _hopf_rows("ck-unlabeled", unlabeled, coproduct_forest,
-                       ck_antipode, ck_product, EMPTY_FOREST)
-
-    labeled = labeled_forests_up_to_weight(labeled_weight)
-    rows += _hopf_rows("ck-labeled", labeled, coproduct_forest,
-                       ck_antipode, ck_product, EMPTY_FOREST)
-
-    ws = words_up_to_weight(word_weight)
-    rows += _hopf_rows("shuffle", ws, deconcat,
-                       lambda x: word_antipode(x, ZERO), shuffle, EMPTY_WORD)
-    rows += _hopf_rows("qshuffle", ws, deconcat,
-                       lambda x: word_antipode(x, ADDITIVE),
-                       lambda x, y: quasi_shuffle(x, y, ADDITIVE), EMPTY_WORD)
-
-    ordered = [f for n in range(foissy_vertices + 1)
-               for f in enumerate_planar_forests(n)]
-    rows += _hopf_rows("foissy", ordered, coproduct_forest,
-                       ck_antipode, ck_product, EMPTY_PLANAR_FOREST)
-
+    for tag, name, basis in (
+            ("ck-unlabeled", "ck",
+             [f for n in range(ck_vertices + 1) for f in enumerate_forests(n)]),
+            ("ck-labeled", "ck", labeled_forests_up_to_weight(labeled_weight)),
+            ("shuffle", "shuffle", words),
+            ("qshuffle", "qshuffle", words),
+            ("foissy", "foissy",
+             [f for n in range(foissy_vertices + 1) for f in enumerate_planar_forests(n)])):
+        alg = ALGEBRAS[name]
+        rows += _hopf_rows(tag, basis, alg.coproduct, alg.antipode, alg.product, alg.unit)
     return rows
 
 

@@ -1,60 +1,25 @@
 """Command-line front end.
 
 Subcommands expose the products, coproducts, and antipodes of the tree and
-word algebras, the basis generators (Lyndon words, Hall trees), the Zhao
-elements, the singular frame series export, and the named verification
-suites.  Exit codes: 0 success / all checks pass, 1 computation or check
-failure, 2 usage or parse error.  Output is deterministic.
+word algebras (one handler over the registry ``checks.ALGEBRAS``, which the
+hopf-axioms suite reads too), the basis generators (Lyndon words, Hall
+trees), the Zhao elements, the singular frame series export, and the named
+verification suites.  Exit codes: 0 success / all checks pass, 1
+computation or check failure, 2 usage or parse error.  Output is
+deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
 from .algebra import ParseError
-from .checks import SUITES, run_suite
+from .checks import ALGEBRAS, SUITES, run_suite
 from .lyndon_hall import hall_polynomial, hall_set
-from .morphisms import (composition_str, eword_str, parse_composition, pi,
-                        qsym_antipode, qsym_coproduct, qsym_product, zhao_eps,
-                        zhao_k)
+from .morphisms import eword_str, pi, zhao_eps, zhao_k
 from .singular_frame import frame_series
-from .tree_hopf import (ck_antipode, ck_coproduct, ck_product, gl_antipode,
-                        gl_coproduct, gl_product, planar_diamond,
-                        planar_diamond_antipode, planar_diamond_coproduct)
-from .trees import parse_forest, parse_tree
-from .words import (ADDITIVE, ZERO, deconcat, parse_word, quasi_shuffle,
-                    shuffle, word_antipode)
-
-
-class _Algebra:
-    def __init__(self, parse: Callable[[str], object],
-                 product: Callable, coproduct: Callable, antipode: Callable,
-                 fmt: Callable[[object], str] = str):
-        self.parse = parse
-        self.product = product
-        self.coproduct = coproduct
-        self.antipode = antipode
-        self.fmt = fmt
-
-
-ALGEBRAS: dict[str, _Algebra] = {
-    "ck": _Algebra(parse_forest, ck_product, ck_coproduct, ck_antipode),
-    "gl": _Algebra(parse_tree, gl_product, gl_coproduct, gl_antipode),
-    "foissy": _Algebra(lambda s: parse_forest(s, planar=True),
-                       ck_product, ck_coproduct, ck_antipode),
-    "planar": _Algebra(lambda s: parse_tree(s, planar=True),
-                       planar_diamond, planar_diamond_coproduct,
-                       planar_diamond_antipode),
-    "shuffle": _Algebra(parse_word, shuffle, deconcat,
-                        lambda x: word_antipode(x, ZERO)),
-    "qshuffle": _Algebra(parse_word,
-                         lambda x, y: quasi_shuffle(x, y, ADDITIVE), deconcat,
-                         lambda x: word_antipode(x, ADDITIVE)),
-    "qsym": _Algebra(parse_composition, qsym_product, qsym_coproduct,
-                     qsym_antipode, composition_str),
-}
+from .trees import parse_forest
 
 
 def _max_weight(text: str) -> int:
@@ -74,24 +39,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Hopf algebras of rooted trees and words, exactly.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def algebra_flag(p):
+    for command, summary, inputs in (
+            ("coproduct", "coproduct of a basis element", {}),
+            ("antipode", "antipode of a basis element", {}),
+            ("product", "product of two basis elements",
+             {"action": "append", "help": "give exactly twice"})):
+        p = sub.add_parser(command, help=summary)
+        p.set_defaults(func=lambda args: _cmd_operation(args, parser))
         p.add_argument("--algebra", required=True, choices=sorted(ALGEBRAS))
-
-    p = sub.add_parser("coproduct", help="coproduct of a basis element")
-    p.set_defaults(func=_cmd_coproduct)
-    algebra_flag(p)
-    p.add_argument("--input", required=True, metavar="EXPR")
-
-    p = sub.add_parser("antipode", help="antipode of a basis element")
-    p.set_defaults(func=_cmd_antipode)
-    algebra_flag(p)
-    p.add_argument("--input", required=True, metavar="EXPR")
-
-    p = sub.add_parser("product", help="product of two basis elements")
-    p.set_defaults(func=lambda args: _cmd_product(args, parser))
-    algebra_flag(p)
-    p.add_argument("--input", action="append", required=True, metavar="EXPR",
-                   help="give exactly twice")
+        p.add_argument("--input", required=True, metavar="EXPR", **inputs)
 
     p = sub.add_parser("pi", help="linear-extension image of a labeled forest")
     p.set_defaults(func=_cmd_pi)
@@ -122,27 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_coproduct(args) -> int:
-    alg = ALGEBRAS[args.algebra]
-    x = alg.parse(args.input)
-    print(alg.coproduct(x).format(alg.fmt))
-    return 0
-
-
-def _cmd_antipode(args) -> int:
-    alg = ALGEBRAS[args.algebra]
-    x = alg.parse(args.input)
-    print(alg.antipode(x).format(alg.fmt))
-    return 0
-
-
-def _cmd_product(args, parser: argparse.ArgumentParser) -> int:
-    if len(args.input) != 2:
+def _cmd_operation(args, parser: argparse.ArgumentParser) -> int:
+    """Apply the algebra's product, coproduct or antipode to the parsed inputs."""
+    texts = args.input if args.command == "product" else [args.input]
+    if args.command == "product" and len(texts) != 2:
         parser.error("product needs exactly two --input expressions")
     alg = ALGEBRAS[args.algebra]
-    x = alg.parse(args.input[0])
-    y = alg.parse(args.input[1])
-    print(alg.product(x, y).format(alg.fmt))
+    print(getattr(alg, args.command)(*map(alg.parse, texts)).format(alg.fmt))
     return 0
 
 

@@ -180,7 +180,9 @@ def _attachments(t: RootedTree, s: RootedTree) -> Iterable[RootedTree]:
 
 def gl_product(x: LinComb | RootedTree, y: LinComb | RootedTree) -> LinComb:
     """Sum over all ways to attach each branch of the left tree at a vertex
-    of the right tree."""
+    of the right tree.  The left tree's root label is dropped without a
+    check (``f1`` times ``f2[f3]`` is ``f2[f3]``), though the antipode
+    refuses a labeled root."""
     return LinComb.lift(x).bilinear(LinComb.lift(y),
                                     lambda t, s: LinComb((r, 1) for r in _attachments(t, s)))
 
@@ -276,7 +278,9 @@ def _seq_shuffles(a: tuple, b: tuple):
 
 
 def planar_diamond(x: LinComb | PlanarTree, y: LinComb | PlanarTree) -> LinComb:
-    """Shuffle the root-branch sequences of the two trees."""
+    """Shuffle the root-branch sequences of the two trees under an unlabeled
+    root.  Both root labels are dropped without a check (``f1`` times
+    ``f2`` is ``[]``), though the antipode refuses a labeled root."""
 
     def on_pair(t: PlanarTree, s: PlanarTree) -> LinComb:
         return LinComb((PlanarTree(None, seq), 1) for seq in _seq_shuffles(t.children, s.children))

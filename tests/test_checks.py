@@ -1,17 +1,22 @@
-"""The duality suite against the scan it replaced, and the failure reports
-of the Hopf-axiom, duality, pi-kernel and prop53 suites (with its Hall-axiom
-rows)."""
+"""The duality suite against the scan it replaced, the failure reports of
+the Hopf-axiom, duality, pi-kernel and prop53 suites (with its Hall-axiom
+rows), and the Hopf axioms of every algebra in the registry."""
 
+import dataclasses
 from fractions import Fraction
+
+import pytest
 
 from hopftrees import checks, lyndon_hall, singular_frame
 from hopftrees.algebra import LinComb, Tensor
 from hopftrees.checks import CheckRow, suite_duality, suite_pi_kernel, suite_prop53
 from hopftrees.tree_hopf import (ck_antipode, ck_gl_pairing, ck_product,
                                  coproduct_forest, gl_coproduct, gl_product)
-from hopftrees.trees import (EMPTY_FOREST, bplus, enumerate_forests, enumerate_trees,
-                             forest, forest_mul, labeled_forests_of_weight, leaf)
-from hopftrees.words import word
+from hopftrees.trees import (EMPTY_FOREST, bplus, enumerate_forests,
+                             enumerate_planar_forests, enumerate_planar_trees,
+                             enumerate_trees, forest, forest_mul,
+                             labeled_forests_of_weight, leaf)
+from hopftrees.words import word, words_up_to_weight
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +239,46 @@ def test_a_wrong_coproduct_is_named_with_both_sides():
     assert rows[2].detail == (
         "first failure at element 1: u=[]: m(S (x) id) cop u = -1*[], eps(u) 1 = 0, "
         "m(id (x) S) cop u = 1*[]")
+
+
+# each registry entry's basis up to 4 vertices, or words and compositions up
+# to weight 4
+REGISTRY_BASES = {
+    "ck": [f for n in range(5) for f in enumerate_forests(n)],
+    "foissy": [f for n in range(5) for f in enumerate_planar_forests(n)],
+    "gl": [t for n in range(1, 5) for t in enumerate_trees(n)],
+    "planar": [t for n in range(1, 5) for t in enumerate_planar_trees(n)],
+    "shuffle": words_up_to_weight(4),
+    "qshuffle": words_up_to_weight(4),
+    "qsym": words_up_to_weight(4),
+}
+
+
+def _registry_rows(name, alg):
+    """The Hopf-axiom rows of one entry, on its basis read back through the
+    entry's own printer and parser."""
+    basis = [alg.parse(alg.fmt(x)) for x in REGISTRY_BASES[name]]
+    assert basis == REGISTRY_BASES[name]
+    return checks._hopf_rows(name, basis, alg.coproduct, alg.antipode, alg.product,
+                             alg.unit)
+
+
+def test_every_registry_entry_has_a_basis():
+    assert set(REGISTRY_BASES) == set(checks.ALGEBRAS)
+
+
+@pytest.mark.parametrize("name", sorted(checks.ALGEBRAS))
+def test_every_registered_algebra_satisfies_the_hopf_axioms(name):
+    rows = _registry_rows(name, checks.ALGEBRAS[name])
+    assert [r.name for r in rows] == [f"hopf/{name}-{law}"
+                                      for law in ("coassoc", "counit", "antipode")]
+    assert all(r.passed for r in rows), [r for r in rows if not r.passed]
+
+
+def test_qsym_with_the_shuffle_antipode_fails_only_its_antipode_row():
+    wrong = dataclasses.replace(checks.ALGEBRAS["qsym"],
+                                antipode=checks.ALGEBRAS["shuffle"].antipode)
+    assert [r.passed for r in _registry_rows("qsym", wrong)] == [True, True, False]
 
 
 def test_a_failing_prop53_row_names_the_word_and_both_coefficients(monkeypatch):

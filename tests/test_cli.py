@@ -282,6 +282,12 @@ def test_hall_golden():
     assert proc.stdout == (GOLDEN / "hall_w4.txt").read_text()
 
 
+def test_hopf_axioms_golden():
+    proc = run_cli("check", "--suite", "hopf-axioms", "--max-weight", "4")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "hopf_axioms_w4.txt").read_text()
+
+
 def test_prop53_golden():
     proc = run_cli("check", "--suite", "prop53", "--max-weight", "8")
     assert proc.returncode == 0
