@@ -42,12 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, summary, inputs in (
             ("coproduct", "coproduct of a basis element", {}),
             ("antipode", "antipode of a basis element", {}),
-            ("product", "product of two basis elements",
-             {"action": "append", "help": "give exactly twice"})):
+            ("product", "product of two basis elements", {"help": "give exactly twice"})):
         p = sub.add_parser(command, help=summary)
         p.set_defaults(func=lambda args: _cmd_operation(args, parser))
         p.add_argument("--algebra", required=True, choices=sorted(ALGEBRAS))
-        p.add_argument("--input", required=True, metavar="EXPR", **inputs)
+        p.add_argument("--input", required=True, action="append", metavar="EXPR", **inputs)
 
     p = sub.add_parser("pi", help="linear-extension image of a labeled forest")
     p.set_defaults(func=_cmd_pi)
@@ -80,11 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_operation(args, parser: argparse.ArgumentParser) -> int:
     """Apply the algebra's product, coproduct or antipode to the parsed inputs."""
-    texts = args.input if args.command == "product" else [args.input]
-    if args.command == "product" and len(texts) != 2:
-        parser.error("product needs exactly two --input expressions")
+    two = args.command == "product"
+    if len(args.input) != (2 if two else 1):
+        wanted = "two --input expressions" if two else "one --input expression"
+        parser.error(f"{args.command} needs exactly {wanted}")
     alg = ALGEBRAS[args.algebra]
-    print(getattr(alg, args.command)(*map(alg.parse, texts)).format(alg.fmt))
+    print(getattr(alg, args.command)(*map(alg.parse, args.input)).format(alg.fmt))
     return 0
 
 

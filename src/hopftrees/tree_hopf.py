@@ -15,12 +15,11 @@ Four structures are implemented:
 * the root-branch shuffle product with deconcatenation of branches on
   planar trees (selector ``planar``).
 
-Every antipode here is ``algebra.recursive_antipode`` fed with the
-structure's own coproduct and product.  The cut antipode is memoized per
-forest: it recurses over the splits of a single tree, and splits a longer
-forest into halves, (anti)multiplicatively;
-the attachment and branch-shuffle antipodes recurse on the branch splits of
-an unlabeled root.
+The cut and attachment antipodes are ``algebra.recursive_antipode`` fed
+with the structure's own coproduct and product: the cut one is memoized per
+forest, over the splits of one tree and (anti)multiplicatively over halves
+of a longer forest; the attachment one recurses on the branch splits of an
+unlabeled root.  The branch-shuffle antipode is in closed form.
 
 Functionals on forests come in two flavours (characters, multiplicative;
 infinitesimal characters, Leibniz) with convolution exponentials, plus the
@@ -299,20 +298,16 @@ def planar_diamond_coproduct(x: LinComb | PlanarTree) -> LinComb:
     return LinComb.lift(x).map_basis(on_tree)
 
 
-@lru_cache(maxsize=None)
-def _diamond_antipode_tree(t: PlanarTree) -> LinComb:
-    if t.label is not None:
-        raise ValueError(f"branch-shuffle antipode needs an unlabeled root, got {t}")
-    if not t.children:
-        return LinComb.term(t)
-    return recursive_antipode(t, planar_diamond_coproduct, planar_diamond,
-                              _diamond_antipode_tree, PlanarTree(None, ()))
-
-
 def planar_diamond_antipode(x: LinComb | PlanarTree) -> LinComb:
-    """Antipode for the branch shuffle: reverses the branch sequence up to
-    the sign (-1)^(number of branches); computed by the defining recursion."""
-    return LinComb.lift(x).map_basis(_diamond_antipode_tree)
+    """Antipode for the branch shuffle, in closed form: a tree with k root
+    branches goes to (-1)^k times the tree with its branch sequence reversed."""
+
+    def on_tree(t: PlanarTree) -> LinComb:
+        if t.label is not None:
+            raise ValueError(f"branch-shuffle antipode needs an unlabeled root, got {t}")
+        return LinComb.term(PlanarTree(None, t.children[::-1]), (-1) ** len(t.children))
+
+    return LinComb.lift(x).map_basis(on_tree)
 
 
 # ---------------------------------------------------------------------------

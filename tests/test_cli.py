@@ -155,6 +155,16 @@ def test_product_needs_two_inputs():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["coproduct", "antipode"])
+def test_a_repeated_input_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--algebra", "ck", "--input", "f1", "--input", "f2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"hopftrees: error: {command} needs exactly one --input expression"
+
+
 def test_unknown_algebra_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["coproduct", "--algebra", "nope", "--input", "f1"])
@@ -234,6 +244,20 @@ def test_pi_refuses_too_many_linear_extensions(capsys):
                    "linear extensions is refused\n")
 
 
+@pytest.mark.parametrize("algebra, text", [
+    ("qsym", "M(" + ",".join(["1"] * 21) + ")"),
+    ("shuffle", ".".join(["f1"] * 21)),
+])
+def test_antipode_refuses_a_word_over_the_contraction_limit(algebra, text, capsys):
+    start = time.perf_counter()
+    assert main(["antipode", "--algebra", algebra, "--input", text]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: a word of 21 letters, with 2^20 contractions, is refused; "
+                   "the limit is 20 letters\n")
+
+
 def test_unknown_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--suite", "nope", "--max-weight", "2"])
@@ -286,6 +310,17 @@ def test_hopf_axioms_golden():
     proc = run_cli("check", "--suite", "hopf-axioms", "--max-weight", "4")
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "hopf_axioms_w4.txt").read_text()
+
+
+def test_antipodes_golden(capsys):
+    out = []
+    for algebra, text in [("qsym", "M(1,1,1,1,1,1,1,1)"), ("qsym", "M(2,1,3,1,2)"),
+                          ("qshuffle", "f1.f2.f1.f3.f2.f1.f1"),
+                          ("shuffle", "f1.f2.f3.f1.f2.f3"),
+                          ("planar", "[f1,[f2],f3,[[],[]]]")]:
+        assert main(["antipode", "--algebra", algebra, "--input", text]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == (GOLDEN / "antipodes.txt").read_text()
 
 
 def test_prop53_golden():

@@ -14,10 +14,12 @@ import pytest
 from hopftrees.algebra import LinComb, as_fraction
 from hopftrees.linsolve import solve_in_span
 from hopftrees.singular_frame import alphaU, betaU, frame_series, hall_representation
-from hopftrees.tree_hopf import ck_antipode, ck_product, coproduct_forest, gl_product
-from hopftrees.trees import (enumerate_planar_forests, enumerate_trees,
+from hopftrees.tree_hopf import (ck_antipode, ck_product, coproduct_forest, gl_product,
+                                 planar_diamond_antipode)
+from hopftrees.trees import (enumerate_planar_forests, enumerate_planar_trees, enumerate_trees,
                              labeled_forests_up_to_weight, parse_forest, parse_tree)
-from hopftrees.words import ADDITIVE, ZERO, deconcat, quasi_shuffle, shuffle, word
+from hopftrees.words import (ADDITIVE, ZERO, deconcat, quasi_shuffle, shuffle, word,
+                             word_antipode)
 
 
 def test_as_fraction_rejects_floats():
@@ -68,11 +70,15 @@ def test_integer_kernels_return_int_coefficients():
         assert _int_coefficients(quasi_shuffle(a, b, ADDITIVE))
         assert _int_coefficients(quasi_shuffle(a, b, ZERO))
         assert _int_coefficients(deconcat(a))
+        assert _int_coefficients(word_antipode(b, ADDITIVE))
+        assert _int_coefficients(word_antipode(b, ZERO))
     trees = [t for n in range(1, 5) for t in enumerate_trees(n)]
     for t in trees:
         for s in trees:
             assert _int_coefficients(gl_product(t, s)), (t, s)
     assert _int_coefficients(gl_product(parse_tree("f2[f1]"), parse_tree("f1[f3,f1]")))
+    for t in [t for n in range(1, 5) for t in enumerate_planar_trees(n)]:
+        assert _int_coefficients(planar_diamond_antipode(t)), t
 
 
 def test_rational_results_are_int_or_fraction():

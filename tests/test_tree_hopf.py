@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopftrees import clear_caches
-from hopftrees.algebra import LinComb, Tensor, lincomb_tensor, splice_at
+from hopftrees.algebra import LinComb, Tensor, lincomb_tensor, recursive_antipode, splice_at
 from hopftrees.tree_hopf import (
     GL_UNIT_TREE,
     CocycleLawError,
@@ -59,6 +59,7 @@ from hopftrees.trees import (
     labeled_trees_of_weight,
     ladder,
     leaf,
+    parse_tree,
     pbplus,
     planar_concat,
     pleaf,
@@ -435,6 +436,24 @@ def test_diamond_antipode_convolution_law(t):
             total = total + planar_diamond(s, b).scale(c * c2)
     want = tf(pleaf()) if t == pleaf() else LinComb.zero()
     assert total == want
+
+
+def _diamond_antipode_by_recursion(t):
+    """The defining recursion: the antipode law over branch deconcatenation
+    and the branch shuffle, solved for S(t)."""
+    if not t.children:
+        return LinComb.term(t)
+    return recursive_antipode(t, planar_diamond_coproduct, planar_diamond,
+                              _diamond_antipode_by_recursion, pleaf())
+
+
+def test_diamond_antipode_closed_form_matches_recursion():
+    trees = [t for n in range(1, 7) for t in enumerate_planar_trees(n)]
+    trees.append(parse_tree("[f1,[f2],f3,[[],[]]]", planar=True))
+    for t in trees:
+        assert planar_diamond_antipode(t) == _diamond_antipode_by_recursion(t), t
+    with pytest.raises(ValueError, match="branch-shuffle antipode needs an unlabeled root"):
+        planar_diamond_antipode(parse_tree("f1[[]]", planar=True))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopftrees.algebra import LinComb, ParseError, Tensor, splice_at
+from hopftrees import words
+from hopftrees.algebra import LinComb, ParseError, Tensor, recursive_antipode, splice_at
 from hopftrees.words import (
     ADDITIVE,
     EMPTY_WORD,
+    MAX_CONTRACTION_LETTERS,
     ZERO,
     Word,
     compositions,
@@ -28,7 +30,6 @@ from hopftrees.words import (
     tau_star,
     word,
     word_antipode,
-    word_antipode_closed,
     word_counit,
     words_of_weight,
     words_up_to_weight,
@@ -125,9 +126,37 @@ def test_antipode_small_cases():
     assert word_antipode(word(1, 1), ADDITIVE) == lc((1, 1), (2,))
 
 
+def _antipode_by_recursion(w, pairing):
+    """The defining recursion: the antipode law over deconcatenation and the
+    quasi-shuffle, solved for S(w)."""
+    if w == EMPTY_WORD:
+        return LinComb.term(w)
+    return recursive_antipode(w, deconcat, lambda x, y: quasi_shuffle(x, y, pairing),
+                              lambda v: _antipode_by_recursion(v, pairing), EMPTY_WORD)
+
+
 @given(small_words, pairings)
 def test_antipode_closed_form_matches_recursion(w, pairing):
-    assert word_antipode_closed(w, pairing) == word_antipode(w, pairing)
+    assert word_antipode(w, pairing) == _antipode_by_recursion(w, pairing)
+
+
+def test_contractions_refuse_a_word_over_the_limit_before_enumerating(monkeypatch):
+    counted = []
+
+    def one_composition(n):
+        # stands in for the 2^(n-1) compositions, so the limit is tested by count
+        counted.append(n)
+        return iter([(1,) * n])
+
+    monkeypatch.setattr(words, "compositions", one_composition)
+    limit = Word((1,) * MAX_CONTRACTION_LETTERS)
+    assert MAX_CONTRACTION_LETTERS == 20
+    assert word_antipode(limit, ADDITIVE) == LinComb.term(limit)
+    assert counted == [20]
+    for contract in (lambda w: word_antipode(w, ZERO), hoffman_tau, hoffman_psi):
+        with pytest.raises(ValueError, match="a word of 21 letters, with 2\\^20 contractions"):
+            contract(LinComb.term(word(1)) + LinComb.term(Word((1,) * 21)))
+    assert counted == [20]
 
 
 @given(small_words, pairings)
