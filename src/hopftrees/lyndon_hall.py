@@ -216,24 +216,8 @@ def hall_forest(*factors: HallTree) -> HallForest:
 
 def hall_forests(weight: int) -> list[HallForest]:
     """All Hall forests of the given total weight."""
-    # scanning the pool in decreasing Hall order keeps factors nonincreasing
-    pool = sorted(hall_set(weight),
-                  key=lambda t: alpha_key(t.foliage), reverse=True)
-    out: list[HallForest] = []
-
-    def build(start: int, remaining: int, acc: list[HallTree]) -> None:
-        if remaining == 0:
-            out.append(HallForest(tuple(acc)))
-            return
-        for i in range(start, len(pool)):
-            t = pool[i]
-            if t.weight <= remaining:
-                acc.append(t)
-                build(i, remaining - t.weight, acc)
-                acc.pop()
-
-    build(0, weight, [])
-    return out
+    return [hall_forest(*ts)
+            for ts in _multisets(weight, hall_set(weight), lambda t: t.weight)]
 
 
 def circ_power(t: RootedTree, k: int) -> RootedTree:

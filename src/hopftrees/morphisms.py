@@ -29,8 +29,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .algebra import LinComb, ParseError, Scalar, Tensor, as_fraction
 from .linsolve import span_solver
 from .trees import (EMPTY_FOREST, Forest, PlanarForest, PlanarTree,
-                    RootedTree, bplus, forest, graft, ladder,
-                    labeled_ladder, leaf, linear_extensions,
+                    RootedTree, _multisets, bplus, extension_count, forest,
+                    graft, ladder, labeled_ladder, leaf, linear_extensions,
                     enumerate_trees, planar_ladder,
                     planar_variants, forget_order_forest, sym_order)
 from .tree_hopf import gl_product, gl_unit
@@ -187,22 +187,10 @@ def Aplus(x: LinComb | Word) -> LinComb:
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
-    """Partitions of n as nonincreasing tuples."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def build(remaining: int, cap: int, acc: list[int]):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            acc.append(p)
-            build(remaining - p, p, acc)
-            acc.pop()
-
-    build(n, n, [])
-    return out
+    """Partitions of n as nonincreasing tuples, in reverse lexicographic
+    order: (4), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)."""
+    return sorted((mu[::-1] for mu in _multisets(n, range(1, n + 1), lambda p: p)),
+                  reverse=True)
 
 
 def m_lambda(parts: Iterable[int]) -> LinComb:
@@ -433,20 +421,6 @@ def forest_labelings(u: Forest, max_weight: int) -> list[Forest]:
     return sorted(seen, key=lambda v: v.sort_key())
 
 
-def planar_slot_labelings(u: PlanarForest, max_weight: int) -> list[Forest]:
-    """Labeled forests from all vertex-slot assignments, with repetition.
-
-    Slots are distinguishable, so coinciding labeled forests appear once
-    per assignment; planar order is forgotten in the result.
-    """
-    out = []
-    for combo in _label_tuples(u.size, max_weight):
-        it = iter(combo)
-        labeled = PlanarForest(tuple(_relabel(t, it) for t in u.trees))
-        out.append(forget_order_forest(labeled))
-    return out
-
-
 def rho(x: LinComb | Forest, max_weight: int) -> LinComb:
     """Unlabeled forests -> words: sum of pi over distinct labelings of
     weight <= max_weight."""
@@ -492,12 +466,17 @@ def beta1(x: LinComb | Word) -> LinComb:
 
 
 def beta2(x: LinComb | PlanarForest, max_weight: int) -> LinComb:
-    """Ordered forests -> words: sum of pi over slot-wise labelings."""
+    """Ordered forests -> words: sum of pi over slot-wise labelings of
+    weight <= max_weight, with repetition (planar order is forgotten).
 
-    def on_forest(u: PlanarForest) -> LinComb:
-        return LinComb.sum(pi(v) for v in planar_slot_labelings(u, max_weight))
-
-    return LinComb.lift(x).map_basis(on_forest)
+    Fix one linear extension of u: reading the labels along it maps the
+    slot labelings bijectively onto the words of length |u| and weight
+    <= N.  pi counts vertex orders with multiplicity, so u goes to its
+    number of linear extensions (hook-length formula) times the sum of
+    all those words.
+    """
+    return LinComb.lift(x).map_basis(
+        lambda u: _words_of_length(u.size, max_weight, extension_count(u)))
 
 
 def beta4(x: LinComb | Word, max_weight: int) -> LinComb:
@@ -513,11 +492,15 @@ def beta4(x: LinComb | Word, max_weight: int) -> LinComb:
 
     def e_image(mu: tuple[int, ...]) -> LinComb:
         n = sum(mu)
-        multinomial = factorial(n) // prod(factorial(p) for p in mu)
-        return LinComb((w, multinomial) for k in range(n, max_weight + 1)
-                       for w in words_of_weight(k) if len(w) == n)
+        return _words_of_length(n, max_weight, factorial(n) // prod(factorial(p) for p in mu))
 
     return LinComb.sum((e_image(mu), c) for mu, c in sym_e_decompose(LinComb.lift(x)))
+
+
+def _words_of_length(n: int, max_weight: int, coeff: int) -> LinComb:
+    """coeff times the sum of all words of length n and weight <= max_weight."""
+    return LinComb((w, coeff) for k in range(n, max_weight + 1)
+                   for w in words_of_weight(k) if len(w) == n)
 
 
 def beta2_star(n: int) -> LinComb:

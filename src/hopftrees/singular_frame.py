@@ -259,7 +259,7 @@ def frame_series(max_weight: int) -> FrameSeries:
         raise ValueError("max_weight must be >= 1")
     terms = []
     for n in range(1, max_weight + 1):
-        for w in sorted(words_of_weight(n), key=lambda w: w.sort_key()):
+        for w in words_of_weight(n):
             terms.append(FrameTerm(w, frame_coefficient(w), w.weight, -len(w)))
     return FrameSeries(max_weight, tuple(terms))
 

@@ -110,7 +110,8 @@ def parse_word(text: str) -> Word:
 
 
 def words_of_weight(n: int) -> list[Word]:
-    """All words of total weight n (compositions of n), in canonical order."""
+    """All words of total weight n (compositions of n), in Word.sort_key
+    order: shortest first, then lexicographic."""
     return [Word(c) for c in compositions(n)]
 
 
@@ -237,7 +238,9 @@ def _contractions(x: LinComb | Word, pairing: Pairing,
                   block_weight: Callable[[int], Scalar]) -> LinComb:
     """Contractions of each word along every composition of its length,
     weighted by the product of block_weight over the blocks; a word longer
-    than MAX_CONTRACTION_LETTERS is refused before any is enumerated."""
+    than MAX_CONTRACTION_LETTERS is refused before any is enumerated.
+    Under the zero bracket every block of two or more letters vanishes, so
+    only the all-ones composition is enumerated."""
     x = LinComb.lift(x)
     n = max((len(w.letters) for w, _ in x.items()), default=0)
     if n > MAX_CONTRACTION_LETTERS:
@@ -245,8 +248,9 @@ def _contractions(x: LinComb | Word, pairing: Pairing,
                          f"the limit is {MAX_CONTRACTION_LETTERS} letters")
 
     def on_word(w: Word) -> LinComb:
+        k = len(w.letters)
         terms = []
-        for parts in compositions(len(w.letters)):
+        for parts in [(1,) * k] if pairing == ZERO else compositions(k):
             v = compose_word(parts, w, pairing)
             if v is not None:
                 terms.append((v, prod(block_weight(p) for p in parts)))

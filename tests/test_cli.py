@@ -258,6 +258,14 @@ def test_antipode_refuses_a_word_over_the_contraction_limit(algebra, text, capsy
                    "the limit is 20 letters\n")
 
 
+def test_shuffle_antipode_at_the_contraction_limit_is_one_term(capsys):
+    letters = [f"f{k}" for k in range(1, 21)]
+    start = time.perf_counter()
+    assert main(["antipode", "--algebra", "shuffle", "--input", ".".join(letters)]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out == "1*" + ".".join(reversed(letters)) + "\n"
+
+
 def test_unknown_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--suite", "nope", "--max-weight", "2"])

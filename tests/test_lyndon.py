@@ -1,5 +1,7 @@
 """Lyndon words, Hall trees, Hall polynomials, and the PBW basis."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hopftrees.algebra import LinComb, kronecker, pair_eval
 from hopftrees.linsolve import exact_rank, solve_in_span
 from hopftrees.lyndon_hall import (
+    HallForest,
     HallTree,
     alpha_key,
     expand_lyndon_polynomial,
@@ -228,6 +231,35 @@ def test_xi_is_injective_on_small_hall_forests():
             image = xi(u)
             assert image not in seen, (u, seen[image])
             seen[image] = u
+
+
+def _hall_forests_by_backtracking(weight):
+    """Hall forests by a backtracking scan of the Hall set in decreasing Hall
+    order, which keeps each forest's factors nonincreasing."""
+    pool = sorted(hall_set(weight), key=lambda t: alpha_key(t.foliage), reverse=True)
+    out = []
+
+    def build(start, remaining, acc):
+        if remaining == 0:
+            out.append(HallForest(tuple(acc)))
+            return
+        for i in range(start, len(pool)):
+            t = pool[i]
+            if t.weight <= remaining:
+                acc.append(t)
+                build(i, remaining - t.weight, acc)
+                acc.pop()
+
+    build(0, weight, [])
+    return out
+
+
+def test_hall_forests_match_the_backtracking_oracle():
+    for n in range(0, 11):
+        got = hall_forests(n)
+        want = _hall_forests_by_backtracking(n)
+        assert len(got) == len(want) == max(1, 2 ** (n - 1))
+        assert Counter(got) == Counter(want)
 
 
 def test_xi_of_a_single_tree_is_that_tree():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hopftrees.algebra import LinComb, ParseError, Tensor, splice_at
 from hopftrees.linsolve import solve_in_span
+from hopftrees.morphisms import _label_tuples, _relabel
 from hopftrees.morphisms import (
     DIAGRAMS,
     Aplus,
@@ -25,6 +26,7 @@ from hopftrees.morphisms import (
     alpha4_star,
     alpha_of,
     beta1,
+    beta2,
     beta2_star,
     beta4,
     circ,
@@ -53,13 +55,20 @@ from hopftrees.morphisms import (
 )
 from hopftrees.trees import (
     EMPTY_FOREST,
+    EMPTY_PLANAR_FOREST,
     Forest,
+    PlanarForest,
     bplus,
+    enumerate_planar_forests,
     forest,
+    forget_order_forest,
     labeled_forests_up_to_weight,
     labeled_ladder,
     ladder,
     leaf,
+    planar_ladder,
+    pbplus,
+    pleaf,
 )
 from hopftrees.words import EMPTY_WORD, Word, concat, shuffle, word, words_of_weight
 
@@ -239,6 +248,31 @@ def test_partitions_counts():
     assert [len(partitions(n)) for n in range(1, 7)] == [1, 2, 3, 5, 7, 11]
 
 
+def _partitions_by_recursion(n):
+    """Partitions of n as nonincreasing tuples, largest first part first."""
+    if n == 0:
+        return [()]
+    out = []
+
+    def build(remaining, cap, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        for p in range(min(cap, remaining), 0, -1):
+            acc.append(p)
+            build(remaining - p, p, acc)
+            acc.pop()
+
+    build(n, n, [])
+    return out
+
+
+def test_partitions_match_the_recursion_in_order():
+    assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    for n in range(0, 16):
+        assert partitions(n) == _partitions_by_recursion(n), n
+
+
 def test_sym_e_decomposition_round_trips():
     x = m_lambda((2, 1))
     decomp = sym_e_decompose(x)
@@ -395,6 +429,29 @@ def test_beta4_closed_form_matches_the_shuffle_route():
     assert not beta4(e_basis(3), 2)
     assert beta4(m_lambda((2, 1)) + LinComb.term(EMPTY_COMPOSITION), 3) == \
         _beta4_by_shuffles(m_lambda((2, 1)) + LinComb.term(EMPTY_COMPOSITION), 3)
+
+
+def _planar_slot_labelings(u, max_weight):
+    """Labeled forests from all vertex-slot assignments of weight <= max_weight,
+    with repetition; planar order is forgotten in the result."""
+    out = []
+    for combo in _label_tuples(u.size, max_weight):
+        it = iter(combo)
+        out.append(forget_order_forest(PlanarForest(tuple(_relabel(t, it) for t in u.trees))))
+    return out
+
+
+def test_beta2_closed_form_matches_the_slot_labeling_route():
+    for n in range(0, 7):
+        for u in enumerate_planar_forests(n):
+            for max_weight in range(0, 8):
+                want = LinComb.sum(pi(v) for v in _planar_slot_labelings(u, max_weight))
+                assert beta2(u, max_weight) == want, (str(u), max_weight)
+    assert beta2(EMPTY_PLANAR_FOREST, 0) == LinComb.term(EMPTY_WORD)
+    assert not beta2(PlanarForest((planar_ladder(3),)), 2)
+    cherry = PlanarForest((pbplus(PlanarForest((pleaf(), pleaf()))),))
+    cherry_sum = beta2(LinComb.term(cherry), 3)
+    assert cherry_sum == LinComb.term(word(1, 1, 1), 2)
 
 
 def test_word_formatters():

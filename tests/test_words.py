@@ -51,6 +51,12 @@ def test_word_basics():
     assert dual_word_str(w) == "f1.f2*"
 
 
+def test_words_of_weight_come_in_sort_key_order():
+    for n in range(0, 13):
+        ws = words_of_weight(n)
+        assert ws == sorted(ws, key=lambda w: w.sort_key())
+
+
 def test_words_of_weight_counts_compositions():
     for n in range(1, 7):
         assert len(words_of_weight(n)) == 2 ** (n - 1)
