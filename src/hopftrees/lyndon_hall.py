@@ -18,7 +18,7 @@ from math import factorial
 
 from .algebra import LinComb
 from .trees import Forest, RootedTree, _multisets, forest, graft, leaf
-from .words import EMPTY_WORD, Word, concat, lie_bracket, shuffle, word
+from .words import EMPTY_WORD, Word, _word, concat, lie_bracket, shuffle, word
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def lyndon_generate(max_weight: int) -> list[Word]:
         letters, p, weight = stack.pop()
         t = len(letters)
         if p == t:
-            out.append(Word(letters))
+            out.append(_word(letters))
         ref = letters[t - p]
         for b in range(1, min(ref, max_weight - weight) + 1):
             stack.append((letters + (b,), p if b == ref else t + 1, weight + b))

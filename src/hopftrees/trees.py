@@ -27,7 +27,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import ParseError
-from .words import Word
+from .words import Word, _word
 
 
 # The canonical order of trees and forests, for sorting.
@@ -347,7 +347,7 @@ def linear_extensions(u: Forest) -> tuple[Word, ...]:
     if extension_count(u) > MAX_LINEAR_EXTENSIONS:
         raise ValueError(f"a forest of {u.size} vertices with more than "
                          f"{MAX_LINEAR_EXTENSIONS:,} linear extensions is refused")
-    return tuple(Word(seq[::-1]) for seq in _extensions_increasing(u.trees))
+    return tuple(_word(seq[::-1]) for seq in _extensions_increasing(u.trees))
 
 
 # ---------------------------------------------------------------------------

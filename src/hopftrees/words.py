@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Literal
 
-from .algebra import LinComb, ParseError, Scalar, Tensor
+from .algebra import LinComb, ParseError, Scalar, Tensor, _accumulate, _wrap
 
 Pairing = Literal["zero", "additive"]
 ZERO: Pairing = "zero"
@@ -43,7 +43,7 @@ class Word:
 
     def __getitem__(self, item) -> "Word":
         if isinstance(item, slice):
-            return Word(self.letters[item])
+            return _word(self.letters[item])
         raise TypeError("words slice into words; use .letters for raw access")
 
     def __eq__(self, other: object) -> bool:
@@ -53,7 +53,7 @@ class Word:
         return self._hash
 
     def concat(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return _word(self.letters + other.letters)
 
     def sort_key(self) -> tuple:
         return (self.weight, len(self.letters), self.letters)
@@ -61,10 +61,21 @@ class Word:
     def __str__(self) -> str:
         if not self.letters:
             return "1"
-        return ".".join(f"f{a}" for a in self.letters)
+        return "f" + ".f".join(map(str, self.letters))
 
     def __repr__(self) -> str:
         return f"Word({self.letters!r})"
+
+
+def _word(letters: tuple[int, ...]) -> Word:
+    """A Word on a tuple of letters already known to be positive ints, built
+    without Word's per-letter check.  Only for letters taken from validated
+    words or tree labels, or sums of such letters."""
+    w = Word.__new__(Word)
+    w.letters = letters
+    w.weight = sum(letters)
+    w._hash = hash(("Word", letters))
+    return w
 
 
 EMPTY_WORD = Word(())
@@ -112,7 +123,7 @@ def parse_word(text: str) -> Word:
 def words_of_weight(n: int) -> list[Word]:
     """All words of total weight n (compositions of n), in Word.sort_key
     order: shortest first, then lexicographic."""
-    return [Word(c) for c in compositions(n)]
+    return [_word(c) for c in compositions(n)]
 
 
 def words_up_to_weight(n: int) -> list[Word]:
@@ -162,18 +173,26 @@ def bracket_fold(letters: tuple[int, ...], pairing: Pairing) -> int | None:
 
 @lru_cache(maxsize=None)
 def _qshuffle(w1: Word, w2: Word, pairing: Pairing) -> LinComb:
-    if not w1.letters:
-        return LinComb.term(w2)
-    if not w2.letters:
-        return LinComb.term(w1)
-    a, u = w1.letters[0], w1[1:]
-    b, v = w2.letters[0], w2[1:]
-    branches = [(a, _qshuffle(u, w2, pairing)), (b, _qshuffle(w1, v, pairing))]
-    merged = bracket_letters(a, b, pairing)
-    if merged is not None:
-        branches.append((merged, _qshuffle(u, v, pairing)))
-    return LinComb((Word((first,) + t.letters), c)
-                   for first, rest in branches for t, c in rest.items())
+    """w1 * w2 by Hoffman's recursion on first letters, a.u * b.v =
+    a(u * b.v) + b(a.u * v) + [a,b](u * v), filled in bottom up over the
+    suffixes of both words on letter tuples.  Row i holds u[i:] * v[j:] for
+    every j as a dict letters -> coeff, and only rows i and i + 1 are kept."""
+    u, v = w1.letters, w2.letters
+    n = len(v)
+    below = [{v[j:]: 1} for j in range(n + 1)]
+    for i in range(len(u) - 1, -1, -1):
+        a = u[i]
+        row = [None] * n + [{u[i:]: 1}]
+        for j in range(n - 1, -1, -1):
+            b = v[j]
+            data = {(a,) + t: c for t, c in below[j].items()}
+            _accumulate(data, (((b,) + t, c) for t, c in row[j + 1].items()))
+            merged = bracket_letters(a, b, pairing)
+            if merged is not None:
+                _accumulate(data, (((merged,) + t, c) for t, c in below[j + 1].items()))
+            row[j] = data
+        below = row
+    return _wrap({_word(t): c for t, c in below[0].items()})
 
 
 def quasi_shuffle(x: LinComb | Word, y: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
@@ -211,7 +230,7 @@ def compose_word(parts: tuple[int, ...], w: Word, pairing: Pairing) -> Word | No
             return None
         out.append(letter)
         pos += p
-    return Word(out)
+    return _word(tuple(out))
 
 
 def _exp_block_weight(p: int) -> Fraction:
@@ -263,7 +282,7 @@ def word_antipode(x: LinComb | Word, pairing: Pairing) -> LinComb:
     """Antipode of the (quasi-)shuffle Hopf algebra: the contractions of the
     reversed word, a block of p letters weighted (-1)^p (Hoffman 2000,
     Quasi-shuffle products, Thm 3.2); the shuffle keeps one-letter blocks."""
-    return _contractions(LinComb.lift(x).map_basis(lambda w: Word(w.letters[::-1])),
+    return _contractions(LinComb.lift(x).map_basis(lambda w: _word(w.letters[::-1])),
                          pairing, _sign_block_weight)
 
 

@@ -1,12 +1,13 @@
 """Shuffle and quasi-shuffle words, antipodes, and the Hoffman isomorphism."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopftrees import words
+from hopftrees import clear_caches, words
 from hopftrees.algebra import LinComb, ParseError, Tensor, recursive_antipode, splice_at
 from hopftrees.words import (
     ADDITIVE,
@@ -14,6 +15,7 @@ from hopftrees.words import (
     MAX_CONTRACTION_LETTERS,
     ZERO,
     Word,
+    bracket_letters,
     compositions,
     concat,
     deconcat,
@@ -34,6 +36,9 @@ from hopftrees.words import (
     words_of_weight,
     words_up_to_weight,
 )
+from hopftrees.lyndon_hall import lyndon_generate
+from hopftrees.morphisms import pi, qsym_product
+from hopftrees.trees import parse_forest
 
 small_words = st.sampled_from(words_up_to_weight(4))
 pairings = st.sampled_from([ZERO, ADDITIVE])
@@ -248,3 +253,72 @@ def test_concat_then_counit(u, v):
 @given(st.lists(st.integers(1, 40), max_size=8).map(Word))
 def test_word_strings_round_trip(w):
     assert parse_word(str(w)) == w
+
+
+@lru_cache(maxsize=None)
+def _qshuffle_by_recursion(w1, w2, pairing):
+    """Hoffman's recursion on first letters, one memoized call per suffix
+    pair: a.u * b.v = a(u * b.v) + b(a.u * v) + [a,b](u * v)."""
+    if not w1.letters:
+        return LinComb.term(w2)
+    if not w2.letters:
+        return LinComb.term(w1)
+    a, u = w1.letters[0], w1[1:]
+    b, v = w2.letters[0], w2[1:]
+    branches = [(a, _qshuffle_by_recursion(u, w2, pairing)),
+                (b, _qshuffle_by_recursion(w1, v, pairing))]
+    merged = bracket_letters(a, b, pairing)
+    if merged is not None:
+        branches.append((merged, _qshuffle_by_recursion(u, v, pairing)))
+    return LinComb((Word((first,) + t.letters), c)
+                   for first, rest in branches for t, c in rest.items())
+
+
+def test_quasi_shuffle_matches_recursion_up_to_weight_5():
+    ws = words_up_to_weight(5)
+    for pairing in (ZERO, ADDITIVE):
+        for u in ws:
+            for v in ws:
+                assert quasi_shuffle(u, v, pairing) == _qshuffle_by_recursion(u, v, pairing), (u, v)
+
+
+random_words = st.lists(st.integers(1, 9), max_size=7).map(Word)
+
+
+@settings(deadline=None)
+@given(random_words, random_words, pairings)
+@example(Word((2, 2, 2)), Word((2, 2)), ADDITIVE)
+@example(Word((1, 3, 1)), Word((2, 1, 1, 2)), ADDITIVE)
+@example(EMPTY_WORD, Word((5, 5, 1)), ZERO)
+def test_quasi_shuffle_matches_recursion_on_random_words(u, v, pairing):
+    assert quasi_shuffle(u, v, pairing) == _qshuffle_by_recursion(u, v, pairing)
+
+
+def test_quasi_shuffle_memo_keeps_one_entry_per_product():
+    clear_caches()
+    quasi_shuffle(word(1, 2, 3, 4, 5, 6), word(6, 1, 5, 2, 4, 3))
+    assert words._qshuffle.cache_info().currsize == 1
+
+
+def _assert_well_formed(w):
+    assert type(w.letters) is tuple
+    assert w.weight == sum(w.letters)
+    assert w == Word(w.letters) and hash(w) == hash(Word(w.letters))
+
+
+def test_words_from_the_unchecked_constructor_are_well_formed():
+    u, v = word(3, 1, 2, 1), word(2, 2, 1)
+    outputs = [shuffle(u, v), qsym_product(u, v), word_antipode(u, ZERO),
+               word_antipode(u, ADDITIVE), pi(parse_forest("f1[f2,f3] f4 f2[f1]"))]
+    found = [w for x in outputs for w, _ in x.items()]
+    found += [w for t, _ in deconcat(u).items() for w in t.parts]
+    found += words_of_weight(6) + lyndon_generate(7)
+    assert len(found) > 100
+    for w in found:
+        _assert_well_formed(w)
+
+
+@pytest.mark.parametrize("letter", [0, -2, 1.5, "1"])
+def test_word_constructor_refuses_a_bad_letter(letter):
+    with pytest.raises(ValueError, match="letters must be positive integers"):
+        Word((letter,))
