@@ -28,6 +28,24 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+def _read_positive(s: str, pos: int, what: str, base: int = 0) -> tuple[int, int]:
+    """The positive integer in ASCII digits at s[pos] and the position after
+    it, for all three text grammars; no digits, too many for int() and 0 are
+    ParseErrors at base + pos, the last "<what> must be positive"."""
+    start = pos
+    while pos < len(s) and s[pos] in "0123456789":
+        pos += 1
+    if start == pos:
+        raise ParseError("expected digits", base + pos)
+    try:
+        value = int(s[start:pos])
+    except ValueError:
+        raise ParseError("too many digits", base + start) from None
+    if value < 1:
+        raise ParseError(f"{what} must be positive", base + start)
+    return value, pos
+
+
 class PairingError(ValueError):
     """Raised when a bilinear pairing is evaluated on an undefined basis pair."""
 

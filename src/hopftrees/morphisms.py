@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .algebra import LinComb, ParseError, Scalar, Tensor, as_fraction
+from .algebra import LinComb, ParseError, Scalar, Tensor, _read_positive, as_fraction
 from .linsolve import span_solver
 from .trees import (EMPTY_FOREST, Forest, PlanarForest, PlanarTree,
                     RootedTree, _multisets, bplus, extension_count, forest,
@@ -142,14 +142,7 @@ def parse_composition(text: str) -> Word:
         pos += 1
     else:
         while True:
-            start = pos
-            while pos < len(s) and s[pos].isdigit():
-                pos += 1
-            if start == pos:
-                raise ParseError("expected digits", base + pos)
-            value = int(s[start:pos])
-            if value < 1:
-                raise ParseError("parts must be positive", base + start)
+            value, pos = _read_positive(s, pos, "parts", base)
             parts.append(value)
             if pos < len(s) and s[pos] == ",":
                 pos += 1

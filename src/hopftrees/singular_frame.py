@@ -7,10 +7,10 @@ the functional alpha^U on labeled forests, and of the exponential of a
 tree-supported functional beta^U, whose Hall-polynomial expansion is the
 representation checked by prop53_check.
 
-alpha^U is computed by two independent routes: alphaU, by the integral
-recursion (one polynomial per tree, evaluated at 1), and
-alphaU_extension_sum, which sums the frame coefficients over the linear
-extensions of the forest by recursion on the root read last.
+alpha^U is computed by two independent routes: alphaU, as the weighted
+tree factorial 1/prod_v w(T_v) (T_v the subtree at v, w its label sum),
+and alphaU_extension_sum, which sums the frame coefficients over the
+linear extensions of the forest by recursion on the root read last.
 alphaU_word_sum lists the extensions one by one and is kept as the
 enumerating test oracle.
 """
@@ -20,14 +20,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import prod
+from operator import attrgetter
 from typing import Callable
 
 from .algebra import LinComb, Scalar, as_fraction
 from .lyndon_hall import HallTree, hall_polynomial, hall_set
 from .morphisms import eword_str
 from .tree_hopf import char_exp, char_log, convolution_powers
-from .trees import EMPTY_FOREST, Forest, RootedTree, linear_extensions, sym_order
+from .trees import (EMPTY_FOREST, Forest, RootedTree, linear_extensions, subtree_product,
+                    sym_order)
 from .words import EMPTY_WORD, Word, words_of_weight
 
 
@@ -118,28 +120,16 @@ def alphaU_word_sum(u: Forest) -> Scalar:
     return sum(frame_coefficient(w) for w in linear_extensions(u))
 
 
-@lru_cache(maxsize=None)
-def _alphaU_poly(t: RootedTree) -> UnivariatePoly:
-    if t.label is None:
-        raise ValueError("alpha^U needs a fully labeled tree")
-    g = POLY_ONE
-    for c in t.children:
-        g = g * _alphaU_poly(c)
-    return g.weighted_integral(t.label)
-
-
-@lru_cache(maxsize=None)
 def _alphaU_tree(t: RootedTree) -> Fraction:
-    return _alphaU_poly(t).eval(1)
+    if not t.is_fully_labeled():
+        raise ValueError("alpha^U needs a fully labeled tree")
+    return Fraction(1, subtree_product(t, attrgetter("weight")))
 
 
 def alphaU(u: Forest) -> Scalar:
-    """alpha^U by the integral recursion: polynomials all the way up,
-    evaluated at 1 only at the end."""
-    total = 1
-    for t in u.trees:
-        total *= _alphaU_tree(t)
-    return total
+    """alpha^U as the weighted tree factorial: 1 over the product, over
+    the vertices v of u, of the label weight of the subtree at v."""
+    return prod(map(_alphaU_tree, u.trees))
 
 
 def alphaU_extension_sum() -> Callable[[Forest], Scalar]:
@@ -176,11 +166,8 @@ def alphaU_extension_sum() -> Callable[[Forest], Scalar]:
 # ---------------------------------------------------------------------------
 # exp and log of forest functionals
 
-def forest_exp(a: Callable[[Forest], Scalar]) -> Callable[[Forest], Scalar]:
-    """Convolution exponential; the argument must kill the empty forest."""
-    if as_fraction(a(EMPTY_FOREST)):
-        raise ValueError("forest_exp needs a(I) = 0")
-    return char_exp(a)
+# The convolution exponential; the argument must kill the empty forest.
+forest_exp = char_exp
 
 
 def forest_log(a: Callable[[Forest], Scalar]) -> Callable[[Forest], Scalar]:

@@ -399,7 +399,8 @@ def char_exp(g: Callable[[Forest], Scalar]) -> Callable[[Forest], Scalar]:
     a character.
     """
     if as_fraction(g(EMPTY_FOREST)):
-        raise ValueError("convolution exponential needs g(I) = 0")
+        # callers know the argument as g here and as a in forest_exp
+        raise ValueError("convolution exponential needs a(I) = 0 (g(I) = 0)")
     power = convolution_powers(g)
 
     def exp_g(u: Forest) -> Scalar:

@@ -24,9 +24,9 @@ import itertools
 from functools import lru_cache
 from math import factorial, prod
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import ParseError
+from .algebra import ParseError, _read_positive
 from .words import Word, _word
 
 
@@ -43,7 +43,7 @@ class _Tree:
     __slots__ = ("label", "children", "size", "weight", "_key", "_hash")
 
     def __init__(self, label: int | None = None, children: Iterable[_Tree] = ()):
-        if label is not None and (not isinstance(label, int) or label < 1):
+        if label is not None and (type(label) is not int or label < 1):
             raise ValueError(f"labels must be positive integers, got {label!r}")
         cls = type(self)
         kids = tuple(children) if cls._ordered else tuple(sorted(children, key=_by_key))
@@ -326,13 +326,24 @@ def _extensions_increasing(trees: tuple[RootedTree, ...]) -> tuple[tuple[int, ..
 MAX_LINEAR_EXTENSIONS = 1_000_000
 
 
+def subtree_product(t: _Tree, measure: Callable[[_Tree], int]) -> int:
+    """The product over the vertices v of t of measure(T_v), T_v the
+    subtree at v."""
+    out = 1
+    stack = [t]
+    while stack:
+        v = stack.pop()
+        out *= measure(v)
+        stack += v.children
+    return out
+
+
 def extension_count(u: Forest) -> int:
     """The number of linear extensions of u, by the hook-length formula for
     forests: size! over the product of all subtree sizes (Knuth, TAOCP
     vol. 3, 5.1.4, ex. 20)."""
-    def hooks(t: RootedTree) -> int:
-        return t.size * prod(map(hooks, t.children))
-    return factorial(u.size) // prod(map(hooks, u.trees))
+    size = attrgetter("size")
+    return factorial(u.size) // prod(subtree_product(t, size) for t in u.trees)
 
 
 def linear_extensions(u: Forest) -> tuple[Word, ...]:
@@ -571,15 +582,7 @@ def _parse_tree_at(s: str, pos: int, planar: bool, depth: int = 1):
         raise ParseError(f"tree nested deeper than {MAX_PARSE_DEPTH} levels", pos)
     label = None
     if pos < len(s) and s[pos] == "f":
-        pos += 1
-        start = pos
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise ParseError("expected digits after 'f'", pos)
-        label = int(s[start:pos])
-        if label < 1:
-            raise ParseError("labels must be positive", start)
+        label, pos = _read_positive(s, pos + 1, "labels")
     children: list = []
     if pos < len(s) and s[pos] == "[":
         pos += 1

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Literal
 
-from .algebra import LinComb, ParseError, Scalar, Tensor, _accumulate, _wrap
+from .algebra import LinComb, ParseError, Scalar, Tensor, _accumulate, _read_positive, _wrap
 
 Pairing = Literal["zero", "additive"]
 ZERO: Pairing = "zero"
@@ -32,7 +32,7 @@ class Word:
     def __init__(self, letters: Iterable[int] = ()):
         letters = tuple(letters)
         for a in letters:
-            if not isinstance(a, int) or a < 1:
+            if type(a) is not int or a < 1:
                 raise ValueError(f"letters must be positive integers, got {a!r}")
         self.letters = letters
         self.weight = sum(letters)
@@ -103,15 +103,7 @@ def parse_word(text: str) -> Word:
     while True:
         if pos >= len(s) or s[pos] != "f":
             raise ParseError("expected letter 'fK'", base + pos)
-        pos += 1
-        start = pos
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise ParseError("expected digits after 'f'", base + pos)
-        value = int(s[start:pos])
-        if value < 1:
-            raise ParseError("letter index must be positive", base + start)
+        value, pos = _read_positive(s, pos + 1, "letter index", base)
         letters.append(value)
         if pos == len(s):
             return Word(letters)

@@ -138,6 +138,25 @@ def test_parse_error_exits_2(capsys):
     assert err == "error: unbalanced bracket at offset 3\n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["pi", "--input", "f²"], "expected digits at offset 1"),
+    (["pi", "--input", "f١"], "expected digits at offset 1"),
+    (["pi", "--input", "f" + "1" * 5000], "too many digits at offset 1"),
+    (["coproduct", "--algebra", "shuffle", "--input", "f²"], "expected digits at offset 1"),
+    (["coproduct", "--algebra", "shuffle", "--input", " f1.f²"], "expected digits at offset 5"),
+    (["coproduct", "--algebra", "shuffle", "--input", "f1.f" + "2" * 5000],
+     "too many digits at offset 4"),
+    (["coproduct", "--algebra", "qsym", "--input", "M(1,²)"], "expected digits at offset 4"),
+    (["coproduct", "--algebra", "qsym", "--input", " M(" + "3" * 5000 + ")"],
+     "too many digits at offset 3"),
+])
+def test_a_malformed_number_is_a_parse_error(argv, error, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {error}\n"
+
+
 def test_domain_error_exits_1(capsys):
     assert main(["antipode", "--algebra", "gl", "--input", "f1"]) == 1
     err = capsys.readouterr().err

@@ -4,7 +4,8 @@ functional calculus, and the Hall-polynomial representation."""
 import json
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+from operator import attrgetter
 
 import pytest
 from hypothesis import given
@@ -37,10 +38,13 @@ from hopftrees.tree_hopf import Character, char_log
 from hopftrees.trees import (
     EMPTY_FOREST,
     bplus,
+    extension_count,
     forest,
     labeled_forests_up_to_weight,
     labeled_ladder,
     leaf,
+    parse_tree,
+    subtree_product,
 )
 from hopftrees.words import EMPTY_WORD, Word, concat, word, words_of_weight
 
@@ -190,6 +194,46 @@ def test_alphaU_is_the_weighted_tree_factorial():
         for t in u.trees:
             value *= _tree_factorial_weight(t)
         assert value == alphaU(u), u
+
+
+def _alphaU_poly(t):
+    """The integral recursion: the polynomial of t is the integral, against
+    s^(label-1) ds, of the product of its children's polynomials."""
+    if t.label is None:
+        raise ValueError("alpha^U needs a fully labeled tree")
+    g = UnivariatePoly((1,))
+    for c in t.children:
+        g = g * _alphaU_poly(c)
+    return g.weighted_integral(t.label)
+
+
+def test_alphaU_matches_the_integral_recursion():
+    for u in labeled_forests_up_to_weight(8):
+        value = 1
+        for t in u.trees:
+            value *= _alphaU_poly(t).eval(1)
+        assert value == alphaU(u), u
+
+
+def _subtrees(t):
+    yield t
+    for c in t.children:
+        yield from _subtrees(c)
+
+
+def test_subtree_product_gives_the_extension_count():
+    size = attrgetter("size")
+    for u in labeled_forests_up_to_weight(8):
+        for t in u.trees:
+            assert subtree_product(t, size) == prod(s.size for s in _subtrees(t)), t
+        hooks = prod(subtree_product(t, size) for t in u.trees)
+        assert extension_count(u) == factorial(u.size) // hooks, u
+
+
+@pytest.mark.parametrize("text", ["[f1]", "f2[[],f1]"])
+def test_alphaU_refuses_an_unlabeled_vertex_above_a_labeled_one(text):
+    with pytest.raises(ValueError, match="labeled"):
+        alphaU(forest(parse_tree(text)))
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,12 @@ def test_mixed_children_are_refused_with_the_class_name():
         PlanarTree(0)
 
 
+@pytest.mark.parametrize("cls, label", [(RootedTree, True), (PlanarTree, False)])
+def test_a_bool_label_is_refused(cls, label):
+    with pytest.raises(ValueError, match=f"labels must be positive integers, got {label}"):
+        cls(label)
+
+
 def test_reprs_name_the_class():
     cherry = parse_tree("f1[f2,[]]", planar=True)
     assert repr(parse_tree("f1[f2,[]]")) == "<tree f1[[],f2]>"

@@ -322,3 +322,9 @@ def test_words_from_the_unchecked_constructor_are_well_formed():
 def test_word_constructor_refuses_a_bad_letter(letter):
     with pytest.raises(ValueError, match="letters must be positive integers"):
         Word((letter,))
+
+
+@pytest.mark.parametrize("letter", [True, False])
+def test_word_constructor_refuses_a_bool_letter(letter):
+    with pytest.raises(ValueError, match=f"letters must be positive integers, got {letter}"):
+        Word((letter,))
