@@ -5,7 +5,10 @@ ordering and printing; the plain classes (RootedTree, Forest) sort their
 children and trees by a canonical key, so equal trees are structurally
 identical and forests are multisets, while the planar classes
 (PlanarTree, PlanarForest) keep the given order.  A plain and a planar
-value of the same shape are never equal.  Labels are positive
+value of the same shape are never equal.  Trees and forests are interned:
+construction returns the one object already built for equal contents, so
+sums and tensor keys mostly compare by identity; equality and hashing stay
+structural, and ``clear_caches()`` empties the table.  Labels are positive
 integers (vertex labeled k stands for the letter f_k and has weight k);
 unlabeled vertices have label None and weight 0.
 
@@ -33,6 +36,12 @@ from .words import Word, _word
 # The canonical order of trees and forests, for sorting.
 _by_key = attrgetter("_key")
 
+# Every tree and forest built since the last clear_caches(), keyed by class
+# and contents, so that equal values built while an entry lives are one
+# object.  Equality and hashing stay structural: a value built before a
+# clear is equal to its rebuilt twin, only no longer the same object.
+_INTERN_CACHE: dict[tuple, _Tree | _Forest] = {}
+
 
 class _Tree:
     """A labeled root over a tuple of children; the shared body of
@@ -42,20 +51,28 @@ class _Tree:
 
     __slots__ = ("label", "children", "size", "weight", "_key", "_hash")
 
-    def __init__(self, label: int | None = None, children: Iterable[_Tree] = ()):
+    def __new__(cls, label: int | None = None, children: Iterable[_Tree] = ()):
         if label is not None and (type(label) is not int or label < 1):
             raise ValueError(f"labels must be positive integers, got {label!r}")
-        cls = type(self)
         kids = tuple(children) if cls._ordered else tuple(sorted(children, key=_by_key))
         for t in kids:
             if not isinstance(t, cls):
                 raise TypeError(f"children must be {cls.__name__} instances")
-        self.label = label
-        self.children = kids
-        self.size = 1 + sum(t.size for t in kids)
-        self.weight = (label or 0) + sum(t.weight for t in kids)
-        self._key = (self.size, label or 0, tuple(t._key for t in kids))
-        self._hash = hash((cls.__name__, label, kids))
+        key = (cls, label, kids)
+        self = _INTERN_CACHE.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.label = label
+            self.children = kids
+            self.size = 1 + sum(t.size for t in kids)
+            self.weight = (label or 0) + sum(t.weight for t in kids)
+            self._key = (self.size, label or 0, tuple(t._key for t in kids))
+            self._hash = hash((cls.__name__, label, kids))
+            _INTERN_CACHE[key] = self
+        return self
+
+    def __reduce__(self):
+        return type(self), (self.label, self.children)
 
     def sort_key(self) -> tuple:
         return self._key
@@ -92,14 +109,22 @@ class _Forest:
 
     __slots__ = ("trees", "size", "weight", "_key", "_hash")
 
-    def __init__(self, trees: Iterable[_Tree] = ()):
-        cls = type(self)
+    def __new__(cls, trees: Iterable[_Tree] = ()):
         ts = tuple(trees) if cls._ordered else tuple(sorted(trees, key=_by_key))
-        self.trees = ts
-        self.size = sum(t.size for t in ts)
-        self.weight = sum(t.weight for t in ts)
-        self._key = (self.size, tuple(t._key for t in ts))
-        self._hash = hash((cls.__name__, ts))
+        key = (cls, ts)
+        self = _INTERN_CACHE.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.trees = ts
+            self.size = sum(t.size for t in ts)
+            self.weight = sum(t.weight for t in ts)
+            self._key = (self.size, tuple(t._key for t in ts))
+            self._hash = hash((cls.__name__, ts))
+            _INTERN_CACHE[key] = self
+        return self
+
+    def __reduce__(self):
+        return type(self), (self.trees,)
 
     def sort_key(self) -> tuple:
         return self._key

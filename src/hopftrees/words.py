@@ -240,21 +240,23 @@ def _sign_block_weight(p: int) -> int:
     return (-1) ** p
 
 
-# The longest word whose 2^(n-1) contractions are enumerated: 20 ones in
-# qsym took 12 s and 297 MB peak RSS on a 2-core x86_64 machine.
+# The longest word whose 2^(n-1) contractions are enumerated under the
+# additive bracket: 20 ones in qsym took 12 s and 297 MB peak RSS on a
+# 2-core x86_64 machine.
 MAX_CONTRACTION_LETTERS = 20
 
 
 def _contractions(x: LinComb | Word, pairing: Pairing,
                   block_weight: Callable[[int], Scalar]) -> LinComb:
     """Contractions of each word along every composition of its length,
-    weighted by the product of block_weight over the blocks; a word longer
-    than MAX_CONTRACTION_LETTERS is refused before any is enumerated.
-    Under the zero bracket every block of two or more letters vanishes, so
-    only the all-ones composition is enumerated."""
+    weighted by the product of block_weight over the blocks.  Under the
+    zero bracket every block of two or more letters vanishes, so only the
+    all-ones composition is enumerated and no length is refused; under any
+    other bracket a word longer than MAX_CONTRACTION_LETTERS is refused
+    before any is enumerated."""
     x = LinComb.lift(x)
     n = max((len(w.letters) for w, _ in x.items()), default=0)
-    if n > MAX_CONTRACTION_LETTERS:
+    if pairing != ZERO and n > MAX_CONTRACTION_LETTERS:
         raise ValueError(f"a word of {n} letters, with 2^{n - 1} contractions, is refused; "
                          f"the limit is {MAX_CONTRACTION_LETTERS} letters")
 

@@ -1,13 +1,20 @@
-"""clear_caches reaches every memo in the package and changes no output."""
+"""clear_caches reaches every memo in the package and changes no output, and
+the intern table makes equal trees and forests one object."""
 
 import ast
 import contextlib
+import copy
 import io
+import pickle
 from pathlib import Path
 
+import pytest
+
 import hopftrees
-from hopftrees import cli, lyndon_hall
+from hopftrees import cli, lyndon_hall, trees
 from hopftrees.checks import run_suite
+from hopftrees.trees import (Forest, PlanarForest, PlanarTree, RootedTree, canonicalize,
+                             leaf, parse_forest, parse_tree, pleaf)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopftrees"
 
@@ -49,3 +56,57 @@ def test_output_is_the_same_after_clearing():
     before = _check_stdout(argv)
     hopftrees.clear_caches()
     assert _check_stdout(argv) == before
+
+
+def test_clear_caches_empties_the_intern_table():
+    parse_forest("f1 [[]] f2[f3]")
+    assert trees._INTERN_CACHE
+    hopftrees.clear_caches()
+    assert not trees._INTERN_CACHE
+
+
+def test_equal_trees_and_forests_are_one_object():
+    assert parse_tree("[[],[]]") is parse_tree("[[],[]]")
+    a, b = parse_tree("f2[f1]"), parse_tree("[[]]")
+    assert Forest((a, b)) is Forest((b, a))
+    assert PlanarForest((pleaf(1), pleaf(2))) is not PlanarForest((pleaf(2), pleaf(1)))
+
+
+def test_values_built_before_clearing_equal_those_built_after():
+    tree, planar_forest = parse_tree("f1[f2,[f3]]"), parse_forest("f1[[]] f2", planar=True)
+    hopftrees.clear_caches()
+    new_tree, new_planar_forest = parse_tree("f1[f2,[f3]]"), parse_forest("f1[[]] f2", planar=True)
+    assert new_tree is not tree and new_planar_forest is not planar_forest
+    assert (new_tree, hash(new_tree)) == (tree, hash(tree))
+    assert (new_planar_forest, hash(new_planar_forest)) == (planar_forest, hash(planar_forest))
+    assert Forest((leaf(), new_tree)) == Forest((tree, leaf()))
+
+
+def test_plain_and_planar_trees_of_one_shape_stay_unequal():
+    plain, planar = parse_tree("[[],[[]]]"), parse_tree("[[],[[]]]", planar=True)
+    assert plain != planar and canonicalize(planar) is plain
+    assert Forest((plain,)) != PlanarForest((planar,))
+    assert leaf() != pleaf() and Forest(()) != PlanarForest(())
+
+
+def test_bad_labels_and_children_still_raise_once_an_equal_value_is_interned():
+    RootedTree(1, (leaf(),))
+    with pytest.raises(ValueError, match="positive integers"):
+        RootedTree(0, (leaf(),))
+    with pytest.raises(ValueError, match="positive integers"):
+        RootedTree(True, (leaf(),))
+    with pytest.raises(TypeError, match="RootedTree instances"):
+        RootedTree(1, (pleaf(),))
+    with pytest.raises(TypeError, match="PlanarTree instances"):
+        PlanarTree(1, (leaf(),))
+
+
+@pytest.mark.parametrize("text, planar", [
+    ("f1[f2,f3]", False), ("f1[f2,f3]", True), ("f3 [[]] f1[f2]", False), ("f1[f2] [[]]", True)])
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
+def test_copies_and_pickles_return_the_interned_object(text, planar, duplicate):
+    x = (parse_forest if " " in text else parse_tree)(text, planar=planar)
+    assert duplicate(x) is x
+    assert str(leaf()) == "[]" and leaf().children == ()
+    assert str(x) == text

@@ -164,10 +164,16 @@ def test_contractions_refuse_a_word_over_the_limit_before_enumerating(monkeypatc
     assert MAX_CONTRACTION_LETTERS == 20
     assert word_antipode(limit, ADDITIVE) == LinComb.term(limit)
     assert counted == [20]
-    for contract in (lambda w: word_antipode(w, ZERO), hoffman_tau, hoffman_psi):
+    for contract in (lambda w: word_antipode(w, ADDITIVE), hoffman_tau, hoffman_psi):
         with pytest.raises(ValueError, match="a word of 21 letters, with 2\\^20 contractions"):
             contract(LinComb.term(word(1)) + LinComb.term(Word((1,) * 21)))
     assert counted == [20]
+
+
+def test_zero_bracket_contractions_refuse_no_length():
+    w = Word(tuple(range(1, 31)))
+    assert word_antipode(w, ZERO) == LinComb.term(Word(w.letters[::-1]))
+    assert hoffman_tau(w, ZERO) == LinComb.term(w)
 
 
 @given(small_words, pairings)
