@@ -185,9 +185,10 @@ class LinComb:
         return _wrap({b: c for b, c in self._terms.items() if degree_of(b) <= max_degree})
 
     def format(self, fmt: Callable[[Any], str] = str) -> str:
+        """The terms as ``c*b`` in basis order, joined by `` + ``; ``0`` if none."""
         if not self._terms:
             return "0"
-        return " + ".join(f"{c}*{fmt(b)}" for b, c in self.sorted_items())
+        return " + ".join([f"{c}*{fmt(b)}" for b, c in self.sorted_items()])
 
     def __str__(self) -> str:
         return self.format()

@@ -372,9 +372,10 @@ SUITES: dict[str, Callable[[int], list[CheckRow]]] = {
 }
 
 
-# The largest --max-weight each suite runs: the largest weight that ran in
-# under 60 s and 512 MB peak RSS on a 2-core x86_64 machine (times in
-# CHANGES.md).  "all" runs up to the smallest of them.
+# The largest --max-weight each suite runs: the largest weight whose median
+# of three runs took under 60 s and 512 MB peak RSS on a 2-core x86_64
+# machine (times in CHANGES.md; one run can land on either side of the
+# rule on a shared machine).  "all" runs up to the smallest of them.
 MAX_WEIGHTS: dict[str, int] = {"hopf-axioms": 8, "duality": 8, "pi-kernel": 8,
                                "diagrams": 9, "prop53": 11}
 

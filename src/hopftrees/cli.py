@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .algebra import ParseError
 from .checks import ALGEBRAS, SUITES, run_suite
-from .lyndon_hall import hall_polynomial, hall_set
+from .lyndon_hall import hall_polynomial, hall_set, lyndon_generate
 from .morphisms import eword_str, pi, zhao_eps, zhao_k
 from .singular_frame import frame_series
 from .trees import parse_forest
@@ -33,7 +34,27 @@ def _max_weight(text: str) -> int:
     return n
 
 
+# The largest --max-weight each generator command runs, by the rule of
+# checks.MAX_WEIGHTS: the largest weight whose median of three runs took
+# under 60 s and 512 MB peak RSS on a 2-core x86_64 machine (runs in
+# CHANGES.md; frame is measured with --format json, its larger output).
+COMMAND_MAX_WEIGHTS: dict[str, int] = {"frame": 18, "lyndon": 23, "hall": 19, "zhao": 12}
+
+
+def _bounded_weight(args) -> int:
+    """args.max_weight, or a ValueError when it is over the command's ceiling."""
+    ceiling = COMMAND_MAX_WEIGHTS[args.command]
+    if args.max_weight > ceiling:
+        raise ValueError(f"{args.command} runs up to --max-weight {ceiling}, "
+                         f"got {args.max_weight}")
+    return args.max_weight
+
+
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built by the first main() call in a process (and
+    the first after clear_caches()).  It reads the algebra and suite names
+    then, so a registry entry added later is not yet a valid choice."""
     parser = argparse.ArgumentParser(
         prog="hopftrees",
         description="Hopf algebras of rooted trees and words, exactly.")
@@ -95,14 +116,13 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_lyndon(args) -> int:
-    from .lyndon_hall import lyndon_generate
-    for w in lyndon_generate(args.max_weight):
+    for w in lyndon_generate(_bounded_weight(args)):
         print(w)
     return 0
 
 
 def _cmd_hall(args) -> int:
-    for t in hall_set(args.max_weight):
+    for t in hall_set(_bounded_weight(args)):
         if t.std_decomp is None:
             std = "-"
         else:
@@ -114,14 +134,14 @@ def _cmd_hall(args) -> int:
 
 
 def _cmd_zhao(args) -> int:
-    for n in range(1, args.max_weight + 1):
+    for n in range(1, _bounded_weight(args) + 1):
         print(f"k{n} = {zhao_k(n)}")
         print(f"eps{n} = {zhao_eps(n)}")
     return 0
 
 
 def _cmd_frame(args) -> int:
-    series = frame_series(args.max_weight)
+    series = frame_series(_bounded_weight(args))
     if args.format == "json":
         print(series.to_json())
     else:
@@ -153,6 +173,7 @@ def _cmd_check(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; callable any number of times in one process."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

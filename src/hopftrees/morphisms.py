@@ -34,8 +34,8 @@ from .trees import (EMPTY_FOREST, Forest, PlanarForest, PlanarTree,
                     enumerate_trees, planar_ladder,
                     planar_variants, forget_order_forest, sym_order)
 from .tree_hopf import gl_product, gl_unit
-from .words import (ADDITIVE, EMPTY_WORD, Word, deconcat, quasi_shuffle, word,
-                    word_antipode, word_counit, words_of_weight)
+from .words import (ADDITIVE, EMPTY_WORD, Word, _letter_texts, deconcat, quasi_shuffle,
+                    word, word_antipode, word_counit, words_of_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def composition_str(x: Word | Tensor) -> str:
     """``M(2,1)`` for the word f2.f1 (unit: ``M()``), slotwise on a tensor."""
     if isinstance(x, Tensor):
         return " (x) ".join(composition_str(p) for p in x.parts)
-    return "M(" + ",".join(str(p) for p in x.letters) + ")"
+    return "M(" + ",".join(_letter_texts(x.letters)) + ")"
 
 
 def parse_composition(text: str) -> Word:
@@ -241,13 +241,13 @@ def sym_e_decompose(x: LinComb) -> list[tuple[tuple[int, ...], Scalar]]:
 def zword_str(w: Word) -> str:
     if not w.letters:
         return "1"
-    return ".".join(f"z{k}" for k in w.letters)
+    return "z" + ".z".join(_letter_texts(w.letters))
 
 
 def eword_str(w: Word) -> str:
     if not w.letters:
         return "1"
-    return "".join(f"e(-{k})" for k in w.letters)
+    return "e(-" + ")e(-".join(_letter_texts(w.letters)) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,23 @@ class Word:
     def __str__(self) -> str:
         if not self.letters:
             return "1"
-        return "f" + ".f".join(map(str, self.letters))
+        return "f" + ".f".join(_letter_texts(self.letters))
 
     def __repr__(self) -> str:
         return f"Word({self.letters!r})"
+
+
+# The decimal text of every letter below 64, so the word printers join
+# table entries; a larger letter is converted when printed.
+_LETTER_TEXTS = tuple(str(k) for k in range(64))
+
+
+def _letter_texts(letters: tuple[int, ...]) -> list[str]:
+    """The decimal text of each letter, for printing a word in any notation."""
+    try:
+        return [_LETTER_TEXTS[k] for k in letters]
+    except IndexError:
+        return list(map(str, letters))
 
 
 def _word(letters: tuple[int, ...]) -> Word:

@@ -1,17 +1,19 @@
 """The command-line interface: output shapes, exit codes, golden files,
 and byte-for-byte determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from hopftrees import checks
+from hopftrees import checks, cli
 from hopftrees.checks import MAX_WEIGHTS, SUITES
-from hopftrees.cli import main
+from hopftrees.cli import COMMAND_MAX_WEIGHTS, main
 from hopftrees.trees import MAX_PARSE_DEPTH
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -252,6 +254,44 @@ def test_a_huge_check_weight_is_refused_at_once(monkeypatch, capsys):
     assert out == "" and len(err.splitlines()) == 1
 
 
+def _stub_generators(monkeypatch) -> list[int]:
+    """Replace what lyndon, hall, zhao and frame compute with stubs that
+    record the weights they are asked for, in the returned list."""
+    asked = []
+
+    def stub(value):
+        return lambda n: asked.append(n) or value
+
+    for name in ("lyndon_generate", "hall_set", "zhao_k", "zhao_eps"):
+        monkeypatch.setattr(cli, name, stub([]))
+    monkeypatch.setattr(cli, "frame_series", stub(SimpleNamespace(
+        to_json=lambda: "{}", text_lines=lambda: [])))
+    return asked
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MAX_WEIGHTS))
+def test_generator_commands_run_up_to_their_ceiling(command, monkeypatch, capsys):
+    asked = _stub_generators(monkeypatch)
+    ceiling = COMMAND_MAX_WEIGHTS[command]
+    assert main([command, "--max-weight", str(ceiling)]) == 0
+    assert capsys.readouterr().err == ""
+    assert max(asked) == ceiling
+
+    asked.clear()
+    assert main([command, "--max-weight", str(ceiling + 1)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and asked == []
+    assert err == (f"error: {command} runs up to --max-weight {ceiling}, "
+                   f"got {ceiling + 1}\n")
+
+
+def test_every_generator_ceiling_is_above_the_weights_in_use():
+    # perfbench runs frame@15, lyndon@17, hall@9 and zhao@7
+    in_use = {"frame": 15, "lyndon": 17, "hall": 9, "zhao": 7}
+    assert set(COMMAND_MAX_WEIGHTS) == set(in_use)
+    assert all(COMMAND_MAX_WEIGHTS[c] > n for c, n in in_use.items())
+
+
 def test_pi_refuses_too_many_linear_extensions(capsys):
     text = " ".join(f"f{k}" for k in range(1, 12))
     start = time.perf_counter()
@@ -291,6 +331,41 @@ def test_shuffle_antipode_over_the_contraction_limit_is_one_term(capsys):
     assert time.perf_counter() - start < 0.5
     out, err = capsys.readouterr()
     assert (out, err) == ("-1*" + ".".join(letters) + "\n", "")
+
+
+def test_a_second_call_builds_no_parser(monkeypatch, capsys):
+    assert main(["lyndon", "--max-weight", "2"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["lyndon", "--max-weight", "2"]) == 0
+    assert main(["product", "--algebra", "ck", "--input", "f1", "--input", "f2"]) == 0
+    assert capsys.readouterr().out == "f1\nf2\n" * 2 + "1*f1 f2\n"
+    assert built == []
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
+    """Appended --input lists and subparser defaults do not carry over
+    from one call to the next."""
+    for argv in (["product", "--algebra", "ck", "--input", "f1", "--input", "f2[f3]"],
+                 ["product", "--algebra", "ck", "--input", "f1"],
+                 ["coproduct", "--algebra", "shuffle", "--input", "f1.f2"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+        if code == 2:
+            assert err.startswith("usage: ")
+            assert err.splitlines()[-1] == fresh.stderr.splitlines()[-1] == (
+                "hopftrees: error: product needs exactly two --input expressions")
 
 
 def test_unknown_suite_is_a_usage_error(capsys):
