@@ -245,9 +245,14 @@ def zword_str(w: Word) -> str:
 
 
 def eword_str(w: Word) -> str:
-    if not w.letters:
+    return _eword_text(w.letters)
+
+
+def _eword_text(letters: tuple[int, ...]) -> str:
+    """``e(-2)e(-1)`` for the letters (2, 1); ``1`` for none."""
+    if not letters:
         return "1"
-    return "e(-" + ")e(-".join(_letter_texts(w.letters)) + ")"
+    return "e(-" + ")e(-".join(_letter_texts(letters)) + ")"
 
 
 # ---------------------------------------------------------------------------

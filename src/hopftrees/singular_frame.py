@@ -17,20 +17,21 @@ enumerating test oracle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import prod
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 from .algebra import LinComb, Scalar, as_fraction
 from .lyndon_hall import HallTree, hall_polynomial, hall_set
-from .morphisms import eword_str
+from .morphisms import _eword_text
 from .tree_hopf import char_exp, char_log, convolution_powers
 from .trees import (EMPTY_FOREST, Forest, RootedTree, linear_extensions, subtree_product,
                     sym_order)
-from .words import EMPTY_WORD, Word, words_of_weight
+from .words import EMPTY_WORD, Word, _letter_texts, compositions, words_of_weight
 
 
 # ---------------------------------------------------------------------------
@@ -218,37 +219,47 @@ class FrameTerm:
 
 @dataclass(frozen=True)
 class FrameSeries:
+    """The frame series through max_weight.  Its text and JSON are written
+    straight from the composition rows; ``terms`` is built on first use."""
+
     max_weight: int
-    terms: tuple[FrameTerm, ...]
+
+    @cached_property
+    def terms(self) -> tuple[FrameTerm, ...]:
+        return tuple(FrameTerm(Word(c), Fraction(1, d), sum(c), -len(c))
+                     for c, d in _frame_rows(self.max_weight))
 
     def to_json(self) -> str:
-        payload = {
-            "max_weight": self.max_weight,
-            "terms": [
-                {
-                    "word": list(t.word.letters),
-                    "coeff": str(t.coeff),
-                    "v_pow": t.v_pow,
-                    "z_pow": t.z_pow,
-                }
-                for t in self.terms
-            ],
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        """The text of json.dumps(payload, separators=(",", ":")), payload
+        holding max_weight and one {word, coeff, v_pow, z_pow} object per term."""
+        terms = [f'{{"word":[{",".join(_letter_texts(c))}],"coeff":"{_coeff_text(d)}",'
+                 f'"v_pow":{sum(c)},"z_pow":-{len(c)}}}'
+                 for c, d in _frame_rows(self.max_weight)]
+        return f'{{"max_weight":{self.max_weight},"terms":[{",".join(terms)}]}}'
 
     def text_lines(self) -> list[str]:
-        return [f"{t.coeff} * {eword_str(t.word)} v^{t.v_pow} z^{t.z_pow}"
-                for t in self.terms]
+        return [f"{_coeff_text(d)} * {_eword_text(c)} v^{sum(c)} z^-{len(c)}"
+                for c, d in _frame_rows(self.max_weight)]
+
+
+def _frame_rows(max_weight: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each word of weight 1..max_weight as its letters, in series order
+    (weight, then length, then lexicographic), with the product of its
+    partial letter sums: the word's coefficient is 1 over that product."""
+    for n in range(1, max_weight + 1):
+        for c in compositions(n):
+            yield c, prod(accumulate(c))
+
+
+def _coeff_text(denominator: int) -> str:
+    """str(Fraction(1, denominator)); 1/d is already in lowest terms."""
+    return "1" if denominator == 1 else f"1/{denominator}"
 
 
 def frame_series(max_weight: int) -> FrameSeries:
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    terms = []
-    for n in range(1, max_weight + 1):
-        for w in words_of_weight(n):
-            terms.append(FrameTerm(w, frame_coefficient(w), w.weight, -len(w)))
-    return FrameSeries(max_weight, tuple(terms))
+    return FrameSeries(max_weight)
 
 
 def hall_representation(max_weight: int) -> LinComb:

@@ -3,6 +3,7 @@ functional calculus, and the Hall-polynomial representation."""
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial, prod
 from operator import attrgetter
@@ -16,6 +17,7 @@ from hopftrees.algebra import LinComb
 from hopftrees.checks import suite_prop53
 from hopftrees.linsolve import solve_in_span
 from hopftrees.lyndon_hall import hall_polynomial, hall_set
+from hopftrees.morphisms import eword_str
 from hopftrees.singular_frame import (
     FrameTerm,
     UnivariatePoly,
@@ -375,6 +377,38 @@ def test_frame_series_text_lines():
     lines = frame_series(2).text_lines()
     assert lines[0] == "1 * e(-1) v^1 z^-1"
     assert lines[2] == "1/2 * e(-1)e(-1) v^2 z^-2"
+
+
+def _word_route(max_weight):
+    """The series built term by term from Word and frame_coefficient, with
+    its JSON through json.dumps and its text lines through eword_str."""
+    terms = tuple(FrameTerm(w, frame_coefficient(w), w.weight, -len(w))
+                  for n in range(1, max_weight + 1) for w in words_of_weight(n))
+    payload = {"max_weight": max_weight,
+               "terms": [{"word": list(t.word.letters), "coeff": str(t.coeff),
+                          "v_pow": t.v_pow, "z_pow": t.z_pow} for t in terms]}
+    lines = [f"{t.coeff} * {eword_str(t.word)} v^{t.v_pow} z^{t.z_pow}" for t in terms]
+    return terms, json.dumps(payload, separators=(",", ":")), lines
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_frame_rows_match_the_word_route(n):
+    terms, text, lines = _word_route(n)
+    s = frame_series(n)
+    assert s.to_json() == text
+    assert s.text_lines() == lines
+    assert s.terms == terms
+    assert s.terms is s.terms
+
+
+def test_frame_json_peak_memory_stays_within_eight_times_its_length():
+    tracemalloc.start()
+    try:
+        text = frame_series(14).to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(text), (peak, len(text))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from hopftrees.algebra import LinComb, as_fraction
-from hopftrees.linsolve import solve_in_span
+from hopftrees.linsolve import exact_rank, solve_in_span, span_solver
 from hopftrees.singular_frame import alphaU, betaU, frame_series, hall_representation
 from hopftrees.tree_hopf import (ck_antipode, ck_product, coproduct_forest, gl_product,
                                  planar_diamond_antipode)
@@ -37,6 +37,21 @@ def test_lincomb_entry_points_reject_floats():
         LinComb.sum([(y, 0.5)])
     with pytest.raises(TypeError):
         y.scale(0.5)
+
+
+@pytest.mark.parametrize("run", [
+    lambda basis, target: exact_rank(basis + [target]),
+    lambda basis, target: span_solver(basis)(target),
+    solve_in_span,
+], ids=["exact_rank", "span_solver", "solve_in_span"])
+@pytest.mark.parametrize("basis, target", [
+    ([{"a": 0.5}], {"a": 1}),
+    ([{"a": 1}], {"a": 0.5}),
+    ([{"a": 1, "b": 0.0}], {"a": 1}),
+], ids=["float-in-basis", "float-in-target", "float-zero-in-basis"])
+def test_elimination_rejects_float_coefficients(run, basis, target):
+    with pytest.raises(TypeError):
+        run(basis, target)
 
 
 def test_as_fraction_keeps_exact_scalars_and_turns_bools_into_ints():
