@@ -19,7 +19,7 @@ QSYM as combinations of monomial basis elements.
 
 from __future__ import annotations
 
-import itertools
+from itertools import chain
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -30,12 +30,13 @@ from .algebra import LinComb, ParseError, Scalar, Tensor, _read_positive, as_fra
 from .linsolve import span_solver
 from .trees import (EMPTY_FOREST, Forest, PlanarForest, PlanarTree,
                     RootedTree, _multisets, bplus, extension_count, forest,
-                    graft, ladder, labeled_ladder, leaf, linear_extensions,
-                    enumerate_trees, planar_ladder,
+                    graft, ladder, labeled_forests_up_to_weight, labeled_ladder, leaf,
+                    linear_extensions, enumerate_trees, planar_ladder,
                     planar_variants, forget_order_forest, sym_order)
 from .tree_hopf import gl_product, gl_unit
-from .words import (ADDITIVE, EMPTY_WORD, Word, _letter_texts, deconcat, quasi_shuffle,
-                    word, word_antipode, word_counit, words_of_weight)
+from .words import (ADDITIVE, EMPTY_WORD, Word, _letter_texts, compositions_of_length,
+                    deconcat, quasi_shuffle, word, word_antipode, word_counit,
+                    words_of_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +83,6 @@ def kernel_generators(max_weight: int) -> list[LinComb]:
     - s o (tz), and the cyclic relation s o (tz) + z o (ts) + t o (sz)
     - tzs.  They overlap; all are emitted.
     """
-    from .trees import labeled_forests_up_to_weight
-
     out: list[LinComb] = []
     forests = labeled_forests_up_to_weight(max_weight)
 
@@ -187,10 +186,12 @@ def partitions(n: int) -> list[tuple[int, ...]]:
 
 
 def m_lambda(parts: Iterable[int]) -> LinComb:
-    """The symmetric monomial m_lambda = sum of M_I over orderings of lambda."""
-    parts = tuple(sorted(parts, reverse=True))
-    orderings = set(itertools.permutations(parts))
-    return LinComb((Word(p), 1) for p in orderings)
+    """The symmetric monomial m_lambda = sum of M_I over orderings of lambda:
+    the compositions of |lambda| into len(lambda) parts whose sorted parts
+    are lambda.  Word checks that every part is a positive int."""
+    lam = sorted(Word(parts).letters, reverse=True)
+    return LinComb((Word(c), 1) for c in compositions_of_length(sum(lam), len(lam))
+                   if sorted(c, reverse=True) == lam)
 
 
 def e_basis(n: int) -> LinComb:
@@ -403,11 +404,8 @@ def _relabel(t: RootedTree | PlanarTree, labels: Iterator[int]) -> RootedTree | 
 
 
 def _label_tuples(n: int, max_weight: int) -> Iterator[tuple[int, ...]]:
-    if n > max_weight:
-        return
-    for combo in itertools.product(range(1, max_weight - n + 2), repeat=n):
-        if sum(combo) <= max_weight:
-            yield combo
+    """The tuples of n positive labels with sum <= max_weight, weight by weight."""
+    return chain.from_iterable(compositions_of_length(k, n) for k in range(n, max_weight + 1))
 
 
 def forest_labelings(u: Forest, max_weight: int) -> list[Forest]:
@@ -497,8 +495,7 @@ def beta4(x: LinComb | Word, max_weight: int) -> LinComb:
 
 def _words_of_length(n: int, max_weight: int, coeff: int) -> LinComb:
     """coeff times the sum of all words of length n and weight <= max_weight."""
-    return LinComb((w, coeff) for k in range(n, max_weight + 1)
-                   for w in words_of_weight(k) if len(w) == n)
+    return LinComb((Word(c), coeff) for c in _label_tuples(n, max_weight))
 
 
 def beta2_star(n: int) -> LinComb:

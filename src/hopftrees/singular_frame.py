@@ -29,8 +29,8 @@ from .algebra import LinComb, Scalar, as_fraction
 from .lyndon_hall import HallTree, hall_polynomial, hall_set
 from .morphisms import _eword_text
 from .tree_hopf import char_exp, char_log, convolution_powers
-from .trees import (EMPTY_FOREST, Forest, RootedTree, linear_extensions, subtree_product,
-                    sym_order)
+from .trees import (EMPTY_FOREST, Forest, RootedTree, labeled_forests_up_to_weight,
+                    linear_extensions, subtree_product, sym_order)
 from .words import EMPTY_WORD, Word, _letter_texts, compositions, words_of_weight
 
 
@@ -200,7 +200,6 @@ def betaU(max_weight: int | None = None) -> Callable[[Forest], Scalar]:
     """
     log_alpha = char_log(_alphaU_tree)
     if max_weight is not None:
-        from .trees import labeled_forests_up_to_weight
         for u in labeled_forests_up_to_weight(max_weight):
             log_alpha(u)
     return log_alpha

@@ -39,8 +39,9 @@ from typing import Callable, Iterable, Mapping
 from .algebra import (LinComb, Scalar, Tensor, as_fraction, functional_convolve,
                       lincomb_tensor, recursive_antipode)
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,
-                    PlanarTree, RootedTree, forest_mul, leaf, strip_root,
-                    sym_order)
+                    PlanarTree, RootedTree, admissible_cuts, bplus, forest_mul, leaf,
+                    strip_root, sym_order)
+from .words import EMPTY_WORD, ZERO, Word, _shuffle_table, deconcat, shuffle
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +145,6 @@ def cut_coproduct_tree(t: RootedTree) -> LinComb:
 
     Independent of the split recursion; used to cross-check it.
     """
-    from .trees import admissible_cuts
     tensors = [Tensor((Forest((t,)), EMPTY_FOREST)), Tensor((EMPTY_FOREST, Forest((t,))))]
     tensors += (Tensor((cut.pruned, Forest((cut.trunk,)))) for cut in admissible_cuts(t))
     return LinComb((x, 1) for x in tensors)
@@ -262,27 +262,14 @@ def pair_gl_ck(x: LinComb | RootedTree, y: LinComb | Forest) -> Scalar:
 # ---------------------------------------------------------------------------
 # planar trees: root-branch shuffle and branch deconcatenation
 
-def _seq_shuffles(a: tuple, b: tuple):
-    """Interleavings of two sequences preserving each one's order."""
-    if not a:
-        yield b
-        return
-    if not b:
-        yield a
-        return
-    for tail in _seq_shuffles(a[1:], b):
-        yield (a[0],) + tail
-    for tail in _seq_shuffles(a, b[1:]):
-        yield (b[0],) + tail
-
-
 def planar_diamond(x: LinComb | PlanarTree, y: LinComb | PlanarTree) -> LinComb:
     """Shuffle the root-branch sequences of the two trees under an unlabeled
     root.  Both root labels are dropped without a check (``f1`` times
     ``f2`` is ``[]``), though the antipode refuses a labeled root."""
 
     def on_pair(t: PlanarTree, s: PlanarTree) -> LinComb:
-        return LinComb((PlanarTree(None, seq), 1) for seq in _seq_shuffles(t.children, s.children))
+        return LinComb((PlanarTree(None, seq), c)
+                       for seq, c in _shuffle_table(t.children, s.children, ZERO).items())
 
     return LinComb.lift(x).bilinear(LinComb.lift(y), on_pair)
 
@@ -548,8 +535,6 @@ def universal_cocycle_map(target: CocycleTarget, x: LinComb | Forest) -> LinComb
 
 def ck_target(labels: Iterable[int | None] = (None,), verify: bool = True) -> CocycleTarget:
     """Forests with the cut coproduct and L_a = B+_a; the lift is the identity."""
-    from .trees import bplus
-
     def make(a):
         return lambda x: x.map_basis(lambda u: Forest((bplus(u, a),)))
 
@@ -564,8 +549,6 @@ def ck_target(labels: Iterable[int | None] = (None,), verify: bool = True) -> Co
 
 def shuffle_target(labels: Iterable[int], verify: bool = True) -> CocycleTarget:
     """Words with shuffle/deconcatenation and L_a(w) = w.a: the lift is pi."""
-    from .words import EMPTY_WORD, Word, deconcat, shuffle
-
     def make(a: int):
         return lambda x: x.map_basis(lambda w: Word(w.letters + (a,)))
 

@@ -30,7 +30,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import ParseError, _read_positive
-from .words import Word, _word
+from .words import Word, _word, compositions
 
 
 # The canonical order of trees and forests, for sorting.
@@ -515,15 +515,11 @@ def enumerate_planar_trees(n: int) -> tuple[PlanarTree, ...]:
 
 @lru_cache(maxsize=None)
 def enumerate_planar_forests(n: int) -> tuple[PlanarForest, ...]:
-    """Ordered forests of planar trees with n vertices total."""
-    if n == 0:
-        return (EMPTY_PLANAR_FOREST,)
-    out = []
-    for k in range(1, n + 1):
-        for t in enumerate_planar_trees(k):
-            for rest in enumerate_planar_forests(n - k):
-                out.append(PlanarForest((t,) + rest.trees))
-    return tuple(sorted(out, key=_by_key))
+    """Ordered forests of planar trees with n vertices total: one planar tree
+    per part of each composition of n."""
+    return tuple(sorted((PlanarForest(ts) for c in compositions(n)
+                         for ts in itertools.product(*map(enumerate_planar_trees, c))),
+                        key=_by_key))
 
 
 # ---------------------------------------------------------------------------

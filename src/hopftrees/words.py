@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from itertools import chain, combinations
+from math import comb, factorial, prod
+from operator import sub
 from typing import Callable, Iterable, Iterator, Literal
 
 from .algebra import LinComb, ParseError, Scalar, Tensor, _accumulate, _read_positive, _wrap
@@ -138,20 +140,21 @@ def words_up_to_weight(n: int) -> list[Word]:
     return out
 
 
-def compositions(n: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of n, shortest first, then lexicographic."""
-    if n == 0:
-        yield ()
+def compositions_of_length(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Compositions of n into k parts, in lexicographic order.  Each is read
+    off its k - 1 cut points in 1..n-1; cut sets in lexicographic order give
+    the compositions in lexicographic order."""
+    if n == 0 or k == 0:
+        if n == k:
+            yield ()
         return
-    out = []
-    def rec(rest: int, acc: tuple[int, ...]):
-        if rest == 0:
-            out.append(acc)
-            return
-        for part in range(1, rest + 1):
-            rec(rest - part, acc + (part,))
-    rec(n, ())
-    yield from sorted(out, key=lambda c: (len(c), c))
+    for cuts in combinations(range(1, n), k - 1):
+        yield tuple(map(sub, cuts + (n,), (0,) + cuts))
+
+
+def compositions(n: int) -> Iterator[tuple[int, ...]]:
+    """Compositions of n, shortest first, then lexicographic, one at a time."""
+    return chain.from_iterable(compositions_of_length(n, k) for k in range(n + 1))
 
 
 def bracket_letters(a: int, b: int, pairing: Pairing) -> int | None:
@@ -176,13 +179,53 @@ def bracket_fold(letters: tuple[int, ...], pairing: Pairing) -> int | None:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _qshuffle(w1: Word, w2: Word, pairing: Pairing) -> LinComb:
-    """w1 * w2 by Hoffman's recursion on first letters, a.u * b.v =
-    a(u * b.v) + b(a.u * v) + [a,b](u * v), filled in bottom up over the
-    suffixes of both words on letter tuples.  Row i holds u[i:] * v[j:] for
-    every j as a dict letters -> coeff, and only rows i and i + 1 are kept."""
-    u, v = w1.letters, w2.letters
+def _check_pairing(pairing: Pairing) -> None:
+    if pairing not in (ZERO, ADDITIVE):
+        raise ValueError(f"unknown pairing rule {pairing!r}")
+
+
+def shuffle_term_count(m: int, n: int, pairing: Pairing) -> int:
+    """The number of terms, counted with multiplicity, in the product of
+    sequences of m and n items: the C(m+n, m) interleavings under the zero
+    bracket, and under the additive one the Delannoy number
+    sum_k C(m,k) C(n,k) 2^k, k being the number of merged pairs."""
+    if pairing == ZERO:
+        return comb(m + n, m)
+    return sum(comb(m, k) * comb(n, k) * 2 ** k for k in range(min(m, n) + 1))
+
+
+# The most items that _shuffle_table may write, counted with multiplicity
+# over all its cells, by the bound of _refuse_large_table.
+MAX_SHUFFLE_ITEMS = 24_000_000
+
+
+def _refuse_large_table(m: int, n: int, pairing: Pairing) -> None:
+    """Refuse a product of sequences of m and n items whose table may write
+    more than MAX_SHUFFLE_ITEMS items.  Cell (p, q) holds the
+    shuffle_term_count(p, q) terms of the product of suffixes of lengths p
+    and q, of at most p + q items each, and these counts sum over the cells
+    to at most shuffle_term_count(m + 1, n + 1) - 1.  So a long sequence
+    times a short one is refused too, though it has few terms: filling its
+    table takes time cubic in the long one's length.  The binomial
+    is bounded first, since it is below the Delannoy number and cheap."""
+    for rule in (ZERO, pairing):
+        items = (m + n) * (shuffle_term_count(m + 1, n + 1, rule) - 1)
+        if items > MAX_SHUFFLE_ITEMS:
+            raise ValueError(f"a product of {m} and {n} items is refused: its table may "
+                             f"write more than the limit of {MAX_SHUFFLE_ITEMS} items")
+
+
+def _shuffle_table(u: tuple, v: tuple, pairing: Pairing) -> dict[tuple, int]:
+    """u * v on tuples of any items by Hoffman's recursion on first items,
+    a.u * b.v = a(u * b.v) + b(a.u * v) + [a,b](u * v), filled in bottom up
+    over the suffixes of both tuples.  Row i holds u[i:] * v[j:] for every j
+    as a dict items -> coeff, and only rows i and i + 1 are kept.  Only the
+    zero bracket applies to items other than letters.  A product by the
+    empty tuple is the other factor, with no table."""
+    _check_pairing(pairing)
+    if not u or not v:
+        return {u + v: 1}
+    _refuse_large_table(len(u), len(v), pairing)
     n = len(v)
     below = [{v[j:]: 1} for j in range(n + 1)]
     for i in range(len(u) - 1, -1, -1):
@@ -197,7 +240,13 @@ def _qshuffle(w1: Word, w2: Word, pairing: Pairing) -> LinComb:
                 _accumulate(data, (((merged,) + t, c) for t, c in below[j + 1].items()))
             row[j] = data
         below = row
-    return _wrap({_word(t): c for t, c in below[0].items()})
+    return below[0]
+
+
+@lru_cache(maxsize=None)
+def _qshuffle(w1: Word, w2: Word, pairing: Pairing) -> LinComb:
+    """w1 * w2 on the words' letter tuples, through the shuffle table."""
+    return _wrap({_word(t): c for t, c in _shuffle_table(w1.letters, w2.letters, pairing).items()})
 
 
 def quasi_shuffle(x: LinComb | Word, y: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
@@ -267,6 +316,7 @@ def _contractions(x: LinComb | Word, pairing: Pairing,
     all-ones composition is enumerated and no length is refused; under any
     other bracket a word longer than MAX_CONTRACTION_LETTERS is refused
     before any is enumerated."""
+    _check_pairing(pairing)
     x = LinComb.lift(x)
     n = max((len(w.letters) for w, _ in x.items()), default=0)
     if pairing != ZERO and n > MAX_CONTRACTION_LETTERS:
