@@ -9,16 +9,16 @@ from .lyndon_hall import (HallForest, HallTree, alpha_key, foliage_word,
                           hall_forest, hall_forests, hall_polynomial, hall_set,
                           hall_tree_less, hall_tree_of_lyndon, is_hall_tree,
                           is_lyndon, lyndon_factorize, lyndon_generate,
-                          lyndon_poly_decompose, pbw_element, xi)
+                          lyndon_poly_decompose, lyndon_words, pbw_element, xi)
 from .morphisms import (Composition, composition, diagram_check, e_basis,
                         kernel_generators, m_lambda, pi, qsym_antipode,
                         qsym_coproduct, qsym_product, rho, sym_e_decompose,
                         zhao_Z, zhao_Zstar, zhao_eps, zhao_k)
 from .singular_frame import (FrameSeries, FrameTerm, UnivariatePoly, alphaU,
-                             alphaU_word_sum, betaU, forest_exp, forest_log,
-                             frame_coefficient, frame_series,
-                             hall_representation, iterated_integral,
-                             prop53_check, prop53_counterexample)
+                             betaU, forest_exp, forest_log, frame_coefficient,
+                             frame_series, hall_representation,
+                             iterated_integral, prop53_check,
+                             prop53_counterexample)
 from .tree_hopf import (Character, CocycleLawError, CocycleTarget,
                         InfinitesimalCharacter, char_convolution, char_exp,
                         char_log, ck_antipode, ck_coproduct, ck_counit,

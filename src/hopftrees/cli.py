@@ -14,10 +14,12 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
+from itertools import islice
+from typing import Iterable
 
 from .algebra import ParseError
 from .checks import ALGEBRAS, SUITES, run_suite
-from .lyndon_hall import hall_polynomial, hall_set, lyndon_generate
+from .lyndon_hall import hall_polynomial, hall_set, lyndon_words
 from .morphisms import eword_str, pi, zhao_eps, zhao_k
 from .singular_frame import frame_series
 from .trees import parse_forest
@@ -37,9 +39,10 @@ def _max_weight(text: str) -> int:
 # The largest --max-weight each generator command runs, by the rule of
 # checks.MAX_WEIGHTS: the largest weight whose median of three runs took
 # under 60 s and 512 MB peak RSS on a 2-core x86_64 machine (runs in
-# CHANGES.md; frame is measured with --format json, its larger output, and
-# stops at 20 on memory: weight 20 peaks at 447 MB, weight 21 passes 600 MB).
-COMMAND_MAX_WEIGHTS: dict[str, int] = {"frame": 20, "lyndon": 23, "hall": 19, "zhao": 12}
+# CHANGES.md; frame is measured with --format json, its larger output).
+# lyndon and frame print as they generate, so time sets their ceilings:
+# lyndon 28 took 58 s and frame 24 55 s, each in under 25 MB.
+COMMAND_MAX_WEIGHTS: dict[str, int] = {"frame": 24, "lyndon": 28, "hall": 19, "zhao": 12}
 
 
 def _bounded_weight(args) -> int:
@@ -116,9 +119,20 @@ def _cmd_pi(args) -> int:
     return 0
 
 
+# Lines per write for the commands that print as they generate.
+_LINE_BATCH = 1024
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line and a newline to stdout as the lines are produced,
+    _LINE_BATCH lines per write."""
+    lines = iter(lines)
+    while batch := list(islice(lines, _LINE_BATCH)):
+        sys.stdout.write("\n".join(batch) + "\n")
+
+
 def _cmd_lyndon(args) -> int:
-    for w in lyndon_generate(_bounded_weight(args)):
-        print(w)
+    _write_lines(map(str, lyndon_words(_bounded_weight(args))))
     return 0
 
 
@@ -144,10 +158,10 @@ def _cmd_zhao(args) -> int:
 def _cmd_frame(args) -> int:
     series = frame_series(_bounded_weight(args))
     if args.format == "json":
-        print(series.to_json())
+        sys.stdout.writelines(series.json_chunks())
+        sys.stdout.write("\n")
     else:
-        for line in series.text_lines():
-            print(line)
+        _write_lines(series.iter_lines())
     return 0
 
 

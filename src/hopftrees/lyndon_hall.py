@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import Iterator
 
 from .algebra import LinComb
 from .trees import Forest, RootedTree, _multisets, forest, graft, leaf
@@ -49,29 +50,39 @@ def is_lyndon(w: Word) -> bool:
     return all(key < key[i:] for i in range(1, len(w)))
 
 
-def lyndon_generate(max_weight: int) -> list[Word]:
-    """All Lyndon words of weight <= max_weight, sorted by (weight, alpha).
+def lyndon_words(max_weight: int) -> Iterator[Word]:
+    """Yield the Lyndon words of weight <= max_weight in (weight, alpha) order.
 
     Extends prenecklaces depth first (Cattell, Ruskey, Sawada, Serra and
-    Miers): a prefix a_1..a_t whose longest Lyndon prefix has length p takes
-    a next letter b iff b is not smaller than a_(t-p+1) in the alphabet
-    order, i.e. b <= a_(t-p+1) as integers.  Equality keeps p, a larger
-    letter makes the whole prefix Lyndon (p = t + 1), and a prefix is
-    emitted when p equals its length.  Every prefix of a Lyndon word is a
+    Miers), once per weight n: a prefix a_1..a_t whose longest Lyndon prefix
+    has length p takes a next letter b iff b is not smaller than a_(t-p+1)
+    in the alphabet order, i.e. b <= a_(t-p+1) as integers.  Equality keeps
+    p and a larger letter makes the whole prefix Lyndon (p = t + 1), so
+    the completion by the letter n - weight is a Lyndon word of weight n
+    iff n - weight < a_(t-p+1), and it is yielded when its prefix is popped.
+    The other extensions are pushed with the alphabetically smallest on
+    top, so each prefix is popped before its extensions and before its
+    larger siblings: the words of weight n come out in alphabetical order
+    with no sort and no list of them.  Every prefix of a Lyndon word is a
     prenecklace, so bounding the weight misses nothing.
     """
-    out = []
-    stack = [((a,), 1, a) for a in range(1, max_weight + 1)]
-    while stack:
-        letters, p, weight = stack.pop()
-        t = len(letters)
-        if p == t:
-            out.append(_word(letters))
-        ref = letters[t - p]
-        for b in range(1, min(ref, max_weight - weight) + 1):
-            stack.append((letters + (b,), p if b == ref else t + 1, weight + b))
-    out.sort(key=lambda w: (w.weight, alpha_key(w)))
-    return out
+    for n in range(1, max_weight + 1):
+        yield _word((n,))
+        stack = [((a,), 1, a) for a in range(1, n)]
+        while stack:
+            letters, p, weight = stack.pop()
+            t = len(letters)
+            ref = letters[t - p]
+            last = n - weight
+            if last < ref:
+                yield _word(letters + (last,))
+            for b in range(1, min(ref + 1, last)):
+                stack.append((letters + (b,), p if b == ref else t + 1, weight + b))
+
+
+def lyndon_generate(max_weight: int) -> list[Word]:
+    """All Lyndon words of weight <= max_weight, sorted by (weight, alpha)."""
+    return list(lyndon_words(max_weight))
 
 
 def _duval(key: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -56,7 +56,7 @@ def pi(x: LinComb | Forest) -> LinComb:
     def on_forest(u: Forest) -> LinComb:
         return LinComb((w, 1) for w in linear_extensions(u))
 
-    return LinComb.lift(x).map_basis(on_forest)
+    return x.map_basis(on_forest) if isinstance(x, LinComb) else on_forest(x)
 
 
 def alpha_of(x: LinComb | Forest,

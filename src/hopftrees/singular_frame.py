@@ -11,8 +11,7 @@ alpha^U is computed by two independent routes: alphaU, as the weighted
 tree factorial 1/prod_v w(T_v) (T_v the subtree at v, w its label sum),
 and alphaU_extension_sum, which sums the frame coefficients over the
 linear extensions of the forest by recursion on the root read last.
-alphaU_word_sum lists the extensions one by one and is kept as the
-enumerating test oracle.
+The route that lists the extensions one by one is a test oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import prod
 from operator import attrgetter
 from typing import Callable, Iterator
@@ -30,7 +29,7 @@ from .lyndon_hall import HallTree, hall_polynomial, hall_set
 from .morphisms import _eword_text
 from .tree_hopf import char_exp, char_log, convolution_powers
 from .trees import (EMPTY_FOREST, Forest, RootedTree, labeled_forests_up_to_weight,
-                    linear_extensions, subtree_product, sym_order)
+                    subtree_product, sym_order)
 from .words import EMPTY_WORD, Word, _letter_texts, compositions, words_of_weight
 
 
@@ -109,17 +108,6 @@ def iterated_integral(w: Word) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # alpha^U on labeled forests
-
-def alphaU_word_sum(u: Forest) -> Scalar:
-    """Sum of frame coefficients over the linear extensions of u.
-
-    The enumerating test oracle: it lists every extension word, so it is
-    kept for tests at low weight and no check calls it.
-    """
-    if u == EMPTY_FOREST:
-        return 1
-    return sum(frame_coefficient(w) for w in linear_extensions(u))
-
 
 def _alphaU_tree(t: RootedTree) -> Fraction:
     if not t.is_fully_labeled():
@@ -216,10 +204,16 @@ class FrameTerm:
     z_pow: int
 
 
+# Term objects per json_chunks piece: enough that joining and writing the
+# pieces costs little per term, few enough to keep each piece small.
+_JSON_BATCH = 1024
+
+
 @dataclass(frozen=True)
 class FrameSeries:
     """The frame series through max_weight.  Its text and JSON are written
-    straight from the composition rows; ``terms`` is built on first use."""
+    straight from the composition rows, and streamed by ``iter_lines`` and
+    ``json_chunks``; ``terms`` is built on first use."""
 
     max_weight: int
 
@@ -228,17 +222,32 @@ class FrameSeries:
         return tuple(FrameTerm(Word(c), Fraction(1, d), sum(c), -len(c))
                      for c, d in _frame_rows(self.max_weight))
 
+    def json_chunks(self) -> Iterator[str]:
+        """The text of to_json in pieces: the header, then the term objects
+        _JSON_BATCH at a time, then the closing brackets.  Only one batch of
+        term texts is held at once."""
+        yield f'{{"max_weight":{self.max_weight},"terms":['
+        terms = (f'{{"word":[{",".join(_letter_texts(c))}],"coeff":"{_coeff_text(d)}",'
+                 f'"v_pow":{sum(c)},"z_pow":-{len(c)}}}'
+                 for c, d in _frame_rows(self.max_weight))
+        sep = ""
+        while batch := list(islice(terms, _JSON_BATCH)):
+            yield sep + ",".join(batch)
+            sep = ","
+        yield "]}"
+
     def to_json(self) -> str:
         """The text of json.dumps(payload, separators=(",", ":")), payload
         holding max_weight and one {word, coeff, v_pow, z_pow} object per term."""
-        terms = [f'{{"word":[{",".join(_letter_texts(c))}],"coeff":"{_coeff_text(d)}",'
-                 f'"v_pow":{sum(c)},"z_pow":-{len(c)}}}'
-                 for c, d in _frame_rows(self.max_weight)]
-        return f'{{"max_weight":{self.max_weight},"terms":[{",".join(terms)}]}}'
+        return "".join(self.json_chunks())
+
+    def iter_lines(self) -> Iterator[str]:
+        """Each term's text line, in series order, one at a time."""
+        for c, d in _frame_rows(self.max_weight):
+            yield f"{_coeff_text(d)} * {_eword_text(c)} v^{sum(c)} z^-{len(c)}"
 
     def text_lines(self) -> list[str]:
-        return [f"{_coeff_text(d)} * {_eword_text(c)} v^{sum(c)} z^-{len(c)}"
-                for c, d in _frame_rows(self.max_weight)]
+        return list(self.iter_lines())
 
 
 def _frame_rows(max_weight: int) -> Iterator[tuple[tuple[int, ...], int]]:

@@ -265,11 +265,17 @@ def pair_gl_ck(x: LinComb | RootedTree, y: LinComb | Forest) -> Scalar:
 def planar_diamond(x: LinComb | PlanarTree, y: LinComb | PlanarTree) -> LinComb:
     """Shuffle the root-branch sequences of the two trees under an unlabeled
     root.  Both root labels are dropped without a check (``f1`` times
-    ``f2`` is ``[]``), though the antipode refuses a labeled root."""
+    ``f2`` is ``[]``), though the antipode refuses a labeled root.  The
+    table shuffles int indices, equal branches sharing one, so that its
+    cells hash ints rather than trees."""
 
     def on_pair(t: PlanarTree, s: PlanarTree) -> LinComb:
-        return LinComb((PlanarTree(None, seq), c)
-                       for seq, c in _shuffle_table(t.children, s.children, ZERO).items())
+        index = {b: i for i, b in enumerate(dict.fromkeys(t.children + s.children))}
+        branches = tuple(index)
+        table = _shuffle_table(tuple(map(index.__getitem__, t.children)),
+                               tuple(map(index.__getitem__, s.children)), ZERO)
+        return LinComb((PlanarTree(None, tuple(map(branches.__getitem__, seq))), c)
+                       for seq, c in table.items())
 
     return LinComb.lift(x).bilinear(LinComb.lift(y), on_pair)
 

@@ -262,10 +262,11 @@ def _stub_generators(monkeypatch) -> list[int]:
     def stub(value):
         return lambda n: asked.append(n) or value
 
-    for name in ("lyndon_generate", "hall_set", "zhao_k", "zhao_eps"):
+    for name in ("lyndon_words", "hall_set", "zhao_k", "zhao_eps"):
         monkeypatch.setattr(cli, name, stub([]))
     monkeypatch.setattr(cli, "frame_series", stub(SimpleNamespace(
-        to_json=lambda: "{}", text_lines=lambda: [])))
+        to_json=lambda: "{}", text_lines=lambda: [],
+        json_chunks=lambda: iter(["{}"]), iter_lines=lambda: iter([]))))
     return asked
 
 

@@ -19,12 +19,12 @@ from hopftrees.linsolve import solve_in_span
 from hopftrees.lyndon_hall import hall_polynomial, hall_set
 from hopftrees.morphisms import eword_str
 from hopftrees.singular_frame import (
+    _JSON_BATCH,
     FrameTerm,
     UnivariatePoly,
     _alphaU_tree,
     alphaU,
     alphaU_extension_sum,
-    alphaU_word_sum,
     betaU,
     exp_concat,
     forest_exp,
@@ -45,10 +45,20 @@ from hopftrees.trees import (
     labeled_forests_up_to_weight,
     labeled_ladder,
     leaf,
+    linear_extensions,
     parse_tree,
     subtree_product,
 )
 from hopftrees.words import EMPTY_WORD, Word, concat, word, words_of_weight
+
+
+def alphaU_word_sum(u):
+    """Sum of frame coefficients over the linear extensions of u: the
+    enumerating oracle for alpha^U, which lists every extension word."""
+    if u == EMPTY_FOREST:
+        return 1
+    return sum(frame_coefficient(w) for w in linear_extensions(u))
+
 
 rationals = st.fractions(max_denominator=6)
 small_polys = st.lists(rationals, max_size=5).map(
@@ -409,6 +419,36 @@ def test_frame_json_peak_memory_stays_within_eight_times_its_length():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * len(text), (peak, len(text))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_frame_streams_match_the_word_route(n):
+    _, text, lines = _word_route(n)
+    s = frame_series(n)
+    chunks = list(s.json_chunks())
+    assert "".join(chunks) == text == s.to_json()
+    assert len(chunks) == 2 + -(-(2 ** n - 1) // _JSON_BATCH)
+    assert list(s.iter_lines()) == lines == s.text_lines()
+
+
+def _stream_peak(stream) -> int:
+    """The tracemalloc peak while stream is consumed and dropped piece by piece."""
+    tracemalloc.start()
+    try:
+        for _ in stream:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [12, 15])
+def test_frame_streams_hold_one_batch_at_any_weight(n):
+    # about 0.7 MB for json and 0.2-0.4 MB for lines at both weights; at 15,
+    # text_lines peaks at 3.9 MB, and a to_json built as one list at 9.2 MB
+    s = frame_series(n)
+    assert _stream_peak(s.json_chunks()) < 1_500_000
+    assert _stream_peak(s.iter_lines()) < 1_500_000
 
 
 # ---------------------------------------------------------------------------

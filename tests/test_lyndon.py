@@ -1,5 +1,7 @@
 """Lyndon words, Hall trees, Hall polynomials, and the PBW basis."""
 
+import hashlib
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -28,6 +30,7 @@ from hopftrees.lyndon_hall import (
     lyndon_factorize,
     lyndon_generate,
     lyndon_poly_decompose,
+    lyndon_words,
     pbw_element,
     shuffle_monomial,
     word_less,
@@ -145,6 +148,51 @@ def test_lyndon_generate_matches_the_filter_over_all_words(n):
                 for w in words_of_weight(k) if is_lyndon(w)]
     expected.sort(key=lambda w: (w.weight, alpha_key(w)))
     assert lyndon_generate(n) == expected
+
+
+def _sort_all_lyndon(max_weight):
+    """The Lyndon words of weight <= max_weight by one prenecklace search
+    over every weight at once, then a sort by (weight, alpha): the oracle
+    for the stream, which yields them in that order with no sort."""
+    out = []
+    stack = [((a,), 1, a) for a in range(1, max_weight + 1)]
+    while stack:
+        letters, p, weight = stack.pop()
+        t = len(letters)
+        if p == t:
+            out.append(Word(letters))
+        ref = letters[t - p]
+        for b in range(1, min(ref, max_weight - weight) + 1):
+            stack.append((letters + (b,), p if b == ref else t + 1, weight + b))
+    out.sort(key=lambda w: (w.weight, alpha_key(w)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_lyndon_stream_matches_the_sort_all_oracle(n):
+    expected = _sort_all_lyndon(n)
+    assert list(lyndon_words(n)) == expected
+    assert lyndon_generate(n) == expected
+
+
+def test_lyndon_stream_digest_matches_the_oracle_at_weight_18():
+    def digest(ws):
+        return hashlib.sha256("".join(f"{w}\n" for w in ws).encode()).hexdigest()
+
+    assert digest(lyndon_words(18)) == digest(_sort_all_lyndon(18))
+
+
+@pytest.mark.parametrize("n", [14, 18])
+def test_lyndon_stream_holds_no_list(n):
+    # under 2 KB at both weights; lyndon_generate peaks at 265 KB at 14
+    tracemalloc.start()
+    try:
+        for _ in lyndon_words(n):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000, peak
 
 
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=10))

@@ -47,6 +47,7 @@ from hopftrees.trees import (
     EMPTY_PLANAR_FOREST,
     Forest,
     PlanarForest,
+    PlanarTree,
     bbr_parse,
     bplus,
     enumerate_forests,
@@ -65,7 +66,7 @@ from hopftrees.trees import (
     pleaf,
     strip_root,
 )
-from hopftrees.words import EMPTY_WORD, concat, deconcat, word
+from hopftrees.words import EMPTY_WORD, ZERO, _shuffle_table, concat, deconcat, word
 from hopftrees.morphisms import pi
 
 L2 = ladder(2)
@@ -395,6 +396,20 @@ def test_diamond_shuffles_root_branches():
     b = bbr_parse("<<>>")
     got = planar_diamond(a, b)
     assert got == tf(bbr_parse("<><<>>")) + tf(bbr_parse("<<>><>"))
+
+
+def _diamond_on_branches(t, s):
+    """The branch shuffle with the root branches themselves as table items."""
+    return LinComb((PlanarTree(None, seq), c)
+                   for seq, c in _shuffle_table(t.children, s.children, ZERO).items())
+
+
+def test_diamond_by_branch_indices_matches_the_branch_table():
+    trees = [t for n in range(1, 6) for t in enumerate_planar_trees(n)]
+    for a, b in itertools.product(trees, repeat=2):
+        assert planar_diamond(a, b) == _diamond_on_branches(a, b), (a, b)
+    repeated = bbr_parse("<><><<>>")
+    assert planar_diamond(repeated, repeated) == _diamond_on_branches(repeated, repeated)
 
 
 def test_diamond_coproduct_deconcatenates_branches():

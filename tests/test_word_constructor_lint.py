@@ -20,7 +20,7 @@ ALLOWED = {
     ("words.py", "compose_word"),
     ("words.py", "word_antipode"),
     ("trees.py", "linear_extensions"),
-    ("lyndon_hall.py", "lyndon_generate"),
+    ("lyndon_hall.py", "lyndon_words"),
 }
 
 
