@@ -217,8 +217,16 @@ def _add_image(data: dict, image: Any, scale: Scalar) -> None:
     basis element standing for itself) into data."""
     if isinstance(image, LinComb):
         _accumulate(data, image._terms.items(), scale)
+        return
+    old = data.get(image)
+    if old is None:
+        data[image] = scale
     else:
-        _accumulate(data, ((image, scale),))
+        acc = old + scale
+        if acc:
+            data[image] = acc
+        else:
+            del data[image]
 
 
 def _accumulate(data: dict, terms: Iterable[tuple[Any, Scalar]], scale: Scalar = 1) -> None:
@@ -229,9 +237,10 @@ def _accumulate(data: dict, terms: Iterable[tuple[Any, Scalar]], scale: Scalar =
     LinComb body.
     """
     get = data.get
-    if scale != 1:
-        terms = ((b, scale * c) for b, c in terms)
+    scaled = scale != 1
     for b, c in terms:
+        if scaled:
+            c = scale * c
         old = get(b)
         if old is None:
             data[b] = c

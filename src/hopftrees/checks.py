@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .algebra import LinComb, Tensor, lincomb_tensor, splice_at
+from .algebra import LinComb, Tensor, _accumulate, _wrap, lincomb_tensor
 from .lyndon_hall import hall_axiom_counterexamples
-from .morphisms import (DIAGRAMS, composition_str, diagram_check, kernel_generators,
-                        parse_composition, pi, qsym_antipode, qsym_product)
+from .morphisms import (DIAGRAMS, _e_decompose, composition_str, diagram_check,
+                        kernel_generators, parse_composition, pi, qsym_antipode,
+                        qsym_product)
 from .singular_frame import (alphaU, alphaU_extension_sum, betaU, frame_coefficient,
                              iterated_integral, prop53_counterexample)
 from .tree_hopf import (GL_UNIT_TREE, ck_antipode, ck_gl_dual, ck_product,
@@ -98,12 +99,27 @@ ALGEBRAS: dict[str, HopfAlgebra] = {
 def _hopf_rows(tag: str, elements: Sequence, cop, antipode, product,
                unit_elem) -> list[CheckRow]:
     """Coassociativity, the counit laws and the antipode law on each
-    element; a failing row names the element and every side."""
+    element; a failing row names the element and every side.
+
+    Each side of the coassociativity and antipode laws is summed into one
+    dict per element, keyed by tuples of basis elements or by basis
+    elements, with cop and antipode called on basis elements and product
+    on one antipode and one basis element per split; the coassociativity
+    sides become LinCombs of Tensors, to be printed, only at an element
+    where they differ."""
 
     def coassoc():
         for u in elements:
-            d = cop(u)
-            yield {"u": u}, splice_at(d, 0, cop), splice_at(d, 1, cop)
+            left: dict = {}
+            right: dict = {}
+            for t, c in cop(u).items():
+                a, b = t.parts
+                _accumulate(left, ((s.parts + (b,), c2) for s, c2 in cop(a).items()), c)
+                _accumulate(right, (((a,) + s.parts, c2) for s, c2 in cop(b).items()), c)
+            if left != right:
+                left, right = (LinComb((Tensor(k), c) for k, c in side.items())
+                               for side in (left, right))
+            yield {"u": u}, left, right
 
     def counit():
         for u in elements:
@@ -113,11 +129,15 @@ def _hopf_rows(tag: str, elements: Sequence, cop, antipode, product,
 
     def antipode_law():
         for u in elements:
-            splits = [(LinComb.term(t.parts[0]), LinComb.term(t.parts[1]), c)
-                      for t, c in cop(u).items()]
-            yield ({"u": u}, LinComb.sum((product(antipode(a), b), c) for a, b, c in splits),
+            left: dict = {}
+            right: dict = {}
+            for t, c in cop(u).items():
+                a, b = t.parts
+                _accumulate(left, product(antipode(a), b).items(), c)
+                _accumulate(right, product(a, antipode(b)).items(), c)
+            yield ({"u": u}, _wrap(left),
                    LinComb.term(unit_elem) if u == unit_elem else LinComb.zero(),
-                   LinComb.sum((product(a, antipode(b)), c) for a, b, c in splits))
+                   _wrap(right))
 
     return [
         _agreement_row(f"hopf/{tag}-coassoc", "element",
@@ -299,14 +319,20 @@ def suite_pi_kernel(max_weight: int = 5) -> list[CheckRow]:
 # commuting diagrams
 
 def suite_diagrams(max_weight: int = 4) -> list[CheckRow]:
+    """Both routes of every diagram on its probes.  Routes that decompose
+    the same symmetric element (thm5 and propdiag on alpha3 of a probe, the
+    two sides of hex1) share one decomposition, memoized for this call."""
     rows: list[CheckRow] = []
-    for name, spec in DIAGRAMS.items():
-        results = diagram_check(name, max_weight)
-        agree = sum(1 for r in results if r.ok)
-        detail = f"{agree}/{len(results)} probes agree"
-        rows.append(CheckRow(f"diagram/{name}",
-                             None if spec.report_only else agree == len(results),
-                             detail))
+    try:
+        for name, spec in DIAGRAMS.items():
+            results = diagram_check(name, max_weight)
+            agree = sum(1 for r in results if r.ok)
+            detail = f"{agree}/{len(results)} probes agree"
+            rows.append(CheckRow(f"diagram/{name}",
+                                 None if spec.report_only else agree == len(results),
+                                 detail))
+    finally:
+        _e_decompose.cache_clear()
     return rows
 
 
@@ -376,7 +402,7 @@ SUITES: dict[str, Callable[[int], list[CheckRow]]] = {
 # of three runs took under 60 s and 512 MB peak RSS on a 2-core x86_64
 # machine (times in CHANGES.md; one run can land on either side of the
 # rule on a shared machine).  "all" runs up to the smallest of them.
-MAX_WEIGHTS: dict[str, int] = {"hopf-axioms": 8, "duality": 8, "pi-kernel": 8,
+MAX_WEIGHTS: dict[str, int] = {"hopf-axioms": 9, "duality": 8, "pi-kernel": 8,
                                "diagrams": 9, "prop53": 11}
 
 

@@ -217,11 +217,18 @@ def sym_e_decompose(x: LinComb) -> list[tuple[tuple[int, ...], Scalar]]:
     """Write a symmetric element of QSYM in the elementary basis.
 
     Solved exactly per weight class; raises if some graded piece lies
-    outside the span (i.e. the input is not symmetric).
+    outside the span (i.e. the input is not symmetric).  Each element's
+    decomposition is memoized until clear_caches(), or the end of a
+    checks.suite_diagrams call, empties the memo.
     """
+    return list(_e_decompose(frozenset(x.items())))
+
+
+@lru_cache(maxsize=None)
+def _e_decompose(terms: frozenset) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
     out: list[tuple[tuple[int, ...], Scalar]] = []
     by_weight: dict[int, list] = {}
-    for c, v in x.items():
+    for c, v in terms:
         by_weight.setdefault(c.weight, []).append((c, v))
     for n in sorted(by_weight):
         target = LinComb(by_weight[n])
@@ -233,7 +240,7 @@ def sym_e_decompose(x: LinComb) -> list[tuple[tuple[int, ...], Scalar]]:
         if sol is None:
             raise ValueError(f"not a symmetric element: {target}")
         out.extend((mu, c) for mu, c in zip(mus, sol) if c)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ Four structures are implemented:
 * the ordered-forest variant of the cut coproduct with the concatenation
   product (selector ``foissy``); one cut core (tree splits, forest
   coproduct, product and antipode) serves ordered and unordered forests,
-  reading the forest type off its argument;
+  reading the forest type off its argument.  A forest's coproduct is built
+  from its trees' memoized split tables in one dict, and the core's
+  coproduct and antipode return a basis argument's memoized LinComb itself;
 * the root-branch shuffle product with deconcatenation of branches on
   planar trees (selector ``planar``).
 
@@ -36,7 +38,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Mapping
 
-from .algebra import (LinComb, Scalar, Tensor, as_fraction, functional_convolve,
+from .algebra import (LinComb, Scalar, Tensor, _wrap, as_fraction, functional_convolve,
                       lincomb_tensor, recursive_antipode)
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,
                     PlanarTree, RootedTree, admissible_cuts, bplus, forest_mul, leaf,
@@ -98,17 +100,27 @@ def _tree_coproduct(t: RootedTree | PlanarTree) -> LinComb:
 @lru_cache(maxsize=None)
 def coproduct_forest(u: Forest | PlanarForest) -> LinComb:
     """Coproduct of a basis forest, as a sum of Forest (x) Forest tensors
-    (PlanarForest tensors for an ordered forest)."""
-    unit = type(u)(())
-    total = LinComb.term(Tensor((unit, unit)))
+    (PlanarForest tensors for an ordered forest): the product of its trees'
+    split tables, multiplied out in one dict keyed by the (pruned trees,
+    trunks) tuples, so each forest and tensor is built once per term."""
+    splits: dict[tuple[tuple, tuple], int] = {((), ()): 1}
     for t in u.trees:
-        total = total.bilinear(_tree_coproduct(t), lambda a, b: Tensor(
-            (forest_mul(a.parts[0], b.parts[0]), forest_mul(a.parts[1], b.parts[1]))))
-    return total
+        grown: dict[tuple[tuple, tuple], int] = {}
+        for (pruned, trunks), m in splits.items():
+            for p, r, mult in _tree_splits(t):
+                key = (pruned + p.trees, trunks if r is None else trunks + (r,))
+                grown[key] = grown.get(key, 0) + m * mult
+        splits = grown
+    forest = type(u)
+    terms: dict[tuple, int] = {}
+    for (pruned, trunks), m in splits.items():
+        key = (forest(pruned), forest(trunks))
+        terms[key] = terms.get(key, 0) + m
+    return _wrap({Tensor(key): m for key, m in terms.items()})
 
 
 def ck_coproduct(x: LinComb | Forest | PlanarForest) -> LinComb:
-    return LinComb.lift(x).map_basis(coproduct_forest)
+    return x.map_basis(coproduct_forest) if isinstance(x, LinComb) else coproduct_forest(x)
 
 
 def ck_counit(x: LinComb | Forest | PlanarForest) -> Scalar:
@@ -133,11 +145,35 @@ def _antipode_forest(u: Forest | PlanarForest) -> LinComb:
                               forest(()))
 
 
+# The most edges of a forest whose antipode ck_antipode computes, per
+# forest class.  Its antipode has at most 2^edges terms, one per set of
+# edges cut; ordered ladders reach that bound, and unordered ladders have
+# p(vertices) terms.  Each limit is the edge count of the largest ladder
+# whose antipode took under 60 s and 512 MB peak RSS, median of three CLI
+# runs on a 2-core x86_64 machine (runs in CHANGES.md).  An unordered tree
+# of another shape can have many more terms than the ladder of its size.
+MAX_ANTIPODE_EDGES: dict[type, int] = {Forest: 45, PlanarForest: 18}
+
+
+def _refuse_large_antipode(u: Forest | PlanarForest) -> None:
+    edges = u.size - len(u.trees)
+    limit = MAX_ANTIPODE_EDGES[type(u)]
+    if edges > limit:
+        raise ValueError(f"the antipode of a forest with {edges} edges, 2^{edges} edge cuts, "
+                         f"is refused; the limit is {limit} edges")
+
+
 def ck_antipode(x: LinComb | Forest | PlanarForest) -> LinComb:
     """Antipode: S(t) = -t - sum S(pruned) * trunk, extended to forests by
     S(t_1 ... t_k) = S(t_k) ... S(t_1), an antihomomorphism on ordered
-    forests and the multiplicative extension on unordered ones."""
-    return LinComb.lift(x).map_basis(_antipode_forest)
+    forests and the multiplicative extension on unordered ones.  A forest
+    over MAX_ANTIPODE_EDGES is refused before any term is computed."""
+    if not isinstance(x, LinComb):
+        _refuse_large_antipode(x)
+        return _antipode_forest(x)
+    for u, _ in x.items():
+        _refuse_large_antipode(u)
+    return x.map_basis(_antipode_forest)
 
 
 def cut_coproduct_tree(t: RootedTree) -> LinComb:
@@ -262,18 +298,33 @@ def pair_gl_ck(x: LinComb | RootedTree, y: LinComb | Forest) -> Scalar:
 # ---------------------------------------------------------------------------
 # planar trees: root-branch shuffle and branch deconcatenation
 
+# The most vertices, summed over its terms, that a product of two planar
+# trees may have: each of its distinct branch shuffles is one tree over
+# all |t| + |s| - 2 branch vertices and a new root.  Just under it, 9 + 9
+# distinct ladder branches of 14-31 vertices (48,620 terms of 406
+# vertices, 41 MB printed) took 17-19 s and 141 MB peak RSS on a 2-core
+# x86_64 machine, as long as the heaviest table under MAX_SHUFFLE_ITEMS.
+MAX_PLANAR_PRODUCT_VERTICES = 20_000_000
+
+
 def planar_diamond(x: LinComb | PlanarTree, y: LinComb | PlanarTree) -> LinComb:
     """Shuffle the root-branch sequences of the two trees under an unlabeled
     root.  Both root labels are dropped without a check (``f1`` times
     ``f2`` is ``[]``), though the antipode refuses a labeled root.  The
     table shuffles int indices, equal branches sharing one, so that its
-    cells hash ints rather than trees."""
+    cells hash ints rather than trees.  A pair of trees whose terms would
+    hold more than MAX_PLANAR_PRODUCT_VERTICES vertices in all is refused
+    once the table is filled, before any term is built."""
 
     def on_pair(t: PlanarTree, s: PlanarTree) -> LinComb:
         index = {b: i for i, b in enumerate(dict.fromkeys(t.children + s.children))}
         branches = tuple(index)
         table = _shuffle_table(tuple(map(index.__getitem__, t.children)),
                                tuple(map(index.__getitem__, s.children)), ZERO)
+        size = t.size + s.size - 1
+        if len(table) * size > MAX_PLANAR_PRODUCT_VERTICES:
+            raise ValueError(f"a product of {len(table)} terms of {size} vertices is refused; "
+                             f"the limit is {MAX_PLANAR_PRODUCT_VERTICES} vertices in all")
         return LinComb((PlanarTree(None, tuple(map(branches.__getitem__, seq))), c)
                        for seq, c in table.items())
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hopftrees import checks, lyndon_hall, singular_frame
-from hopftrees.algebra import LinComb, Tensor
+from hopftrees.algebra import LinComb, Tensor, splice_at
 from hopftrees.checks import CheckRow, suite_duality, suite_pi_kernel, suite_prop53
 from hopftrees.tree_hopf import (ck_antipode, ck_gl_pairing, ck_product,
                                  coproduct_forest, gl_coproduct, gl_product)
@@ -209,9 +209,46 @@ def test_a_wrong_iterated_integral_is_named(monkeypatch):
 SMALL_FORESTS = [f for n in range(4) for f in enumerate_forests(n)]
 
 
+def _hopf_rows_by_splicing(tag, elements, cop, antipode, product, unit_elem):
+    """The Hopf-axiom rows with each side built as whole LinCombs: splice_at
+    for coassociativity, LinComb.sum over the splits for the antipode law
+    (the route checks._hopf_rows took before it summed each side in one
+    dict)."""
+
+    def coassoc():
+        for u in elements:
+            d = cop(u)
+            yield {"u": u}, splice_at(d, 0, cop), splice_at(d, 1, cop)
+
+    def counit():
+        for u in elements:
+            splits = [(t.parts, c) for t, c in cop(u).items()]
+            yield ({"u": u}, LinComb((b, c) for (a, b), c in splits if a == unit_elem),
+                   LinComb.term(u), LinComb((a, c) for (a, b), c in splits if b == unit_elem))
+
+    def antipode_law():
+        for u in elements:
+            splits = [(LinComb.term(t.parts[0]), LinComb.term(t.parts[1]), c)
+                      for t, c in cop(u).items()]
+            yield ({"u": u}, LinComb.sum((product(antipode(a), b), c) for a, b, c in splits),
+                   LinComb.term(unit_elem) if u == unit_elem else LinComb.zero(),
+                   LinComb.sum((product(a, antipode(b)), c) for a, b, c in splits))
+
+    return [
+        checks._agreement_row(f"hopf/{tag}-coassoc", "element",
+                              ("(cop (x) id) cop u", "(id (x) cop) cop u"), coassoc()),
+        checks._agreement_row(f"hopf/{tag}-counit", "element",
+                              ("(eps (x) id) cop u", "u", "(id (x) eps) cop u"), counit()),
+        checks._agreement_row(f"hopf/{tag}-antipode", "element",
+                              ("m(S (x) id) cop u", "eps(u) 1", "m(id (x) S) cop u"),
+                              antipode_law()),
+    ]
+
+
 def test_a_wrong_antipode_is_named_with_both_sides_and_the_expected_unit():
-    rows = checks._hopf_rows("ck", SMALL_FORESTS, coproduct_forest, LinComb.lift,
-                             ck_product, EMPTY_FOREST)
+    args = ("ck", SMALL_FORESTS, coproduct_forest, LinComb.lift, ck_product, EMPTY_FOREST)
+    rows = checks._hopf_rows(*args)
+    assert rows == _hopf_rows_by_splicing(*args)
     assert rows == [
         CheckRow("hopf/ck-coassoc", True, "8 elements"),
         CheckRow("hopf/ck-counit", True, "8 elements"),
@@ -226,8 +263,9 @@ def test_a_wrong_coproduct_is_named_with_both_sides():
         d = coproduct_forest(u)
         return d - LinComb.term(Tensor((EMPTY_FOREST, u))) if u.trees else d
 
-    rows = checks._hopf_rows("ck", SMALL_FORESTS, no_unit_on_the_left, ck_antipode,
-                             ck_product, EMPTY_FOREST)
+    args = ("ck", SMALL_FORESTS, no_unit_on_the_left, ck_antipode, ck_product, EMPTY_FOREST)
+    rows = checks._hopf_rows(*args)
+    assert rows == _hopf_rows_by_splicing(*args)
     assert all(r.passed is False for r in rows)
     assert rows[0].detail == (
         "first failure at element 2: u=[] []: "
@@ -273,6 +311,13 @@ def test_every_registered_algebra_satisfies_the_hopf_axioms(name):
     assert [r.name for r in rows] == [f"hopf/{name}-{law}"
                                       for law in ("coassoc", "counit", "antipode")]
     assert all(r.passed for r in rows), [r for r in rows if not r.passed]
+
+
+@pytest.mark.parametrize("name", sorted(checks.ALGEBRAS))
+def test_the_rows_equal_the_splicing_route_on_every_registry_basis(name):
+    alg = checks.ALGEBRAS[name]
+    args = (name, REGISTRY_BASES[name], alg.coproduct, alg.antipode, alg.product, alg.unit)
+    assert checks._hopf_rows(*args) == _hopf_rows_by_splicing(*args)
 
 
 def test_qsym_with_the_shuffle_antipode_fails_only_its_antipode_row():
@@ -338,3 +383,33 @@ def test_one_wrong_pi_image_fails_the_rows_that_read_it(monkeypatch):
     assert rows["pi/universal-cocycle-lift"].passed is False
     assert "u=f1[f2]" in rows["pi/universal-cocycle-lift"].detail
     assert rows["pi/kernel-generators"].passed is True
+
+
+def test_the_diagrams_suite_decomposes_each_symmetric_element_once(monkeypatch):
+    from collections import Counter
+    from functools import lru_cache
+
+    from hopftrees import morphisms
+
+    calls, solved = Counter(), Counter()
+    decompose = morphisms.sym_e_decompose
+    inner = morphisms._e_decompose.__wrapped__
+
+    def counted_decompose(x):
+        calls[frozenset(x.items())] += 1
+        return decompose(x)
+
+    @lru_cache(maxsize=None)
+    def counted_inner(terms):
+        solved[terms] += 1
+        return inner(terms)
+
+    monkeypatch.setattr(morphisms, "sym_e_decompose", counted_decompose)
+    monkeypatch.setattr(morphisms, "_e_decompose", counted_inner)
+    monkeypatch.setattr(checks, "_e_decompose", counted_inner)
+    rows = checks.suite_diagrams(6)
+    assert (sum(calls.values()), len(calls)) == (184, 52)
+    assert solved == Counter(dict.fromkeys(calls, 1))
+    assert counted_inner.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert rows == checks.suite_diagrams(6)

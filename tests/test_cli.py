@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hopftrees import checks, cli
+from hopftrees import checks, cli, tree_hopf
 from hopftrees.checks import MAX_WEIGHTS, SUITES
 from hopftrees.cli import COMMAND_MAX_WEIGHTS, main
 from hopftrees.trees import MAX_PARSE_DEPTH
@@ -315,6 +315,78 @@ def test_antipode_refuses_a_word_over_the_contraction_limit(algebra, text, capsy
     assert out == ""
     assert err == ("error: a word of 21 letters, with 2^20 contractions, is refused; "
                    "the limit is 20 letters\n")
+
+
+def _ladder_text(n):
+    return "[" * n + "]" * n
+
+
+@pytest.mark.parametrize("algebra, limit", [("ck", 45), ("foissy", 18)])
+def test_antipode_refuses_a_ladder_over_the_edge_limit(algebra, limit, capsys):
+    assert tree_hopf.MAX_ANTIPODE_EDGES == {tree_hopf.Forest: 45, tree_hopf.PlanarForest: 18}
+    start = time.perf_counter()
+    assert main(["antipode", "--algebra", algebra, "--input", _ladder_text(limit + 2)]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: the antipode of a forest with {limit + 1} edges, "
+                   f"2^{limit + 1} edge cuts, is refused; the limit is {limit} edges\n")
+
+
+@pytest.mark.parametrize("algebra, terms", [("ck", 7), ("foissy", 16)])
+def test_antipode_just_inside_and_outside_a_lowered_edge_limit(algebra, terms, monkeypatch,
+                                                               capsys):
+    monkeypatch.setattr(tree_hopf, "MAX_ANTIPODE_EDGES",
+                        {tree_hopf.Forest: 4, tree_hopf.PlanarForest: 4})
+    assert main(["antipode", "--algebra", algebra, "--input", _ladder_text(5)]) == 0
+    out, err = capsys.readouterr()
+    assert (out.count("*"), err) == (terms, "")
+    assert main(["antipode", "--algebra", algebra, "--input", _ladder_text(6)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the antipode of a forest with 5 edges, 2^5 edge cuts, "
+                   "is refused; the limit is 4 edges\n")
+
+
+PLANAR_PAIR = ["product", "--algebra", "planar", "--input", "[[],[],[]]", "--input", "[[[]],[]]"]
+
+
+def test_planar_product_just_inside_and_outside_a_lowered_vertex_limit(monkeypatch, capsys):
+    # 4 distinct shuffles of the branches, each a tree of 4 + 4 - 1 vertices
+    monkeypatch.setattr(tree_hopf, "MAX_PLANAR_PRODUCT_VERTICES", 28)
+    assert main(PLANAR_PAIR) == 0
+    out, err = capsys.readouterr()
+    assert (out.count("*"), err) == (4, "")
+    monkeypatch.setattr(tree_hopf, "MAX_PLANAR_PRODUCT_VERTICES", 27)
+    assert main(PLANAR_PAIR) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: a product of 4 terms of 7 vertices is refused; "
+                   "the limit is 27 vertices in all\n")
+
+
+def _planar_text(branch_sizes):
+    return "[" + ",".join(_ladder_text(n) for n in branch_sizes) + "]"
+
+
+def test_planar_product_of_long_branches_is_refused_at_once(capsys):
+    # 8 + 8 distinct ladder branches of 150-165 vertices: 12,870 shuffles
+    # of 2,521 vertices each, 65 MB of output under the old branch count
+    t, s = _planar_text(range(150, 166, 2)), _planar_text(range(151, 166, 2))
+    start = time.perf_counter()
+    assert main(["product", "--algebra", "planar", "--input", t, "--input", s]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: a product of 12870 terms of 2521 vertices is refused; "
+                   "the limit is 20000000 vertices in all\n")
+
+
+def test_planar_product_of_equal_long_branches_is_one_term(capsys):
+    t = _planar_text([150] * 8)
+    assert main(["product", "--algebra", "planar", "--input", t, "--input", t]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("12870*" + _planar_text([150] * 16) + "\n", "")
 
 
 def test_shuffle_antipode_at_the_contraction_limit_is_one_term(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopftrees import clear_caches
+from hopftrees import checks, clear_caches, tree_hopf
 from hopftrees.algebra import LinComb, Tensor, lincomb_tensor, recursive_antipode, splice_at
 from hopftrees.tree_hopf import (
     GL_UNIT_TREE,
@@ -55,6 +55,7 @@ from hopftrees.trees import (
     enumerate_planar_trees,
     enumerate_trees,
     forest,
+    forest_mul,
     forget_order_forest,
     labeled_forests_up_to_weight,
     labeled_trees_of_weight,
@@ -63,6 +64,7 @@ from hopftrees.trees import (
     parse_tree,
     pbplus,
     planar_concat,
+    planar_ladder,
     pleaf,
     strip_root,
 )
@@ -138,6 +140,48 @@ def test_cut_coproduct_is_an_algebra_morphism(u, v):
              Forest(s.parts[1].trees + t.parts[1].trees))),
     )
     assert left == pairwise
+
+
+def _coproduct_by_bilinear_fold(u):
+    """The coproduct of a forest as the product of its trees' coproducts,
+    folded in one tree at a time through bilinear (the route coproduct_forest
+    took before it multiplied the split tables out in one dict)."""
+    unit = type(u)(())
+    total = LinComb.term(Tensor((unit, unit)))
+    for t in u.trees:
+        total = total.bilinear(tree_hopf._tree_coproduct(t), lambda a, b: Tensor(
+            (forest_mul(a.parts[0], b.parts[0]), forest_mul(a.parts[1], b.parts[1]))))
+    return total
+
+
+def test_coproduct_matches_the_bilinear_fold():
+    clear_caches()
+    forests = ([u for n in range(6) for u in enumerate_forests(n)]
+               + [u for n in range(6) for u in enumerate_planar_forests(n)]
+               + labeled_forests_up_to_weight(4))
+    for u in forests:
+        got, want = coproduct_forest(u), _coproduct_by_bilinear_fold(u)
+        assert got == want, u
+        assert all(type(c) is int for _, c in got.items()), u
+
+
+def test_a_memoized_result_is_unchanged_by_the_sums_it_enters():
+    clear_caches()
+    u = forest(CHERRY, leaf())
+    memoized = [ck_coproduct(u), ck_antipode(u), coproduct_forest(forest(leaf()))]
+    assert memoized[0] is coproduct_forest(u) and memoized[1] is ck_antipode(u)
+    before = [dict(x.items()) for x in memoized]
+    for x in memoized:
+        LinComb.sum([x, x, (x, -1), (x, Fraction(1, 2))])
+        _ = x + x, x - x, x + LinComb.zero(), -x, x.scale(3), x.combine(x, -1)
+        x.map_basis(lambda b: b)
+    ck_product(memoized[1], memoized[1])
+    ck_coproduct(memoized[1])
+    ck_antipode(LinComb.term(u, -2) + tf(forest(leaf())))
+    checks._hopf_rows("ck", [u, forest(leaf())], coproduct_forest, ck_antipode, ck_product,
+                      EMPTY_FOREST)
+    assert [dict(x.items()) for x in memoized] == before
+    assert memoized[0] is ck_coproduct(u) and memoized[1] is ck_antipode(u)
 
 
 def _cop_of(x):
@@ -679,6 +723,21 @@ def test_ordered_forest_antipode_reverses_the_trees():
             for t in u.trees:
                 want = ck_product(ck_antipode(PlanarForest((t,))), want)
             assert foissy_antipode(u) == want, u
+
+
+def test_antipodes_are_refused_by_edges_up_front(monkeypatch):
+    monkeypatch.setattr(tree_hopf, "MAX_ANTIPODE_EDGES", {Forest: 5, PlanarForest: 4})
+    assert len(ck_antipode(forest(ladder(6)))) == 11
+    assert len(ck_antipode(LinComb.term(forest(ladder(3), ladder(4))))) == 11
+    assert len(foissy_antipode(PlanarForest((planar_ladder(5),)))) == 16
+    for x in (forest(ladder(7)), forest(ladder(3), ladder(5)),
+              LinComb.term(forest(ladder(7))) + tf(EMPTY_FOREST)):
+        with pytest.raises(ValueError, match="forest with 6 edges, 2\\^6 edge cuts, is "
+                                             "refused; the limit is 5 edges"):
+            ck_antipode(x)
+    with pytest.raises(ValueError, match="the limit is 4 edges"):
+        foissy_antipode(PlanarForest((planar_ladder(6),)))
+    assert ck_antipode(Forest([leaf()] * 3000)) == tf(Forest([leaf()] * 3000))
 
 
 def test_antipode_of_a_wide_forest_does_not_recurse_per_tree():
