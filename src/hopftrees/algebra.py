@@ -217,16 +217,8 @@ def _add_image(data: dict, image: Any, scale: Scalar) -> None:
     basis element standing for itself) into data."""
     if isinstance(image, LinComb):
         _accumulate(data, image._terms.items(), scale)
-        return
-    old = data.get(image)
-    if old is None:
-        data[image] = scale
     else:
-        acc = old + scale
-        if acc:
-            data[image] = acc
-        else:
-            del data[image]
+        _accumulate(data, ((image, scale),))
 
 
 def _accumulate(data: dict, terms: Iterable[tuple[Any, Scalar]], scale: Scalar = 1) -> None:

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 from .algebra import LinComb, Tensor, _accumulate, _wrap, lincomb_tensor
 from .lyndon_hall import hall_axiom_counterexamples
-from .morphisms import (DIAGRAMS, _e_decompose, composition_str, diagram_check,
+from .morphisms import (DIAGRAMS, composition_str, diagram_check, diagram_checks,
                         kernel_generators, parse_composition, pi, qsym_antipode,
                         qsym_product)
 from .singular_frame import (alphaU, alphaU_extension_sum, betaU, frame_coefficient,
@@ -319,20 +319,15 @@ def suite_pi_kernel(max_weight: int = 5) -> list[CheckRow]:
 # commuting diagrams
 
 def suite_diagrams(max_weight: int = 4) -> list[CheckRow]:
-    """Both routes of every diagram on its probes.  Routes that decompose
-    the same symmetric element (thm5 and propdiag on alpha3 of a probe, the
-    two sides of hex1) share one decomposition, memoized for this call."""
+    """Both routes of every diagram on its probes, through diagram_checks,
+    which shares each symmetric decomposition between the routes."""
     rows: list[CheckRow] = []
-    try:
-        for name, spec in DIAGRAMS.items():
-            results = diagram_check(name, max_weight)
-            agree = sum(1 for r in results if r.ok)
-            detail = f"{agree}/{len(results)} probes agree"
-            rows.append(CheckRow(f"diagram/{name}",
-                                 None if spec.report_only else agree == len(results),
-                                 detail))
-    finally:
-        _e_decompose.cache_clear()
+    for name, results in diagram_checks(max_weight).items():
+        agree = sum(1 for r in results if r.ok)
+        detail = f"{agree}/{len(results)} probes agree"
+        rows.append(CheckRow(f"diagram/{name}",
+                             None if DIAGRAMS[name].report_only else agree == len(results),
+                             detail))
     return rows
 
 

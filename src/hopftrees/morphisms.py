@@ -213,19 +213,29 @@ def _e_solver(n: int) -> tuple[list[tuple[int, ...]], Callable[[LinComb], list[S
     return mus, span_solver(products)
 
 
+# The decompositions made inside one diagram_checks call, keyed by an
+# element's terms, so that routes of different diagrams decomposing the
+# same symmetric element solve it once; None outside such a call, where
+# nothing is kept.
+_shared_decompositions: dict | None = None
+
+
 def sym_e_decompose(x: LinComb) -> list[tuple[tuple[int, ...], Scalar]]:
     """Write a symmetric element of QSYM in the elementary basis.
 
     Solved exactly per weight class; raises if some graded piece lies
-    outside the span (i.e. the input is not symmetric).  Each element's
-    decomposition is memoized until clear_caches(), or the end of a
-    checks.suite_diagrams call, empties the memo.
+    outside the span (i.e. the input is not symmetric).
     """
-    return list(_e_decompose(frozenset(x.items())))
+    memo = _shared_decompositions
+    if memo is None:
+        return _e_decompose(x.items())
+    key = frozenset(x.items())
+    if key not in memo:
+        memo[key] = _e_decompose(key)
+    return list(memo[key])
 
 
-@lru_cache(maxsize=None)
-def _e_decompose(terms: frozenset) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
+def _e_decompose(terms: Iterable[tuple[Word, Scalar]]) -> list[tuple[tuple[int, ...], Scalar]]:
     out: list[tuple[tuple[int, ...], Scalar]] = []
     by_weight: dict[int, list] = {}
     for c, v in terms:
@@ -240,7 +250,7 @@ def _e_decompose(terms: frozenset) -> tuple[tuple[tuple[int, ...], Scalar], ...]
         if sol is None:
             raise ValueError(f"not a symmetric element: {target}")
         out.extend((mu, c) for mu, c in zip(mus, sol) if c)
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -641,3 +651,16 @@ def diagram_check(name: str, max_weight: int) -> list[DiagramRow]:
         rhs = spec.right(x, max_weight)
         rows.append(DiagramRow(label, lhs == rhs, spec.fmt(lhs), spec.fmt(rhs)))
     return rows
+
+
+def diagram_checks(max_weight: int) -> dict[str, list[DiagramRow]]:
+    """diagram_check on every diagram, in DIAGRAMS order.  Routes that
+    decompose the same symmetric element (thm5 and propdiag on alpha3 of a
+    probe, the two sides of hex1) share one decomposition, kept for this
+    call only."""
+    global _shared_decompositions
+    _shared_decompositions = {}
+    try:
+        return {name: diagram_check(name, max_weight) for name in DIAGRAMS}
+    finally:
+        _shared_decompositions = None

@@ -101,22 +101,22 @@ def _tree_coproduct(t: RootedTree | PlanarTree) -> LinComb:
 def coproduct_forest(u: Forest | PlanarForest) -> LinComb:
     """Coproduct of a basis forest, as a sum of Forest (x) Forest tensors
     (PlanarForest tensors for an ordered forest): the product of its trees'
-    split tables, multiplied out in one dict keyed by the (pruned trees,
-    trunks) tuples, so each forest and tensor is built once per term."""
-    splits: dict[tuple[tuple, tuple], int] = {((), ()): 1}
+    split tables, multiplied out in one dict keyed by (pruned, trunk)
+    forest pairs.  Keys are forests, sorted when unordered, so equal partial
+    terms merge after every tree (k copies of a tree keep polynomially many
+    keys), and each tensor is built once per distinct term."""
+    forest = type(u)
+    unit = forest(())
+    splits: dict[tuple, int] = {(unit, unit): 1}
     for t in u.trees:
-        grown: dict[tuple[tuple, tuple], int] = {}
+        grown: dict[tuple, int] = {}
         for (pruned, trunks), m in splits.items():
             for p, r, mult in _tree_splits(t):
-                key = (pruned + p.trees, trunks if r is None else trunks + (r,))
+                key = (forest_mul(pruned, p),
+                       trunks if r is None else forest(trunks.trees + (r,)))
                 grown[key] = grown.get(key, 0) + m * mult
         splits = grown
-    forest = type(u)
-    terms: dict[tuple, int] = {}
-    for (pruned, trunks), m in splits.items():
-        key = (forest(pruned), forest(trunks))
-        terms[key] = terms.get(key, 0) + m
-    return _wrap({Tensor(key): m for key, m in terms.items()})
+    return _wrap({Tensor(key): m for key, m in splits.items()})
 
 
 def ck_coproduct(x: LinComb | Forest | PlanarForest) -> LinComb:
@@ -151,7 +151,8 @@ def _antipode_forest(u: Forest | PlanarForest) -> LinComb:
 # p(vertices) terms.  Each limit is the edge count of the largest ladder
 # whose antipode took under 60 s and 512 MB peak RSS, median of three CLI
 # runs on a 2-core x86_64 machine (runs in CHANGES.md).  An unordered tree
-# of another shape can have many more terms than the ladder of its size.
+# of another shape can have many more terms than the ladder of its size, so
+# under the unordered limit the edge count is no bound on run time.
 MAX_ANTIPODE_EDGES: dict[type, int] = {Forest: 45, PlanarForest: 18}
 
 
@@ -159,8 +160,8 @@ def _refuse_large_antipode(u: Forest | PlanarForest) -> None:
     edges = u.size - len(u.trees)
     limit = MAX_ANTIPODE_EDGES[type(u)]
     if edges > limit:
-        raise ValueError(f"the antipode of a forest with {edges} edges, 2^{edges} edge cuts, "
-                         f"is refused; the limit is {limit} edges")
+        raise ValueError(f"the antipode of a forest with {edges} edges is refused; "
+                         f"the limit is {limit} edges")
 
 
 def ck_antipode(x: LinComb | Forest | PlanarForest) -> LinComb:

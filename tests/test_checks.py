@@ -387,29 +387,29 @@ def test_one_wrong_pi_image_fails_the_rows_that_read_it(monkeypatch):
 
 def test_the_diagrams_suite_decomposes_each_symmetric_element_once(monkeypatch):
     from collections import Counter
-    from functools import lru_cache
 
     from hopftrees import morphisms
 
     calls, solved = Counter(), Counter()
-    decompose = morphisms.sym_e_decompose
-    inner = morphisms._e_decompose.__wrapped__
+    decompose, inner = morphisms.sym_e_decompose, morphisms._e_decompose
 
     def counted_decompose(x):
         calls[frozenset(x.items())] += 1
         return decompose(x)
 
-    @lru_cache(maxsize=None)
     def counted_inner(terms):
-        solved[terms] += 1
+        solved[frozenset(terms)] += 1
         return inner(terms)
 
     monkeypatch.setattr(morphisms, "sym_e_decompose", counted_decompose)
     monkeypatch.setattr(morphisms, "_e_decompose", counted_inner)
-    monkeypatch.setattr(checks, "_e_decompose", counted_inner)
     rows = checks.suite_diagrams(6)
     assert (sum(calls.values()), len(calls)) == (184, 52)
     assert solved == Counter(dict.fromkeys(calls, 1))
-    assert counted_inner.cache_info().currsize == 0
+    assert morphisms._shared_decompositions is None
+    solved.clear()
+    x = morphisms.m_lambda((2, 1))
+    assert decompose(x) == decompose(x)
+    assert solved == Counter({frozenset(x.items()): 2})
     monkeypatch.undo()
     assert rows == checks.suite_diagrams(6)

@@ -329,8 +329,8 @@ def test_antipode_refuses_a_ladder_over_the_edge_limit(algebra, limit, capsys):
     assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (f"error: the antipode of a forest with {limit + 1} edges, "
-                   f"2^{limit + 1} edge cuts, is refused; the limit is {limit} edges\n")
+    assert err == (f"error: the antipode of a forest with {limit + 1} edges is refused; "
+                   f"the limit is {limit} edges\n")
 
 
 @pytest.mark.parametrize("algebra, terms", [("ck", 7), ("foissy", 16)])
@@ -344,8 +344,8 @@ def test_antipode_just_inside_and_outside_a_lowered_edge_limit(algebra, terms, m
     assert main(["antipode", "--algebra", algebra, "--input", _ladder_text(6)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("error: the antipode of a forest with 5 edges, 2^5 edge cuts, "
-                   "is refused; the limit is 4 edges\n")
+    assert err == ("error: the antipode of a forest with 5 edges is refused; "
+                   "the limit is 4 edges\n")
 
 
 PLANAR_PAIR = ["product", "--algebra", "planar", "--input", "[[],[],[]]", "--input", "[[[]],[]]"]

@@ -1,6 +1,7 @@
 """Cut, attachment, and planar Hopf structures on trees."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,20 @@ def test_coproduct_matches_the_bilinear_fold():
         got, want = coproduct_forest(u), _coproduct_by_bilinear_fold(u)
         assert got == want, u
         assert all(type(c) is int for _, c in got.items()), u
+
+
+def test_coproduct_of_many_equal_trees_merges_its_partial_terms():
+    # Unmerged, the partial terms of 20 copies of [[]] would number in the
+    # millions, one per ordering of each pruned and trunk multiset.
+    clear_caches()
+    cherry_ish = parse_tree("[[],[[]]]")
+    for u in (Forest([parse_tree("[[]]")] * 20),
+              Forest([parse_tree("[[]]"), cherry_ish] * 6)):
+        start = time.perf_counter()
+        got = coproduct_forest(u)
+        assert time.perf_counter() - start < 2.0, u
+        assert got == _coproduct_by_bilinear_fold(u), u
+    assert len(coproduct_forest(Forest([parse_tree("[[]]")] * 20))) == 231
 
 
 def test_a_memoized_result_is_unchanged_by_the_sums_it_enters():
@@ -732,8 +747,8 @@ def test_antipodes_are_refused_by_edges_up_front(monkeypatch):
     assert len(foissy_antipode(PlanarForest((planar_ladder(5),)))) == 16
     for x in (forest(ladder(7)), forest(ladder(3), ladder(5)),
               LinComb.term(forest(ladder(7))) + tf(EMPTY_FOREST)):
-        with pytest.raises(ValueError, match="forest with 6 edges, 2\\^6 edge cuts, is "
-                                             "refused; the limit is 5 edges"):
+        with pytest.raises(ValueError, match="forest with 6 edges is refused; "
+                                             "the limit is 5 edges"):
             ck_antipode(x)
     with pytest.raises(ValueError, match="the limit is 4 edges"):
         foissy_antipode(PlanarForest((planar_ladder(6),)))
