@@ -538,8 +538,6 @@ class DiagramRow:
 
 @dataclass
 class DiagramSpec:
-    name: str
-    description: str
     probes: Callable[[int], list[tuple[str, LinComb]]]
     left: Callable[[LinComb, int], LinComb]
     right: Callable[[LinComb, int], LinComb]
@@ -581,46 +579,34 @@ def _fmt_qsym(x: LinComb) -> str:
 
 DIAGRAMS: dict[str, DiagramSpec] = {
     "thm5": DiagramSpec(
-        name="thm5",
-        description="ladder square: forests from NSYM two ways",
         probes=lambda n: _word_probes(n, zword_str),
         left=lambda x, n: alpha2(alpha1(x)),
         right=lambda x, n: alpha4(alpha3(x)),
     ),
     "thm5-dual": DiagramSpec(
-        name="thm5-dual",
-        description="dual ladder square: QSYM from trees two ways",
         probes=_gl_tree_probes,
         left=lambda x, n: alpha4_star(x),
         right=lambda x, n: alpha1_star(alpha2_star(x)),
         fmt=_fmt_qsym,
     ),
     "propdiag": DiagramSpec(
-        name="propdiag",
-        description="truncated lift square: words from NSYM two ways",
         probes=lambda n: _word_probes(n, zword_str),
         left=lambda x, n: beta2(beta1(x), n),
         right=lambda x, n: beta4(alpha3(x), n),
     ),
     "propdiag-dual": DiagramSpec(
-        name="propdiag-dual",
-        description="dual lift square on generators: QSYM from e-letters",
         probes=_eletter_probes,
         left=lambda x, n: x.map_basis(_beta4_star_word),
         right=lambda x, n: alpha1_star(x.map_basis(_beta2_star_word)),
         fmt=_fmt_qsym,
     ),
     "hex1": DiagramSpec(
-        name="hex1",
-        description="hexagon through the words: rho after alpha4 vs beta4",
         probes=_mlambda_probes,
         left=lambda x, n: rho(alpha4(x), n),
         right=lambda x, n: beta4(x, n),
         report_only=True,
     ),
     "hex2": DiagramSpec(
-        name="hex2",
-        description="dual hexagon: alpha4* after rho* vs multiplicative beta4*",
         probes=lambda n: _word_probes(n, eword_str),
         left=lambda x, n: alpha4_star(rho_star(x)),
         right=lambda x, n: x.map_basis(_beta4_star_word),

@@ -2,26 +2,25 @@
 
 Four structures are implemented:
 
-* the commutative cut coproduct algebra on forests (selector ``ck``), where
-  the coproduct of a tree sums pruned-forest (x) trunk over admissible cuts
-  and extends multiplicatively; on labeled forests the same sum is the one
-  over vertex bipartitions whose right part is closed under taking parents;
+* the commutative cut coproduct algebra on forests (selector ``ck``), fixed
+  by its 1-cocycle identity Delta B+_a = B+_a (x) 1 + (id (x) B+_a) Delta
+  and extended multiplicatively: ``_split_product`` alone multiplies split
+  tables out, for the trees of a forest and the branches of a tree;
 * its graded dual with the vertex-attachment product (selector ``gl``),
   whose basis trees pair with forests by stripping the root;
-* the ordered-forest variant of the cut coproduct with the concatenation
-  product (selector ``foissy``); one cut core (tree splits, forest
+* the ordered-forest variant with the concatenation product (selector
+  ``foissy``), under the same identity; one cut core (tree splits, forest
   coproduct, product and antipode) serves ordered and unordered forests,
-  reading the forest type off its argument.  A forest's coproduct is built
-  from its trees' memoized split tables in one dict, and the core's
-  coproduct and antipode return a basis argument's memoized LinComb itself;
+  reading the forest type off its argument, and its coproduct and antipode
+  return a basis argument's memoized LinComb itself;
 * the root-branch shuffle product with deconcatenation of branches on
   planar trees (selector ``planar``).
 
-The cut and attachment antipodes are ``algebra.recursive_antipode`` fed
-with the structure's own coproduct and product: the cut one is memoized per
-forest, over the splits of one tree and (anti)multiplicatively over halves
-of a longer forest; the attachment one recurses on the branch splits of an
-unlabeled root.  The branch-shuffle antipode is in closed form.
+The cut antipode, memoized per forest, is S(t) = -sum S(P) R over the
+splits of a tree that keep a trunk R, (anti)multiplicative over halves of a
+longer forest.  The attachment antipode is ``algebra.recursive_antipode``
+over the branch splits of an unlabeled root; the branch-shuffle antipode is
+in closed form.
 
 Functionals on forests come in two flavours (characters, multiplicative;
 infinitesimal characters, Leibniz) with convolution exponentials, plus the
@@ -53,70 +52,61 @@ def ck_product(x: LinComb | Forest | PlanarForest, y: LinComb | Forest | PlanarF
     return LinComb.lift(x).bilinear(LinComb.lift(y), forest_mul)
 
 
-@lru_cache(maxsize=None)
-def _tree_splits(t: RootedTree | PlanarTree) -> tuple[tuple[Forest, RootedTree | None, int], ...]:
-    """Splits of one tree into (pruned forest, trunk or None), with counts.
-
-    A split either prunes the whole tree (trunk None) or keeps the root and
-    splits each branch independently; this enumerates the trivial terms plus
-    all admissible cuts in one pass, and the bipartition form on labeled
-    forests is the multiplicative extension of the same sum.  Planar trees
-    split into ordered pruned forests and planar trunks, in branch order.
-    """
-    tree = type(t)
-    forest = tree.forest_class
-    acc: dict[tuple[Forest, RootedTree | None], int] = {}
-    acc[(forest((t,)), None)] = 1
-    per_child = []
-    for c in t.children:
-        options: dict[tuple[Forest, RootedTree | None], int] = {}
-        for pruned, trunk, mult in _tree_splits(c):
-            key = (pruned, trunk)
-            options[key] = options.get(key, 0) + mult
-        per_child.append(list(options.items()))
-    for combo in itertools.product(*per_child):
-        pruned_trees: tuple = ()
-        kept = []
-        mult = 1
-        for (p, trunk), m in combo:
-            pruned_trees += p.trees
-            if trunk is not None:
-                kept.append(trunk)
-            mult *= m
-        key = (forest(pruned_trees), tree(t.label, kept))
-        acc[key] = acc.get(key, 0) + mult
-    return tuple((p, r, m) for (p, r), m in acc.items())
+# The most distinct terms a split table may reach while it is multiplied
+# out.  A coproduct has at least as many terms as the table of any prefix
+# of its forest or of a tree's branch forest, so blow-up in trees and
+# forests alike is refused before the full table is built.  The limit is
+# set on the heaviest shape measured per term, bushy unordered trees, by
+# the median of three CLI runs on a 2-core x86_64 machine: a 262,085-term
+# table took 21.6 s and 511 MB peak RSS, and a 275,759-term one took
+# 540 MB (runs in CHANGES.md).  A tree on a long stem builds one trunk
+# vertex per stem vertex per term, so it can pass 512 MB under the limit.
+MAX_SPLIT_TERMS = 2 ** 18
 
 
-def _tree_coproduct(t: RootedTree | PlanarTree) -> LinComb:
-    """Coproduct of one tree, pruned forest (x) trunk as a one-tree forest
-    (the unit forest when the whole tree is pruned)."""
-    forest = type(t).forest_class
-    unit = forest(())
-    return LinComb((Tensor((pruned, unit if trunk is None else forest((trunk,)))), mult)
-                   for pruned, trunk, mult in _tree_splits(t))
-
-
-@lru_cache(maxsize=None)
-def coproduct_forest(u: Forest | PlanarForest) -> LinComb:
-    """Coproduct of a basis forest, as a sum of Forest (x) Forest tensors
-    (PlanarForest tensors for an ordered forest): the product of its trees'
-    split tables, multiplied out in one dict keyed by (pruned, trunk)
+def _split_product(trees: Iterable[RootedTree | PlanarTree],
+                   forest: type) -> dict[tuple[Forest, Forest], int]:
+    """The splits of the forest of the given trees: the product of their
+    split tables, multiplied out in one dict keyed by (pruned, trunks)
     forest pairs.  Keys are forests, sorted when unordered, so equal partial
     terms merge after every tree (k copies of a tree keep polynomially many
-    keys), and each tensor is built once per distinct term."""
-    forest = type(u)
+    keys).  A table over MAX_SPLIT_TERMS terms is refused."""
     unit = forest(())
-    splits: dict[tuple, int] = {(unit, unit): 1}
-    for t in u.trees:
-        grown: dict[tuple, int] = {}
+    splits: dict[tuple[Forest, Forest], int] = {(unit, unit): 1}
+    for t in trees:
+        grown: dict[tuple[Forest, Forest], int] = {}
         for (pruned, trunks), m in splits.items():
             for p, r, mult in _tree_splits(t):
                 key = (forest_mul(pruned, p),
                        trunks if r is None else forest(trunks.trees + (r,)))
                 grown[key] = grown.get(key, 0) + m * mult
+            if len(grown) > MAX_SPLIT_TERMS:
+                raise ValueError(f"a coproduct of more than {MAX_SPLIT_TERMS} terms is refused")
         splits = grown
-    return _wrap({Tensor(key): m for key, m in splits.items()})
+    return splits
+
+
+@lru_cache(maxsize=None)
+def _tree_splits(t: RootedTree | PlanarTree) -> tuple[tuple[Forest, RootedTree | None, int], ...]:
+    """Splits of one tree into (pruned forest, trunk or None), with counts,
+    by the 1-cocycle identity: the splits of B+_a(u) are (B+_a(u), None),
+    the whole tree pruned, and (P, B+_a(R)) for each split (P, R) of the
+    branch forest u.  These are the trivial terms plus every admissible
+    cut, and on labeled forests the vertex bipartitions whose right part is
+    closed under taking parents.  Planar trees split into ordered pruned
+    forests and planar trunks, in branch order."""
+    tree = type(t)
+    return ((tree.forest_class((t,)), None, 1),) + tuple(
+        (pruned, tree(t.label, trunks.trees), m)
+        for (pruned, trunks), m in _split_product(t.children, tree.forest_class).items())
+
+
+@lru_cache(maxsize=None)
+def coproduct_forest(u: Forest | PlanarForest) -> LinComb:
+    """Coproduct of a basis forest, as a sum of Forest (x) Forest tensors
+    (PlanarForest tensors for an ordered forest): its split table, each
+    tensor built once per distinct term."""
+    return _wrap({Tensor(key): m for key, m in _split_product(u.trees, type(u)).items()})
 
 
 def ck_coproduct(x: LinComb | Forest | PlanarForest) -> LinComb:
@@ -131,9 +121,10 @@ def ck_counit(x: LinComb | Forest | PlanarForest) -> Scalar:
 
 @lru_cache(maxsize=None)
 def _antipode_forest(u: Forest | PlanarForest) -> LinComb:
-    """S(u) for a basis forest, memoized per forest: the recursion over the
-    splits of a single tree, and S(ab) = S(b) S(a) on a forest of k > 1
-    trees split into halves a and b, so the depth grows as log k."""
+    """S(u) for a basis forest, memoized per forest: S(t) = -sum m S(P) R
+    over the splits (P, R, m) of a single tree that keep a trunk R, and
+    S(ab) = S(b) S(a) on a forest of k > 1 trees split into halves a and b,
+    so the depth grows as log k."""
     forest = type(u)
     if len(u.trees) > 1:
         h = len(u.trees) // 2
@@ -141,8 +132,8 @@ def _antipode_forest(u: Forest | PlanarForest) -> LinComb:
                           _antipode_forest(forest(u.trees[:h])))
     if not u.trees:
         return LinComb.term(u)
-    return recursive_antipode(u.trees[0], _tree_coproduct, ck_product, _antipode_forest,
-                              forest(()))
+    return LinComb.sum((ck_product(_antipode_forest(pruned), forest((trunk,))), -m)
+                       for pruned, trunk, m in _tree_splits(u.trees[0]) if trunk is not None)
 
 
 # The most edges of a forest whose antipode ck_antipode computes, per

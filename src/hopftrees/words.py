@@ -386,21 +386,17 @@ def _letter_morphism(x: LinComb | Word, block_weight: Callable[[int], Fraction])
     return LinComb.lift(x).map_basis(on_word)
 
 
-def tau_star(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
+def tau_star(x: LinComb | Word) -> LinComb:
     """Dual of Hoffman's logarithm, a concatenation algebra morphism.
 
     On a dual letter: tau*(f_k*) = sum over blocks with bracket f_k of
     (a_1...a_n)*/n!; extended to dual words by concatenation.
     """
-    if pairing != ADDITIVE:
-        raise ValueError("tau_star requires the additive bracket")
     return _letter_morphism(x, _exp_block_weight)
 
 
-def psi_star(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
+def psi_star(x: LinComb | Word) -> LinComb:
     """Dual of Hoffman's exponential; inverse of tau_star."""
-    if pairing != ADDITIVE:
-        raise ValueError("psi_star requires the additive bracket")
     return _letter_morphism(x, _log_block_weight)
 
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hopftrees import checks, cli, tree_hopf
+from hopftrees import checks, clear_caches, cli, tree_hopf
 from hopftrees.checks import MAX_WEIGHTS, SUITES
 from hopftrees.cli import COMMAND_MAX_WEIGHTS, main
 from hopftrees.trees import MAX_PARSE_DEPTH
@@ -348,6 +348,39 @@ def test_antipode_just_inside_and_outside_a_lowered_edge_limit(algebra, terms, m
                    "the limit is 4 edges\n")
 
 
+def test_ordered_coproduct_of_twenty_equal_trees_is_refused(capsys):
+    # the ordered table of k copies of [[]] grows about 2.6x per copy
+    assert tree_hopf.MAX_SPLIT_TERMS == 262_144
+    start = time.perf_counter()
+    assert main(["coproduct", "--algebra", "foissy", "--input", " ".join(["[[]]"] * 20)]) == 1
+    assert time.perf_counter() - start < 20
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a coproduct of more than 262144 terms is refused\n"
+
+
+@pytest.mark.parametrize("algebra, text, terms", [
+    ("foissy", " ".join(["[[]]"] * 6), 377),
+    ("foissy", "[" + ",".join(["[[]]"] * 6) + "]", 378),
+    ("ck", " ".join(["[[]]"] * 6), 28),
+    ("ck", "[" + ",".join(["[[]]"] * 6) + "]", 29),
+])
+def test_coproduct_just_inside_and_outside_a_lowered_term_limit(algebra, text, terms,
+                                                                monkeypatch, capsys):
+    argv = ["coproduct", "--algebra", algebra, "--input", text]
+    clear_caches()
+    monkeypatch.setattr(tree_hopf, "MAX_SPLIT_TERMS", terms)
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out.count("(x)"), err) == (terms, "")
+    clear_caches()
+    monkeypatch.setattr(tree_hopf, "MAX_SPLIT_TERMS", terms - 1)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: a coproduct of more than {terms - 1} terms is refused\n"
+
+
 PLANAR_PAIR = ["product", "--algebra", "planar", "--input", "[[],[],[]]", "--input", "[[[]],[]]"]
 
 
@@ -459,9 +492,10 @@ def test_deep_nesting_is_a_parse_error():
 
 def test_nesting_at_the_limit_is_accepted(capsys):
     deep = "[" * MAX_PARSE_DEPTH + "]" * MAX_PARSE_DEPTH
-    assert main(["coproduct", "--algebra", "ck", "--input", deep]) == 0
-    out = capsys.readouterr().out
-    assert out.count("(x)") == MAX_PARSE_DEPTH + 1
+    for algebra in ("ck", "foissy"):
+        assert main(["coproduct", "--algebra", algebra, "--input", deep]) == 0
+        out = capsys.readouterr().out
+        assert out.count("(x)") == MAX_PARSE_DEPTH + 1, algebra
 
 
 # ---------------------------------------------------------------------------

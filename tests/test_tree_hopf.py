@@ -143,6 +143,15 @@ def test_cut_coproduct_is_an_algebra_morphism(u, v):
     assert left == pairwise
 
 
+def _tree_coproduct(t):
+    """Coproduct of one tree, pruned forest (x) trunk as a one-tree forest
+    (the unit forest when the whole tree is pruned)."""
+    forest = type(t).forest_class
+    unit = forest(())
+    return LinComb((Tensor((pruned, unit if trunk is None else forest((trunk,)))), mult)
+                   for pruned, trunk, mult in tree_hopf._tree_splits(t))
+
+
 def _coproduct_by_bilinear_fold(u):
     """The coproduct of a forest as the product of its trees' coproducts,
     folded in one tree at a time through bilinear (the route coproduct_forest
@@ -150,7 +159,7 @@ def _coproduct_by_bilinear_fold(u):
     unit = type(u)(())
     total = LinComb.term(Tensor((unit, unit)))
     for t in u.trees:
-        total = total.bilinear(tree_hopf._tree_coproduct(t), lambda a, b: Tensor(
+        total = total.bilinear(_tree_coproduct(t), lambda a, b: Tensor(
             (forest_mul(a.parts[0], b.parts[0]), forest_mul(a.parts[1], b.parts[1]))))
     return total
 
