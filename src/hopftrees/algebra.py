@@ -8,12 +8,14 @@ coefficients: an ``int`` until a division happens, a ``fractions.Fraction``
 after one.  Floats are rejected.  Basis elements are
 immutable hashable values exposing ``sort_key() -> tuple`` (degree first,
 then a canonical structural encoding) so every printed expansion comes out
-in a reproducible canonical order.
+in a reproducible canonical order.  Maps written on basis elements are
+extended to combinations by ``linear_map`` and ``bilinear_map`` alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 # an exact rational: an int, or a Fraction once a division has produced it
@@ -242,6 +244,35 @@ def _accumulate(data: dict, terms: Iterable[tuple[Any, Scalar]], scale: Scalar =
                 data[b] = acc
             else:
                 del data[b]
+
+
+def linear_map(f: Callable[..., Any]) -> Callable[..., LinComb]:
+    """The linear extension of f, a map on basis elements: a LinComb goes
+    through map_basis(f), a basis element b to LinComb.lift(f(b)), f's own
+    LinComb and not a copy.  Arguments after the first are passed on to f.
+    Decorate a def of the public name in its own module: the extension
+    keeps f's name and module."""
+
+    @wraps(f)
+    def extended(x, *args, **kwargs):
+        if not isinstance(x, LinComb):
+            return LinComb.lift(f(x, *args, **kwargs))
+        return x.map_basis((lambda b: f(b, *args, **kwargs)) if args or kwargs else f)
+
+    return extended
+
+
+def bilinear_map(f: Callable[..., Any]) -> Callable[..., LinComb]:
+    """The bilinear extension of f, a map on pairs of basis elements: both
+    factors lifted, through LinComb.bilinear.  Arguments after the first
+    two are passed on to f.  Decorated as linear_map is."""
+
+    @wraps(f)
+    def extended(x, y, *args, **kwargs):
+        g = (lambda a, b: f(a, b, *args, **kwargs)) if args or kwargs else f
+        return LinComb.lift(x).bilinear(LinComb.lift(y), g)
+
+    return extended
 
 
 class Tensor:

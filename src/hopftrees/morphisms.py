@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .algebra import LinComb, ParseError, Scalar, Tensor, _read_positive, as_fraction
+from .algebra import LinComb, ParseError, Scalar, Tensor, _read_positive, as_fraction, linear_map
 from .linsolve import span_solver
 from .trees import (EMPTY_FOREST, Forest, PlanarForest, PlanarTree,
                     RootedTree, _multisets, bplus, extension_count, forest,
@@ -42,7 +42,8 @@ from .words import (ADDITIVE, EMPTY_WORD, Word, _letter_texts, compositions_of_l
 # ---------------------------------------------------------------------------
 # the linear-extension morphism pi
 
-def pi(x: LinComb | Forest) -> LinComb:
+@linear_map
+def pi(u: Forest) -> LinComb:
     """Sum of the words read along all linear extensions of the forest.
 
     pi keeps no memo.  Memoizing the images of the eight large forests of
@@ -52,11 +53,7 @@ def pi(x: LinComb | Forest) -> LinComb:
     one image many times keeps it itself, as checks.suite_pi_kernel does
     for one suite call.
     """
-
-    def on_forest(u: Forest) -> LinComb:
-        return LinComb((w, 1) for w in linear_extensions(u))
-
-    return x.map_basis(on_forest) if isinstance(x, LinComb) else on_forest(x)
+    return LinComb((w, 1) for w in linear_extensions(u))
 
 
 def alpha_of(x: LinComb | Forest,
@@ -160,9 +157,10 @@ def qsym_product(x: LinComb | Word, y: LinComb | Word) -> LinComb:
     return quasi_shuffle(x, y, ADDITIVE)
 
 
-def qsym_coproduct(x: LinComb | Word) -> LinComb:
+@linear_map
+def qsym_coproduct(c: Word) -> LinComb:
     """Deconcatenation of compositions."""
-    return LinComb.lift(x).map_basis(deconcat)
+    return deconcat(c)
 
 
 qsym_counit = word_counit
@@ -173,9 +171,10 @@ def qsym_antipode(x: LinComb | Word) -> LinComb:
     return word_antipode(x, ADDITIVE)
 
 
-def Aplus(x: LinComb | Word) -> LinComb:
+@linear_map
+def Aplus(c: Word) -> Word:
     """Append a part 1: M_I -> M_{I.(1)}."""
-    return LinComb.lift(x).map_basis(lambda c: Word(c.letters + (1,)))
+    return Word(c.letters + (1,))
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
@@ -276,31 +275,26 @@ def _eword_text(letters: tuple[int, ...]) -> str:
 # ---------------------------------------------------------------------------
 # the four square maps and their duals
 
-def alpha1(x: LinComb | Word) -> LinComb:
+@linear_map
+def alpha1(w: Word) -> PlanarForest:
     """NSYM -> ordered forests: z_n to the planar ladder, words to
     concatenations."""
-
-    def on_word(w: Word) -> PlanarForest:
-        return PlanarForest(tuple(planar_ladder(n) for n in w.letters))
-
-    return LinComb.lift(x).map_basis(on_word)
+    return PlanarForest(tuple(planar_ladder(n) for n in w.letters))
 
 
-def alpha2(x: LinComb | PlanarForest) -> LinComb:
+@linear_map
+def alpha2(u: PlanarForest) -> Forest:
     """Forget planar order."""
-    return LinComb.lift(x).map_basis(forget_order_forest)
+    return forget_order_forest(u)
 
 
-def alpha3(x: LinComb | Word) -> LinComb:
+@linear_map
+def alpha3(w: Word) -> LinComb:
     """NSYM -> SYM (inside QSYM): z_n to e_n, extended multiplicatively."""
-
-    def on_word(w: Word) -> LinComb:
-        out = LinComb.term(EMPTY_COMPOSITION)
-        for n in w.letters:
-            out = qsym_product(out, e_basis(n))
-        return out
-
-    return LinComb.lift(x).map_basis(on_word)
+    out = LinComb.term(EMPTY_COMPOSITION)
+    for n in w.letters:
+        out = qsym_product(out, e_basis(n))
+    return out
 
 
 def alpha4(x: LinComb | Word) -> LinComb:
@@ -328,37 +322,24 @@ def _ladder_branch_sizes(t: PlanarTree | RootedTree) -> tuple[int, ...] | None:
     return tuple(sizes)
 
 
-def alpha1_star(x: LinComb | PlanarTree) -> LinComb:
+@linear_map
+def alpha1_star(t: PlanarTree) -> LinComb:
     """Planar trees -> QSYM: the comb tree t_I goes to M_I, others to 0."""
-
-    def on_tree(t: PlanarTree) -> LinComb:
-        sizes = _ladder_branch_sizes(t)
-        if sizes is None:
-            return LinComb.zero()
-        return LinComb.term(Word(sizes))
-
-    return LinComb.lift(x).map_basis(on_tree)
+    sizes = _ladder_branch_sizes(t)
+    return LinComb.zero() if sizes is None else LinComb.term(Word(sizes))
 
 
-def alpha2_star(x: LinComb | RootedTree) -> LinComb:
+@linear_map
+def alpha2_star(t: RootedTree) -> LinComb:
     """Trees -> planar trees: |sym(t)| times the sum of planar variants."""
-
-    def on_tree(t: RootedTree) -> LinComb:
-        return LinComb((s, sym_order(t)) for s in planar_variants(t))
-
-    return LinComb.lift(x).map_basis(on_tree)
+    return LinComb((s, sym_order(t)) for s in planar_variants(t))
 
 
-def alpha4_star(x: LinComb | RootedTree) -> LinComb:
+@linear_map
+def alpha4_star(t: RootedTree) -> LinComb:
     """Trees -> SYM: t_J (all branches ladders) to |sym(t_J)| m_J, else 0."""
-
-    def on_tree(t: RootedTree) -> LinComb:
-        sizes = _ladder_branch_sizes(t)
-        if sizes is None:
-            return LinComb.zero()
-        return sym_order(t) * m_lambda(sizes)
-
-    return LinComb.lift(x).map_basis(on_tree)
+    sizes = _ladder_branch_sizes(t)
+    return LinComb.zero() if sizes is None else sym_order(t) * m_lambda(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -378,37 +359,28 @@ def zhao_eps(n: int) -> LinComb:
                        for i in range(1, n + 1))
 
 
-def zhao_Z(x: LinComb | Word) -> LinComb:
+@linear_map
+def zhao_Z(w: Word) -> LinComb:
     """NSYM -> trees with the attachment product, z_n to eps_n."""
-
-    def on_word(w: Word) -> LinComb:
-        out = gl_unit()
-        for n in w.letters:
-            out = gl_product(out, zhao_eps(n))
-        return out
-
-    return LinComb.lift(x).map_basis(on_word)
+    out = gl_unit()
+    for n in w.letters:
+        out = gl_product(out, zhao_eps(n))
+    return out
 
 
-def zhao_Zstar(x: LinComb | Forest) -> LinComb:
+@linear_map
+def zhao_Zstar(u: Forest) -> LinComb:
     """Forests -> QSYM: the unique algebra morphism with Z*(B+(u)) = A+(Z*(u))."""
-
-    def on_tree(t: RootedTree) -> LinComb:
-        return Aplus(on_forest(Forest(t.children)))
-
-    def on_forest(u: Forest) -> LinComb:
-        out = LinComb.term(EMPTY_COMPOSITION)
-        for t in u.trees:
-            out = qsym_product(out, on_tree(t))
-        return out
-
-    return LinComb.lift(x).map_basis(on_forest)
+    out = LinComb.term(EMPTY_COMPOSITION)
+    for t in u.trees:
+        out = qsym_product(out, Aplus(zhao_Zstar(Forest(t.children))))
+    return out
 
 
-def Z_u(x: LinComb | Word) -> LinComb:
+@linear_map
+def Z_u(w: Word) -> LinComb:
     """Words -> QSYM through the unlabeled ladder of the word's length."""
-    return LinComb.lift(x).map_basis(
-        lambda w: zhao_Zstar(Forest((ladder(len(w)),)) if len(w) else EMPTY_FOREST))
+    return zhao_Zstar(Forest((ladder(len(w)),)) if len(w) else EMPTY_FOREST)
 
 
 # ---------------------------------------------------------------------------
@@ -434,39 +406,28 @@ def forest_labelings(u: Forest, max_weight: int) -> list[Forest]:
     return sorted(seen, key=lambda v: v.sort_key())
 
 
-def rho(x: LinComb | Forest, max_weight: int) -> LinComb:
+@linear_map
+def rho(u: Forest, max_weight: int) -> LinComb:
     """Unlabeled forests -> words: sum of pi over distinct labelings of
     weight <= max_weight."""
-
-    def on_forest(u: Forest) -> LinComb:
-        return LinComb.sum(pi(v) for v in forest_labelings(u, max_weight))
-
-    return LinComb.lift(x).map_basis(on_forest)
+    return LinComb.sum(pi(v) for v in forest_labelings(u, max_weight))
 
 
-def rho_star(x: LinComb | Word) -> LinComb:
+@linear_map
+def rho_star(w: Word) -> LinComb:
     """Enveloping algebra words -> trees: e_{-n} to the ladder l_n,
     extended along the attachment product."""
-
-    def on_word(w: Word) -> LinComb:
-        out = gl_unit()
-        for n in w.letters:
-            out = gl_product(out, LinComb.term(ladder(n)))
-        return out
-
-    return LinComb.lift(x).map_basis(on_word)
+    out = gl_unit()
+    for n in w.letters:
+        out = gl_product(out, LinComb.term(ladder(n)))
+    return out
 
 
-def F(x: LinComb | Word) -> LinComb:
+@linear_map
+def F(w: Word) -> RootedTree:
     """Words -> labeled trees: w to the element whose branch forest is the
     labeled ladder of w (ladders are symmetry-free, so no normalization)."""
-
-    def on_word(w: Word) -> RootedTree:
-        if not len(w):
-            return leaf()
-        return bplus(forest(labeled_ladder(w)))
-
-    return LinComb.lift(x).map_basis(on_word)
+    return bplus(forest(labeled_ladder(w))) if len(w) else leaf()
 
 
 def F_star(x: LinComb | Forest) -> LinComb:
@@ -478,7 +439,8 @@ def beta1(x: LinComb | Word) -> LinComb:
     return alpha1(x)
 
 
-def beta2(x: LinComb | PlanarForest, max_weight: int) -> LinComb:
+@linear_map
+def beta2(u: PlanarForest, max_weight: int) -> LinComb:
     """Ordered forests -> words: sum of pi over slot-wise labelings of
     weight <= max_weight, with repetition (planar order is forgotten).
 
@@ -488,8 +450,7 @@ def beta2(x: LinComb | PlanarForest, max_weight: int) -> LinComb:
     number of linear extensions (hook-length formula) times the sum of
     all those words.
     """
-    return LinComb.lift(x).map_basis(
-        lambda u: _words_of_length(u.size, max_weight, extension_count(u)))
+    return _words_of_length(u.size, max_weight, extension_count(u))
 
 
 def beta4(x: LinComb | Word, max_weight: int) -> LinComb:

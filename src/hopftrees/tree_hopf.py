@@ -37,8 +37,8 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Mapping
 
-from .algebra import (LinComb, Scalar, Tensor, _wrap, as_fraction, functional_convolve,
-                      lincomb_tensor, recursive_antipode)
+from .algebra import (LinComb, Scalar, Tensor, _wrap, as_fraction, bilinear_map,
+                      functional_convolve, lincomb_tensor, linear_map, recursive_antipode)
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,
                     PlanarTree, RootedTree, admissible_cuts, bplus, forest_mul, leaf,
                     strip_root, sym_order)
@@ -48,8 +48,9 @@ from .words import EMPTY_WORD, ZERO, Word, _shuffle_table, deconcat, shuffle
 # ---------------------------------------------------------------------------
 # cut coproduct algebra on forests, unordered (commutative) or ordered
 
-def ck_product(x: LinComb | Forest | PlanarForest, y: LinComb | Forest | PlanarForest) -> LinComb:
-    return LinComb.lift(x).bilinear(LinComb.lift(y), forest_mul)
+@bilinear_map
+def ck_product(u: Forest | PlanarForest, v: Forest | PlanarForest) -> Forest | PlanarForest:
+    return forest_mul(u, v)
 
 
 # The most distinct terms a split table may reach while it is multiplied
@@ -109,8 +110,9 @@ def coproduct_forest(u: Forest | PlanarForest) -> LinComb:
     return _wrap({Tensor(key): m for key, m in _split_product(u.trees, type(u)).items()})
 
 
-def ck_coproduct(x: LinComb | Forest | PlanarForest) -> LinComb:
-    return x.map_basis(coproduct_forest) if isinstance(x, LinComb) else coproduct_forest(x)
+@linear_map
+def ck_coproduct(u: Forest | PlanarForest) -> LinComb:
+    return coproduct_forest(u)
 
 
 def ck_counit(x: LinComb | Forest | PlanarForest) -> Scalar:
@@ -205,13 +207,13 @@ def _attachments(t: RootedTree, s: RootedTree) -> Iterable[RootedTree]:
         yield _attach(s, grafts)
 
 
-def gl_product(x: LinComb | RootedTree, y: LinComb | RootedTree) -> LinComb:
+@bilinear_map
+def gl_product(t: RootedTree, s: RootedTree) -> LinComb:
     """Sum over all ways to attach each branch of the left tree at a vertex
     of the right tree.  The left tree's root label is dropped without a
     check (``f1`` times ``f2[f3]`` is ``f2[f3]``), though the antipode
     refuses a labeled root."""
-    return LinComb.lift(x).bilinear(LinComb.lift(y),
-                                    lambda t, s: LinComb((r, 1) for r in _attachments(t, s)))
+    return LinComb((r, 1) for r in _attachments(t, s))
 
 
 GL_UNIT_TREE = leaf()
@@ -221,19 +223,16 @@ def gl_unit() -> LinComb:
     return LinComb.term(GL_UNIT_TREE)
 
 
-def gl_coproduct(x: LinComb | RootedTree) -> LinComb:
+@linear_map
+def gl_coproduct(t: RootedTree) -> LinComb:
     """Split the branch multiset of the root in all 2^k ways."""
-
-    def on_tree(t: RootedTree) -> LinComb:
-        k = len(t.children)
-        terms = []
-        for mask in range(1 << k):
-            left = tuple(c for i, c in enumerate(t.children) if mask >> i & 1)
-            right = tuple(c for i, c in enumerate(t.children) if not mask >> i & 1)
-            terms.append((Tensor((RootedTree(t.label, left), RootedTree(t.label, right))), 1))
-        return LinComb(terms)
-
-    return LinComb.lift(x).map_basis(on_tree)
+    k = len(t.children)
+    terms = []
+    for mask in range(1 << k):
+        left = tuple(c for i, c in enumerate(t.children) if mask >> i & 1)
+        right = tuple(c for i, c in enumerate(t.children) if not mask >> i & 1)
+        terms.append((Tensor((RootedTree(t.label, left), RootedTree(t.label, right))), 1))
+    return LinComb(terms)
 
 
 def gl_counit(x: LinComb | RootedTree) -> Scalar:
@@ -250,10 +249,11 @@ def _gl_antipode_tree(t: RootedTree) -> LinComb:
     return recursive_antipode(t, gl_coproduct, gl_product, _gl_antipode_tree, GL_UNIT_TREE)
 
 
-def gl_antipode(x: LinComb | RootedTree) -> LinComb:
+@linear_map
+def gl_antipode(t: RootedTree) -> LinComb:
     """Antipode of the attachment Hopf algebra: S(t) = -t - sum S(t_S) o t_Sc
     over proper branch subsets."""
-    return LinComb.lift(x).map_basis(_gl_antipode_tree)
+    return _gl_antipode_tree(t)
 
 
 def ck_gl_dual(t: RootedTree) -> tuple[Forest, int]:
@@ -299,7 +299,8 @@ def pair_gl_ck(x: LinComb | RootedTree, y: LinComb | Forest) -> Scalar:
 MAX_PLANAR_PRODUCT_VERTICES = 20_000_000
 
 
-def planar_diamond(x: LinComb | PlanarTree, y: LinComb | PlanarTree) -> LinComb:
+@bilinear_map
+def planar_diamond(t: PlanarTree, s: PlanarTree) -> LinComb:
     """Shuffle the root-branch sequences of the two trees under an unlabeled
     root.  Both root labels are dropped without a check (``f1`` times
     ``f2`` is ``[]``), though the antipode refuses a labeled root.  The
@@ -307,43 +308,33 @@ def planar_diamond(x: LinComb | PlanarTree, y: LinComb | PlanarTree) -> LinComb:
     cells hash ints rather than trees.  A pair of trees whose terms would
     hold more than MAX_PLANAR_PRODUCT_VERTICES vertices in all is refused
     once the table is filled, before any term is built."""
-
-    def on_pair(t: PlanarTree, s: PlanarTree) -> LinComb:
-        index = {b: i for i, b in enumerate(dict.fromkeys(t.children + s.children))}
-        branches = tuple(index)
-        table = _shuffle_table(tuple(map(index.__getitem__, t.children)),
-                               tuple(map(index.__getitem__, s.children)), ZERO)
-        size = t.size + s.size - 1
-        if len(table) * size > MAX_PLANAR_PRODUCT_VERTICES:
-            raise ValueError(f"a product of {len(table)} terms of {size} vertices is refused; "
-                             f"the limit is {MAX_PLANAR_PRODUCT_VERTICES} vertices in all")
-        return LinComb((PlanarTree(None, tuple(map(branches.__getitem__, seq))), c)
-                       for seq, c in table.items())
-
-    return LinComb.lift(x).bilinear(LinComb.lift(y), on_pair)
+    index = {b: i for i, b in enumerate(dict.fromkeys(t.children + s.children))}
+    branches = tuple(index)
+    table = _shuffle_table(tuple(map(index.__getitem__, t.children)),
+                           tuple(map(index.__getitem__, s.children)), ZERO)
+    size = t.size + s.size - 1
+    if len(table) * size > MAX_PLANAR_PRODUCT_VERTICES:
+        raise ValueError(f"a product of {len(table)} terms of {size} vertices is refused; "
+                         f"the limit is {MAX_PLANAR_PRODUCT_VERTICES} vertices in all")
+    return LinComb((PlanarTree(None, tuple(map(branches.__getitem__, seq))), c)
+                   for seq, c in table.items())
 
 
-def planar_diamond_coproduct(x: LinComb | PlanarTree) -> LinComb:
+@linear_map
+def planar_diamond_coproduct(t: PlanarTree) -> LinComb:
     """Deconcatenate the root-branch sequence."""
-
-    def on_tree(t: PlanarTree) -> LinComb:
-        return LinComb(
-            (Tensor((PlanarTree(t.label, t.children[:k]), PlanarTree(t.label, t.children[k:]))), 1)
-            for k in range(len(t.children) + 1))
-
-    return LinComb.lift(x).map_basis(on_tree)
+    return LinComb(
+        (Tensor((PlanarTree(t.label, t.children[:k]), PlanarTree(t.label, t.children[k:]))), 1)
+        for k in range(len(t.children) + 1))
 
 
-def planar_diamond_antipode(x: LinComb | PlanarTree) -> LinComb:
+@linear_map
+def planar_diamond_antipode(t: PlanarTree) -> LinComb:
     """Antipode for the branch shuffle, in closed form: a tree with k root
     branches goes to (-1)^k times the tree with its branch sequence reversed."""
-
-    def on_tree(t: PlanarTree) -> LinComb:
-        if t.label is not None:
-            raise ValueError(f"branch-shuffle antipode needs an unlabeled root, got {t}")
-        return LinComb.term(PlanarTree(None, t.children[::-1]), (-1) ** len(t.children))
-
-    return LinComb.lift(x).map_basis(on_tree)
+    if t.label is not None:
+        raise ValueError(f"branch-shuffle antipode needs an unlabeled root, got {t}")
+    return LinComb.term(PlanarTree(None, t.children[::-1]), (-1) ** len(t.children))
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +557,7 @@ def cocycle_lift(target: CocycleTarget) -> Callable[[LinComb | Forest], LinComb]
             images[t] = target.cocycles[t.label](inner)
         return images[t]
 
+    @linear_map
     def on_forest(u: Forest) -> LinComb:
         if u not in images:
             total = target.unit
@@ -574,7 +566,7 @@ def cocycle_lift(target: CocycleTarget) -> Callable[[LinComb | Forest], LinComb]
             images[u] = total
         return images[u]
 
-    return lambda x: LinComb.lift(x).map_basis(on_forest)
+    return on_forest
 
 
 def universal_cocycle_map(target: CocycleTarget, x: LinComb | Forest) -> LinComb:

@@ -105,15 +105,23 @@ class _Tree:
 class _Forest:
     """A tuple of trees; the shared body of Forest and PlanarForest, which
     differ only in whether the given order is kept and in the repr tag.
-    The unit forest is empty."""
+    The unit forest is empty.  A tree whose class does not name this
+    forest class as its forest_class is refused with a TypeError, checked
+    only when the contents are not interned yet."""
 
     __slots__ = ("trees", "size", "weight", "_key", "_hash")
 
     def __new__(cls, trees: Iterable[_Tree] = ()):
-        ts = tuple(trees) if cls._ordered else tuple(sorted(trees, key=_by_key))
+        try:
+            ts = tuple(trees) if cls._ordered else tuple(sorted(trees, key=_by_key))
+        except AttributeError:
+            raise TypeError(f"a {cls.__name__} holds only trees") from None
         key = (cls, ts)
         self = _INTERN_CACHE.get(key)
         if self is None:
+            for t in ts:
+                if getattr(type(t), "forest_class", None) is not cls:
+                    raise TypeError(f"a {cls.__name__} cannot hold {type(t).__name__} values")
             self = object.__new__(cls)
             self.trees = ts
             self.size = sum(t.size for t in ts)

@@ -19,7 +19,8 @@ from math import comb, factorial, prod
 from operator import sub
 from typing import Callable, Iterable, Iterator, Literal
 
-from .algebra import LinComb, ParseError, Scalar, Tensor, _accumulate, _read_positive, _wrap
+from .algebra import (LinComb, ParseError, Scalar, Tensor, _accumulate, _read_positive, _wrap,
+                      bilinear_map, linear_map)
 
 Pairing = Literal["zero", "additive"]
 ZERO: Pairing = "zero"
@@ -249,18 +250,20 @@ def _qshuffle(w1: Word, w2: Word, pairing: Pairing) -> LinComb:
     return _wrap({_word(t): c for t, c in _shuffle_table(w1.letters, w2.letters, pairing).items()})
 
 
-def quasi_shuffle(x: LinComb | Word, y: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
+@bilinear_map
+def quasi_shuffle(u: Word, v: Word, pairing: Pairing = ADDITIVE) -> LinComb:
     """Quasi-shuffle product; with the zero bracket this is the plain shuffle."""
-    return LinComb.lift(x).bilinear(LinComb.lift(y), lambda a, b: _qshuffle(a, b, pairing))
+    return _qshuffle(u, v, pairing)
 
 
 def shuffle(x: LinComb | Word, y: LinComb | Word) -> LinComb:
     return quasi_shuffle(x, y, ZERO)
 
 
-def concat(x: LinComb | Word, y: LinComb | Word) -> LinComb:
+@bilinear_map
+def concat(u: Word, v: Word) -> Word:
     """Concatenation product (the graded dual of deconcatenation)."""
-    return LinComb.lift(x).bilinear(LinComb.lift(y), lambda a, b: a.concat(b))
+    return u.concat(v)
 
 
 def deconcat(w: Word) -> LinComb:
@@ -339,7 +342,7 @@ def word_antipode(x: LinComb | Word, pairing: Pairing) -> LinComb:
     """Antipode of the (quasi-)shuffle Hopf algebra: the contractions of the
     reversed word, a block of p letters weighted (-1)^p (Hoffman 2000,
     Quasi-shuffle products, Thm 3.2); the shuffle keeps one-letter blocks."""
-    return _contractions(LinComb.lift(x).map_basis(lambda w: _word(w.letters[::-1])),
+    return _contractions(linear_map(lambda w: _word(w.letters[::-1]))(x),
                          pairing, _sign_block_weight)
 
 
@@ -353,37 +356,39 @@ def hoffman_psi(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
     return _contractions(x, pairing, _log_block_weight)
 
 
-def dual_delta(x: LinComb | Word, pairing: Pairing) -> LinComb:
+@linear_map
+def dual_delta(w: Word, pairing: Pairing) -> LinComb:
     """Coproduct on the concatenation dual: delta(w*) = sum (u*v, w*) u* (x) v*.
 
-    Computed by exhaustive scan over pairs of basis words of complementary
-    weight; the quasi-shuffle preserves total weight, so the scan is finite.
+    Read off w: the coefficient of w in u * v counts the ways to deal each
+    letter of w to u or to v, or, under the additive bracket only, to split
+    a letter f_k as f_a to u and f_(k-a) to v with 0 < a < k.  Equal pairs
+    (u, v) merge after every letter.
     """
+    _check_pairing(pairing)
+    splits: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
+    for k in w.letters:
+        grown: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for (u, v), c in splits.items():
+            keys = [(u + (k,), v), (u, v + (k,))]
+            if pairing == ADDITIVE:
+                keys += [(u + (a,), v + (k - a,)) for a in range(1, k)]
+            for key in keys:
+                grown[key] = grown.get(key, 0) + c
+        splits = grown
+    return LinComb((Tensor((Word(u), Word(v))), c) for (u, v), c in splits.items())
 
-    def on_word(w: Word) -> LinComb:
-        return LinComb((Tensor((u, v)), quasi_shuffle(u, v, pairing).coeff(w))
-                       for a in range(w.weight + 1)
-                       for u in words_of_weight(a)
-                       for v in words_of_weight(w.weight - a))
 
-    return LinComb.lift(x).map_basis(on_word)
-
-
-def _letter_morphism(x: LinComb | Word, block_weight: Callable[[int], Fraction]) -> LinComb:
+@linear_map
+def _letter_morphism(w: Word, block_weight: Callable[[int], Fraction]) -> LinComb:
     """The concatenation morphism sending f_k* to the sum of (a_1...a_n)*
     times block_weight(n) over the compositions (a_1..a_n) of k, the blocks
     whose iterated additive bracket is f_k."""
-
-    def on_letter(k: int) -> LinComb:
-        return LinComb((Word(parts), block_weight(len(parts))) for parts in compositions(k))
-
-    def on_word(w: Word) -> LinComb:
-        total = LinComb.term(EMPTY_WORD)
-        for k in w.letters:
-            total = concat(total, on_letter(k))
-        return total
-
-    return LinComb.lift(x).map_basis(on_word)
+    total = LinComb.term(EMPTY_WORD)
+    for k in w.letters:
+        total = concat(total, LinComb((Word(parts), block_weight(len(parts)))
+                                      for parts in compositions(k)))
+    return total
 
 
 def tau_star(x: LinComb | Word) -> LinComb:

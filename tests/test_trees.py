@@ -503,3 +503,26 @@ def test_planar_builders_are_the_plain_ones_on_planar_trees():
                       key=lambda t: t.sort_key()) if n else []
         assert list(enumerate_planar_trees(n)) == want
         assert all(type(t) is RootedTree for t in enumerate_trees(n))
+
+
+def test_forests_hold_only_trees_of_their_own_class():
+    assert Forest((leaf(1), CHERRY)).trees == (leaf(1), CHERRY)
+    assert PlanarForest((pleaf(2), planar_ladder(2))).trees == (pleaf(2), planar_ladder(2))
+    assert Forest(iter([leaf(), leaf(3)])) == forest(leaf(3), leaf())
+    assert Forest(()) == EMPTY_FOREST and PlanarForest(()) == EMPTY_PLANAR_FOREST
+    bad = [(Forest, (pleaf(),)), (PlanarForest, (leaf(),)), (Forest, (leaf(), pleaf(1))),
+           (Forest, (1,)), (PlanarForest, (1,)), (Forest, (leaf(), 2)),
+           (Forest, (forest(leaf()),)), (PlanarForest, (word(1),))]
+    for cls, trees in bad:
+        with pytest.raises(TypeError, match=f"^a {cls.__name__} "):
+            cls(trees)
+    with pytest.raises(TypeError, match="^a Forest cannot hold PlanarTree values$"):
+        forest_mul(forest(leaf(1)), PlanarForest((pleaf(2),)))
+
+
+def test_a_refused_forest_is_refused_again_and_not_interned():
+    from hopftrees.trees import _INTERN_CACHE
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            Forest((pleaf(5),))
+    assert (Forest, (pleaf(5),)) not in _INTERN_CACHE

@@ -334,3 +334,27 @@ def test_word_constructor_refuses_a_bad_letter(letter):
 def test_word_constructor_refuses_a_bool_letter(letter):
     with pytest.raises(ValueError, match=f"letters must be positive integers, got {letter}"):
         Word((letter,))
+
+
+def _dual_delta_by_scan(w, pairing):
+    """delta(w*) read off a quasi-shuffle of every pair of words of
+    complementary weight: the oracle for the direct reading."""
+    return LinComb((Tensor((u, v)), quasi_shuffle(u, v, pairing).coeff(w))
+                   for a in range(w.weight + 1)
+                   for u in words_of_weight(a)
+                   for v in words_of_weight(w.weight - a))
+
+
+def test_dual_delta_matches_the_quasi_shuffle_scan_through_weight_seven():
+    ws = words_up_to_weight(7)
+    assert len(ws) == 128
+    for pairing in (ZERO, ADDITIVE):
+        for w in ws:
+            assert dual_delta(w, pairing) == _dual_delta_by_scan(w, pairing), (w, pairing)
+
+
+def test_dual_delta_refuses_an_unknown_pairing_on_every_word():
+    for w in (EMPTY_WORD, word(2, 1)):
+        with pytest.raises(ValueError, match="unknown pairing"):
+            dual_delta(w, "nonsense")
+    assert dual_delta(LinComb.zero(), "nonsense") == LinComb.zero()
