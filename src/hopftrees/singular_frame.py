@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import accumulate, islice
-from math import prod
+from math import lcm, prod
 from operator import attrgetter
 from typing import Callable, Iterator
 
@@ -181,16 +181,42 @@ def forest_log(a: Callable[[Forest], Scalar]) -> Callable[[Forest], Scalar]:
 
 
 def betaU(max_weight: int | None = None) -> Callable[[Forest], Scalar]:
-    """The tree-supported logarithm of alpha^U.
+    """The tree-supported logarithm of alpha^U, by char_log over ints.
 
-    When max_weight is given, values on all labeled forests up to that
-    weight are computed eagerly.
+    On a forest u of weight N put L = lcm(1..N).  Every tree s met in the
+    iterated splits of u's trees weighs at most N, so L^|s| alpha^U(s) =
+    prod_v L / w(T_v) is an int.  Scaling a tree value by L^|s| respects
+    the grading, so it commutes with convolution, and char_log of the
+    scaled values is L^n beta^U(u), n = |u|, computed over ints with one
+    Fraction per forest.  One char_log is kept per L, as long as the
+    returned callable lives, so the lazy form needs no weight up front and
+    values do not depend on the order of the calls.  When max_weight is
+    given, values on all labeled forests up to that weight are computed
+    eagerly.
     """
-    log_alpha = char_log(_alphaU_tree)
+    logs: dict[int, Callable[[Forest], Scalar]] = {}
+
+    def log_alpha(u: Forest) -> Scalar:
+        scale = lcm(*range(1, u.weight + 1))
+        log_scaled = logs.get(scale)
+        if log_scaled is None:
+            log_scaled = logs[scale] = char_log(cache(partial(_scaled_alphaU_tree, scale)))
+        value = log_scaled(u)
+        return Fraction(value, scale ** u.size) if value else 0
+
     if max_weight is not None:
         for u in labeled_forests_up_to_weight(max_weight):
             log_alpha(u)
     return log_alpha
+
+
+def _scaled_alphaU_tree(scale: int, s: RootedTree) -> int:
+    """scale^|s| alpha^U(s), an int when every subtree weight of s divides scale."""
+    value = _alphaU_tree(s)
+    got, rest = divmod(scale ** s.size * value.numerator, value.denominator)
+    if rest:
+        raise ValueError(f"alpha^U({s}) = {value} is not an int at scale {scale}")
+    return got
 
 
 # ---------------------------------------------------------------------------

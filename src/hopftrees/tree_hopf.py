@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Mapping
 
 from .algebra import (LinComb, Scalar, Tensor, _wrap, as_fraction, bilinear_map,
@@ -130,12 +130,13 @@ def _antipode_forest(u: Forest | PlanarForest) -> LinComb:
     forest = type(u)
     if len(u.trees) > 1:
         h = len(u.trees) // 2
-        return ck_product(_antipode_forest(forest(u.trees[h:])),
-                          _antipode_forest(forest(u.trees[:h])))
+        return _antipode_forest(forest(u.trees[h:])).bilinear(
+            _antipode_forest(forest(u.trees[:h])), forest_mul)
     if not u.trees:
         return LinComb.term(u)
-    return LinComb.sum((ck_product(_antipode_forest(pruned), forest((trunk,))), -m)
-                       for pruned, trunk, m in _tree_splits(u.trees[0]) if trunk is not None)
+    return LinComb.sum(
+        (_antipode_forest(pruned).map_basis(lambda x, r=forest((trunk,)): forest_mul(x, r)), -m)
+        for pruned, trunk, m in _tree_splits(u.trees[0]) if trunk is not None)
 
 
 # The most edges of a forest whose antipode ck_antipode computes, per
@@ -457,10 +458,15 @@ def char_log(tree_value: Callable[[RootedTree], Scalar]) -> Callable[[Forest], S
         log a(u) = sum_{j=1..n} (-1)^(j+1) C(n, j)/j prod_{t in u} a^(*j)(t),
 
     with a^(*j)(t) the sum of m a(P) a^(*(j-1))(R) over the splits (P, R, m)
-    of t (a^(*0) is 1 on a pruned-away trunk).  Values are memoized per call.
+    of t (a^(*0) is 1 on a pruned-away trunk).  The weights w(n, j) are
+    read through _log_weight and put over their least common denominator
+    D, so the sum runs over the ints D w(n, j), and over ints throughout
+    when the tree values are ints: one Fraction per forest, none where the
+    sum is 0.  Values and weights are memoized per call.
     """
     splits: dict[RootedTree, list[tuple[Scalar, RootedTree | None]]] = {}
     powers: dict[tuple[int, RootedTree], Scalar] = {}
+    rows: dict[int, tuple[int, list[int]]] = {}
 
     def weighted_splits(t: RootedTree) -> list[tuple[Scalar, RootedTree | None]]:
         # the splits (P, R, m) of t as (m a(P), R), zero weights dropped
@@ -489,15 +495,23 @@ def char_log(tree_value: Callable[[RootedTree], Scalar]) -> Callable[[Forest], S
             powers[key] = got
         return got
 
+    def log_row(n: int) -> tuple[int, list[int]]:
+        # D and the ints D w(n, j), j = 1..n
+        got = rows.get(n)
+        if got is None:
+            weights = [_log_weight(n, j) for j in range(1, n + 1)]
+            d = lcm(*(w.denominator for w in weights))
+            got = rows[n] = (d, [w.numerator * (d // w.denominator) for w in weights])
+        return got
+
     def log_a(u: Forest) -> Scalar:
+        d, row = log_row(u.size)
         total = 0
-        n = u.size
-        for j in range(1, n + 1):
-            term = _log_weight(n, j)
+        for j, term in enumerate(row, 1):
             for t in u.trees:
                 term *= power(j, t)
             total += term
-        return total
+        return Fraction(total, d) if total else 0
 
     return log_a
 

@@ -212,12 +212,13 @@ def forest(*trees: RootedTree) -> Forest:
 def forest_mul(u: Forest | PlanarForest, v: Forest | PlanarForest) -> Forest | PlanarForest:
     """The product of forests: disjoint union, commutative on Forest values,
     and concatenation on ordered forests.  Forests are immutable, so a
-    product with the empty forest is the other factor itself."""
-    if not u.trees:
-        return v
-    if not v.trees:
-        return u
-    return type(u)(u.trees + v.trees)
+    product with the empty forest is the other factor itself.  An ordered
+    and an unordered forest are refused with a TypeError."""
+    if u.trees and v.trees:
+        return type(u)(u.trees + v.trees)
+    if type(u) is not type(v):
+        raise TypeError(f"cannot multiply a {type(u).__name__} by a {type(v).__name__}")
+    return u if u.trees else v
 
 
 def bplus(u: Forest | PlanarForest, label: int | None = None,

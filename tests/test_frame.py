@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopftrees import tree_hopf
+from hopftrees import singular_frame, tree_hopf
 from hopftrees.algebra import LinComb
 from hopftrees.checks import suite_prop53
 from hopftrees.linsolve import solve_in_span
@@ -46,6 +46,7 @@ from hopftrees.trees import (
     labeled_ladder,
     leaf,
     linear_extensions,
+    parse_forest,
     parse_tree,
     subtree_product,
 )
@@ -312,6 +313,50 @@ def test_betaU_eager_equals_lazy():
     lazy = betaU()
     for u in labeled_forests_up_to_weight(3):
         assert eager(u) == lazy(u)
+
+
+def test_integer_betaU_matches_the_fraction_recursion_through_weight_eight():
+    fast, oracle = betaU(), char_log(_alphaU_tree)
+    for u in labeled_forests_up_to_weight(8):
+        assert fast(u) == oracle(u), u
+
+
+def test_integer_betaU_matches_the_generic_log_through_weight_six():
+    fast, generic = betaU(), forest_log(alphaU)
+    for u in labeled_forests_up_to_weight(6):
+        assert fast(u) == generic(u), u
+
+
+def test_betaU_values_do_not_depend_on_the_order_of_calls():
+    # the heavy forest fills the memo at scale lcm(1..8) = 840 first; each
+    # lighter forest has a smaller scale and must not read those entries
+    heavy = forest(parse_tree("f2[f1, f3[f1]]"), leaf(1))
+    lighter = sorted(labeled_forests_up_to_weight(7), key=attrgetter("weight"), reverse=True)
+    oracle, fresh = char_log(_alphaU_tree), betaU()
+    for u in [heavy] + lighter:
+        assert fresh(u) == oracle(u), u
+
+
+def test_betaU_eager_and_lazy_forms_agree_past_the_eager_weight():
+    eager, lazy = betaU(5), betaU()
+    for u in reversed(labeled_forests_up_to_weight(6)):
+        assert eager(u) == lazy(u), u
+
+
+@pytest.mark.parametrize("text", ["[]", "f1 []", "[f1]", "f2[f1, []]"])
+def test_betaU_refuses_a_forest_that_is_not_fully_labeled(text):
+    beta = betaU()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="fully labeled"):
+            beta(parse_forest(text))
+    assert beta(forest(leaf(2))) == Fraction(1, 2)
+
+
+def test_betaU_refuses_tree_values_that_its_scale_does_not_clear(monkeypatch):
+    right = _alphaU_tree
+    monkeypatch.setattr(singular_frame, "_alphaU_tree", lambda t: right(t) / 7)
+    with pytest.raises(ValueError, match="not an int at scale 1"):
+        betaU()(forest(leaf(1)))
 
 
 def test_char_log_of_alphaU_matches_the_generic_log():

@@ -733,6 +733,14 @@ def _all_edge_cuts_antipode(u):
     return LinComb((Forest(pieces), (-1) ** (cuts + len(u.trees))) for pieces, cuts in terms)
 
 
+def test_ck_product_refuses_an_empty_forest_of_the_other_class():
+    with pytest.raises(TypeError, match="cannot multiply a Forest by a PlanarForest"):
+        ck_product(EMPTY_FOREST, PlanarForest((pleaf(2),)))
+    with pytest.raises(TypeError, match="cannot multiply a PlanarForest by a Forest"):
+        ck_product(LinComb.term(EMPTY_FOREST) + LinComb.term(EMPTY_PLANAR_FOREST),
+                   forest(leaf(1)))
+
+
 def test_antipode_matches_the_all_edge_cuts_formula():
     clear_caches()
     unlabeled = [f for n in range(8) for f in enumerate_forests(n)]

@@ -120,6 +120,16 @@ def test_forest_mul_returns_the_other_factor_of_an_empty_forest():
     assert forest_mul(v, v).trees == v.trees + v.trees
 
 
+@pytest.mark.parametrize("empty, other", [(EMPTY_FOREST, PlanarForest((pleaf(2),))),
+                                          (EMPTY_PLANAR_FOREST, forest(leaf(2)))])
+def test_forest_mul_refuses_an_empty_factor_of_the_other_class(empty, other):
+    for u, v in ((empty, other), (other, empty)):
+        with pytest.raises(TypeError, match="cannot multiply a"):
+            forest_mul(u, v)
+    with pytest.raises(TypeError, match="cannot multiply a"):
+        forest_mul(EMPTY_FOREST, EMPTY_PLANAR_FOREST)
+
+
 @given(unlabeled_trees)
 def test_canonicalize_is_idempotent(t):
     assert canonicalize(t) == t
