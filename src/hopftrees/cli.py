@@ -5,13 +5,14 @@ word algebras (one handler over the registry ``checks.ALGEBRAS``, which the
 hopf-axioms suite reads too), the basis generators (Lyndon words, Hall
 trees), the Zhao elements, the singular frame series export, and the named
 verification suites.  Exit codes: 0 success / all checks pass, 1
-computation or check failure, 2 usage or parse error.  Output is
-deterministic.
+computation or check failure, or stdout closed by its reader, 2 usage or
+parse error.  Output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from itertools import islice
@@ -191,7 +192,17 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command line; callable any number of times in one process."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout at os.devnull, so the
+        # flush at exit writes nowhere, and exit 1 without a traceback, as
+        # the Python docs' note on SIGPIPE advises.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

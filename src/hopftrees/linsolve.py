@@ -73,11 +73,15 @@ class _Pivots:
         return vec
 
     def insert(self, vec: dict, combo: dict) -> bool:
-        """Normalize a reduced vec on its smallest key and append it as a row."""
+        """Normalize a reduced vec on its smallest key and append it as a row.
+        An inverse lead that is an integer scales as an int, so a row of
+        ints from a lead of 1 or -1 stays ints, and so do later updates."""
         if not vec:
             return False
         key = min(vec, key=_key_order)
         inv = Fraction(1) / vec[key]
+        if inv.denominator == 1:
+            inv = inv.numerator
         self.position[key] = len(self.rows)
         self.rows.append((key, {k: v * inv for k, v in vec.items()},
                           {i: v * inv for i, v in combo.items()}))

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .algebra import LinComb
 from .trees import Forest, RootedTree, _multisets, forest, graft, leaf
-from .words import EMPTY_WORD, Word, _word, concat, lie_bracket, shuffle, word
+from .words import EMPTY_WORD, Word, _concat_table, _word, _word_lincomb, shuffle, word
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +259,23 @@ def xi(u: HallForest) -> RootedTree:
 # ---------------------------------------------------------------------------
 # Hall polynomials and the PBW basis
 
+def _check_bracket(bracket: str) -> None:
+    if bracket not in ("rl", "lr"):
+        raise ValueError(f"unknown bracket orientation {bracket!r}")
+
+
+def _hall_letters(t: HallTree, bracket: str) -> dict[tuple[int, ...], int]:
+    """E(t) as a dict from letter tuples to coefficients: [x, y] = xy - yx
+    is formed on tuples, so no Word is built for an intermediate term."""
+    if t.std_decomp is None:
+        return {t.foliage.letters: 1}
+    t1, t2 = t.std_decomp
+    x, y = _hall_letters(t2, bracket), _hall_letters(t1, bracket)
+    if bracket == "lr":
+        x, y = y, x
+    return _concat_table(_concat_table({}, x, y), y, x, -1)
+
+
 def hall_polynomial(t: HallTree, bracket: str = "rl") -> LinComb:
     """The Lie element E(t) over single-letter generators, as words.
 
@@ -267,22 +284,17 @@ def hall_polynomial(t: HallTree, bracket: str = "rl") -> LinComb:
     The orientations differ per bracket by a sign; only "rl" matches the
     singular frame identity.
     """
-    if bracket not in ("rl", "lr"):
-        raise ValueError(f"unknown bracket orientation {bracket!r}")
-    if t.std_decomp is None:
-        return LinComb.term(t.foliage)
-    t1, t2 = t.std_decomp
-    p1 = hall_polynomial(t1, bracket)
-    p2 = hall_polynomial(t2, bracket)
-    return lie_bracket(p2, p1) if bracket == "rl" else lie_bracket(p1, p2)
+    _check_bracket(bracket)
+    return _word_lincomb(_hall_letters(t, bracket))
 
 
 def pbw_element(u: HallForest, bracket: str = "rl") -> LinComb:
     """E(u): the concatenation product of E(t) with smallest factor first."""
-    out = LinComb.term(EMPTY_WORD)
+    _check_bracket(bracket)
+    out = {(): 1}
     for t in reversed(u.factors):
-        out = concat(out, hall_polynomial(t, bracket))
-    return out
+        out = _concat_table({}, out, _hall_letters(t, bracket))
+    return _word_lincomb(out)
 
 
 # ---------------------------------------------------------------------------

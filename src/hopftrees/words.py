@@ -244,10 +244,36 @@ def _shuffle_table(u: tuple, v: tuple, pairing: Pairing) -> dict[tuple, int]:
     return below[0]
 
 
+def _concat_table(data: dict[tuple, int], x: dict[tuple, int], y: dict[tuple, int],
+                  scale: int = 1) -> dict[tuple, int]:
+    """Add scale times the concatenation product x y into data and return
+    data; x, y and data are sums of tuples of any items, as dicts items ->
+    coeff with nonzero coefficients, and so is data afterwards."""
+    get = data.get
+    for u, a in x.items():
+        a *= scale
+        for v, b in y.items():
+            t = u + v
+            old = get(t)
+            if old is None:
+                data[t] = a * b
+            elif acc := old + a * b:
+                data[t] = acc
+            else:
+                del data[t]
+    return data
+
+
+def _word_lincomb(data: dict[tuple[int, ...], Scalar]) -> LinComb:
+    """The LinComb owning data's coefficients on the words of its letter
+    tuples, each built once; the letters must be as _word requires."""
+    return _wrap({_word(t): c for t, c in data.items()})
+
+
 @lru_cache(maxsize=None)
 def _qshuffle(w1: Word, w2: Word, pairing: Pairing) -> LinComb:
     """w1 * w2 on the words' letter tuples, through the shuffle table."""
-    return _wrap({_word(t): c for t, c in _shuffle_table(w1.letters, w2.letters, pairing).items()})
+    return _word_lincomb(_shuffle_table(w1.letters, w2.letters, pairing))
 
 
 @bilinear_map

@@ -134,6 +134,26 @@ def test_check_suite_passes(capsys):
 # exit codes
 
 
+@pytest.mark.parametrize("argv, first", [
+    (["lyndon", "--max-weight", "20"], b"f1\n"),
+    (["frame", "--max-weight", "12"], b"1 * e(-1) v^1 z^-1\n"),
+    (["hall", "--max-weight", "12"], b"f1 | tree=f1 | std=- | E=1*e(-1)\n"),
+], ids=["lyndon", "frame", "hall"])
+def test_a_stdout_closed_after_the_first_line_exits_1_without_a_traceback(argv, first):
+    # each command prints over 200 kB, more than a pipe holds
+    proc = subprocess.Popen([sys.executable, "-m", "hopftrees", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
 def test_parse_error_exits_2(capsys):
     assert main(["coproduct", "--algebra", "ck", "--input", "[[]"]) == 2
     err = capsys.readouterr().err

@@ -105,11 +105,36 @@ def test_heap_reduction_matches_the_scan_with_dependent_vectors(basis, mixes, ou
 
 
 def test_heap_reduction_matches_the_scan_on_pbw_and_hall_families():
-    for n in range(1, 7):
+    for n in range(1, 8):
         pbw = [pbw_element(u) for u in hall_forests(n)]
         lie = [hall_polynomial(t) for t in hall_set(n)]
         _assert_matches_the_scan(pbw + pbw[:2], lie + [pbw[-1]])
         _assert_matches_the_scan(lie, pbw)
+
+
+def _row_values(rows):
+    return [v for _, row, combo in rows for v in (*row.values(), *combo.values())]
+
+
+def test_rows_from_unit_leads_hold_ints():
+    rows = _heap_rows([{0: 1, 1: 2}, {0: 1, 1: 1, 2: 3}, {2: -1, 3: 4}])
+    assert rows == [(0, {0: 1, 1: 2}, {0: 1}), (1, {1: 1, 2: -3}, {0: 1, 1: -1}),
+                    (2, {2: 1, 3: -4}, {2: -1})]
+    assert all(type(v) is int for v in _row_values(rows))
+    # every lead of the PBW and Hall families is 1 or -1 through weight 8
+    for n in range(1, 9):
+        for family in ([pbw_element(u) for u in hall_forests(n)],
+                       [hall_polynomial(t) for t in hall_set(n) if t.weight == n]):
+            values = _row_values(_heap_rows(family))
+            assert values and all(type(v) is int for v in values)
+
+
+def test_a_lead_of_two_gives_fraction_rows():
+    half = Fraction(1, 2)
+    rows = _heap_rows([{0: 2, 1: 1}, {1: 2, 2: 4}])
+    assert rows == [(0, {0: 1, 1: half}, {0: half}), (1, {1: 1, 2: 2}, {1: half})]
+    assert all(type(v) is Fraction for v in _row_values(rows))
+    assert span_solver([{0: 2, 1: 1}])({0: 1, 1: half}) == [half]
 
 
 def test_heap_reduction_matches_the_scan_on_fixed_examples():

@@ -369,6 +369,46 @@ def test_pbw_element_of_a_forest_multiplies_in_decreasing_order():
     assert got == concat(word(2), word(1))
 
 
+def _lie_oracle(t, bracket):
+    """E(t) by the lie_bracket recursion on LinCombs of words."""
+    if t.std_decomp is None:
+        return LinComb.term(t.foliage)
+    t1, t2 = t.std_decomp
+    p1, p2 = _lie_oracle(t1, bracket), _lie_oracle(t2, bracket)
+    return lie_bracket(p2, p1) if bracket == "rl" else lie_bracket(p1, p2)
+
+
+def _assert_words_are_whole(x):
+    for w, _ in x.items():
+        assert type(w) is Word and w == Word(w.letters) and w.weight == sum(w.letters)
+
+
+@pytest.mark.parametrize("bracket", ["rl", "lr"])
+def test_hall_polynomials_match_the_lie_bracket_recursion_through_weight_eight(bracket):
+    for t in hall_set(8):
+        got = hall_polynomial(t, bracket)
+        assert got == _lie_oracle(t, bracket), t
+        _assert_words_are_whole(got)
+
+
+@pytest.mark.parametrize("bracket", ["rl", "lr"])
+def test_pbw_elements_match_the_concat_product_through_weight_eight(bracket):
+    for n in range(9):
+        for u in hall_forests(n):
+            want = LinComb.term(Word(()))
+            for t in reversed(u.factors):
+                want = concat(want, _lie_oracle(t, bracket))
+            got = pbw_element(u, bracket)
+            assert got == want, u
+            _assert_words_are_whole(got)
+
+
+def test_pbw_element_refuses_an_unknown_bracket_on_every_forest():
+    for u in [HallForest(()), *hall_forests(1), *hall_forests(3)]:
+        with pytest.raises(ValueError, match="unknown bracket orientation 'bogus'"):
+            pbw_element(u, "bogus")
+
+
 def test_lyndon_polynomial_decomposition_examples():
     x = LinComb.term(word(1, 2))
     decomp = lyndon_poly_decompose(x)

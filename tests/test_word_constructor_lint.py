@@ -16,7 +16,7 @@ ALLOWED = {
     ("words.py", "Word.__getitem__"),
     ("words.py", "Word.concat"),
     ("words.py", "words_of_weight"),
-    ("words.py", "_qshuffle"),
+    ("words.py", "_word_lincomb"),
     ("words.py", "compose_word"),
     ("words.py", "word_antipode"),
     ("trees.py", "linear_extensions"),
