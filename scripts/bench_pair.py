@@ -7,14 +7,19 @@ Usage (from the root of a checkout):
 
 For each workload and each seed 1..pairs it runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once on a
-copy of the parent revision's committed files and once on the working tree,
-alternating which side runs first, and removes every ``__pycache__`` under
-both checkouts before each run, so both start from source.  The copy is
-made with ``git archive`` in a temporary directory that is deleted
-afterwards; the repository's ``.git`` is not touched.
+copy of the parent revision's committed files and once on a copy of the
+working tree, alternating which side runs first, and removes every
+``__pycache__`` under both copies before each run, so both start from
+source.  Both sides run from a copy, so that where the files sit on disk
+is the same for both.  The parent's copy is made with ``git archive``; the
+working tree's holds its tracked files and its untracked files that are
+not ignored, as they are on disk, uncommitted edits included.  Each copy
+is in a temporary directory that is deleted afterwards; the repository
+itself, ``.git`` included, is not touched.
 
 The output JSON holds both commit SHAs (the working tree's HEAD, with
-``dirty`` set if it has uncommitted changes), the Python version, the
+``dirty`` set if it has uncommitted changes or untracked files that are
+not ignored, all of which its copy holds), the Python version, the
 per-pair metric values and, per workload and metric, the median and
 quartiles of each side, the number of pairs in which the change read
 better, the parent's interquartile range (q3 - q1) and ``gain_rule_met``:
@@ -61,6 +66,17 @@ def export(rev: str, dest: Path) -> None:
                           check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def export_worktree(dest: Path) -> None:
+    """The working tree's tracked files and its untracked files that are not
+    ignored, with their contents on disk, copied under dest."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if source.is_file() or source.is_symlink():  # a deleted tracked file is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name, follow_symlinks=False)
 
 
 def clear_bytecode(checkout: Path) -> None:
@@ -150,17 +166,18 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "parent": git("rev-parse", args.parent),
         "change": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "dirty": bool(git("status", "--porcelain")),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {platform.processor() or 'unknown cpu'}",
         "src_lines": src_lines(args.parent),
         "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent = Path(tmp)
-        export(report["parent"], parent)
-        sides = {"parent": parent, "change": ROOT}
+    with (tempfile.TemporaryDirectory(prefix="bench-parent-") as parent,
+          tempfile.TemporaryDirectory(prefix="bench-change-") as change):
+        sides = {"parent": Path(parent), "change": Path(change)}
+        export(report["parent"], sides["parent"])
+        export_worktree(sides["change"])
         for workload in args.workload:
             pairs = []
             for seed in range(1, args.pairs + 1):
@@ -175,7 +192,6 @@ def main(argv: list[str] | None = None) -> int:
             report["workloads"][workload] = {
                 "pairs": pairs, "summary": summarize(pairs),
                 "layers": layer_rows(sides, workload, args.seconds)}
-        clear_bytecode(ROOT)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -1,6 +1,6 @@
-"""Exact scalars, sparse linear combinations, tensors, pairings, convolution
-and the antipode recursion shared by the cut and attachment Hopf algebras
-(the word and branch-shuffle antipodes have closed forms).
+"""Exact scalars, sparse linear combinations, tensors, pairings and the
+antipode recursion shared by the cut and attachment Hopf algebras (the
+word and branch-shuffle antipodes have closed forms).
 
 Every algebraic object in this package is a finite formal sum of canonical
 basis elements (trees, forests, words, tensors, ...) with exact rational
@@ -354,16 +354,3 @@ def recursive_antipode(b: Any, coproduct: Callable[[Any], LinComb],
                        for t, c in coproduct(b).items()
                        for left, right in (t.parts,) if right != unit)
 
-
-def functional_convolve(f: Callable[[Any], Scalar], g: Callable[[Any], Scalar],
-                        coproduct: Callable[[Any], LinComb]) -> Callable[[Any], Scalar]:
-    """Convolution product of two functionals with respect to a coproduct."""
-
-    def conv(basis: Any) -> Scalar:
-        total = 0
-        for t, c in coproduct(basis).items():
-            a, b = t.parts
-            total += c * as_fraction(f(a)) * as_fraction(g(b))
-        return total
-
-    return conv

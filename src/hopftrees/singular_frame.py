@@ -12,6 +12,10 @@ tree factorial 1/prod_v w(T_v) (T_v the subtree at v, w its label sum),
 and alphaU_extension_sum, which sums the frame coefficients over the
 linear extensions of the forest by recursion on the root read last.
 The route that lists the extensions one by one is a test oracle.
+
+beta^U = log alpha^U is computed by one route, betaU: tree_hopf.char_log
+of alpha^U's tree values, scaled to ints.  The generic convolution
+logarithm over the forest coproduct is its test oracle.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from operator import attrgetter
 from typing import Callable, Iterator
 
 from .algebra import LinComb, Scalar, as_fraction
-from .lyndon_hall import HallTree, hall_polynomial, hall_set
+from .lyndon_hall import hall_polynomial, hall_set
 from .morphisms import _eword_text
-from .tree_hopf import char_exp, char_log, convolution_powers
+from .tree_hopf import char_log
 from .trees import (EMPTY_FOREST, Forest, RootedTree, labeled_forests_up_to_weight,
                     subtree_product, sym_order)
 from .words import EMPTY_WORD, Word, _letter_texts, compositions, words_of_weight
@@ -153,32 +157,7 @@ def alphaU_extension_sum() -> Callable[[Forest], Scalar]:
 
 
 # ---------------------------------------------------------------------------
-# exp and log of forest functionals
-
-# The convolution exponential; the argument must kill the empty forest.
-forest_exp = char_exp
-
-
-def forest_log(a: Callable[[Forest], Scalar]) -> Callable[[Forest], Scalar]:
-    """Convolution logarithm; the argument must send the empty forest to 1."""
-    if as_fraction(a(EMPTY_FOREST)) != 1:
-        raise ValueError("forest_log needs a(I) = 1")
-
-    def reduced(u: Forest) -> Scalar:
-        return as_fraction(a(u)) - (1 if u == EMPTY_FOREST else 0)
-
-    power = convolution_powers(reduced)
-
-    def log_a(u: Forest) -> Scalar:
-        if u == EMPTY_FOREST:
-            return 0
-        total = 0
-        for k in range(1, u.size + 1):
-            total += Fraction((-1) ** (k + 1), k) * power(k, u)
-        return total
-
-    return log_a
-
+# beta^U, the logarithm of alpha^U
 
 def betaU(max_weight: int | None = None) -> Callable[[Forest], Scalar]:
     """The tree-supported logarithm of alpha^U, by char_log over ints.

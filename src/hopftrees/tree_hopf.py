@@ -22,10 +22,9 @@ longer forest.  The attachment antipode is ``algebra.recursive_antipode``
 over the branch splits of an unlabeled root; the branch-shuffle antipode is
 in closed form.
 
-Functionals on forests come in two flavours (characters, multiplicative;
-infinitesimal characters, Leibniz) with convolution exponentials, plus the
-universal lift through a graded bialgebra equipped with one Hochschild
-1-cocycle per label.
+The convolution logarithm of a character is computed per tree, through
+the same splits; the universal lift runs through a graded bialgebra
+equipped with one Hochschild 1-cocycle per label.
 """
 
 from __future__ import annotations
@@ -38,9 +37,9 @@ from math import comb, lcm
 from typing import Callable, Iterable, Mapping
 
 from .algebra import (LinComb, Scalar, Tensor, _wrap, as_fraction, bilinear_map,
-                      functional_convolve, lincomb_tensor, linear_map, recursive_antipode)
+                      lincomb_tensor, linear_map, recursive_antipode)
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,
-                    PlanarTree, RootedTree, admissible_cuts, bplus, forest_mul, leaf,
+                    PlanarTree, RootedTree, bplus, forest_mul, leaf,
                     strip_root, sym_order)
 from .words import EMPTY_WORD, ZERO, Word, _shuffle_table, deconcat, shuffle
 
@@ -169,16 +168,6 @@ def ck_antipode(x: LinComb | Forest | PlanarForest) -> LinComb:
     for u, _ in x.items():
         _refuse_large_antipode(u)
     return x.map_basis(_antipode_forest)
-
-
-def cut_coproduct_tree(t: RootedTree) -> LinComb:
-    """Coproduct of a single tree assembled directly from admissible cuts.
-
-    Independent of the split recursion; used to cross-check it.
-    """
-    tensors = [Tensor((Forest((t,)), EMPTY_FOREST)), Tensor((EMPTY_FOREST, Forest((t,))))]
-    tensors += (Tensor((cut.pruned, Forest((cut.trunk,)))) for cut in admissible_cuts(t))
-    return LinComb((x, 1) for x in tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -359,88 +348,7 @@ def foissy_antipode(x: LinComb | PlanarForest) -> LinComb:
 
 
 # ---------------------------------------------------------------------------
-# characters
-
-class Character:
-    """A multiplicative functional, determined by its values on trees."""
-
-    def __init__(self, tree_values: Mapping[RootedTree, Scalar]):
-        self.tree_values = {t: as_fraction(v) for t, v in tree_values.items()}
-
-    def __call__(self, u: Forest) -> Scalar:
-        total = 1
-        for t in u.trees:
-            total *= self.tree_values.get(t, 0)
-        return total
-
-
-class InfinitesimalCharacter:
-    """A Leibniz functional: vanishes on the unit and on proper products."""
-
-    def __init__(self, tree_values: Mapping[RootedTree, Scalar]):
-        self.tree_values = {t: as_fraction(v) for t, v in tree_values.items()}
-
-    def __call__(self, u: Forest) -> Scalar:
-        if len(u.trees) != 1:
-            return 0
-        return self.tree_values.get(u.trees[0], 0)
-
-
-def convolution_unit(u: Forest) -> int:
-    return 1 if u == EMPTY_FOREST else 0
-
-
-def char_convolution(f: Callable[[Forest], Scalar],
-                     g: Callable[[Forest], Scalar]) -> Callable[[Forest], Scalar]:
-    return functional_convolve(f, g, coproduct_forest)
-
-
-def convolution_powers(a: Callable[[Forest], Scalar]) -> Callable[[int, Forest], Scalar]:
-    """k, u -> a^(*k)(u) by a^(*k) = a * a^(*(k-1)) over the cut coproduct,
-    memoized per call; a^(*0) is the convolution unit."""
-    cache: dict[tuple[int, Forest], Scalar] = {}
-
-    def power(k: int, u: Forest) -> Scalar:
-        if k == 0:
-            return convolution_unit(u)
-        if k == 1:
-            return as_fraction(a(u))
-        key = (k, u)
-        if key not in cache:
-            total = 0
-            for t, c in coproduct_forest(u).items():
-                left, right = t.parts
-                av = as_fraction(a(left))
-                if av:
-                    total += c * av * power(k - 1, right)
-            cache[key] = total
-        return cache[key]
-
-    return power
-
-
-def char_exp(g: Callable[[Forest], Scalar]) -> Callable[[Forest], Scalar]:
-    """Convolution exponential of a functional g that kills the unit.
-
-    Since g kills the unit, g^(*k)(u) vanishes for k > |u| and the sum is
-    finite in each degree.  For an infinitesimal character g the result is
-    a character.
-    """
-    if as_fraction(g(EMPTY_FOREST)):
-        # callers know the argument as g here and as a in forest_exp
-        raise ValueError("convolution exponential needs a(I) = 0 (g(I) = 0)")
-    power = convolution_powers(g)
-
-    def exp_g(u: Forest) -> Scalar:
-        total = convolution_unit(u)
-        fact = 1
-        for k in range(1, u.size + 1):
-            fact *= k
-            total += Fraction(power(k, u), fact)
-        return total
-
-    return exp_g
-
+# the convolution logarithm of a character
 
 def _log_weight(n: int, j: int) -> Fraction:
     """(-1)^(j+1) C(n, j) / j, the weight of a^(*j) in log a on n vertices."""

@@ -261,8 +261,7 @@ def labeled_ladder(w: Word) -> RootedTree:
 
 
 # ---------------------------------------------------------------------------
-# symmetry and permutation counts
-
+# symmetry counts
 
 def sym_order(x: RootedTree | Forest) -> int:
     """Order of the automorphism group (label-preserving)."""
@@ -273,13 +272,6 @@ def sym_order(x: RootedTree | Forest) -> int:
     return out
 
 
-def per_count(x: RootedTree | Forest) -> int:
-    """Number of vertex permutations respecting the forest structure:
-    per(B+_a(u)) = per(u) and per(prod t_j^(i_j)) = prod i_j! per(t_j)^(i_j),
-    the recursion of sym_order."""
-    return sym_order(x)
-
-
 def _multiplicities(trees: Sequence[RootedTree]) -> list[tuple[RootedTree, int]]:
     out: list[tuple[RootedTree, int]] = []
     for t in trees:
@@ -287,55 +279,6 @@ def _multiplicities(trees: Sequence[RootedTree]) -> list[tuple[RootedTree, int]]
             out[-1] = (t, out[-1][1] + 1)
         else:
             out.append((t, 1))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# admissible cuts
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Cut:
-    """A non-trivial admissible cut: the cut edges (as root paths to the
-    child vertex), the pruned forest and the trunk containing the root."""
-
-    edges: tuple[tuple[int, ...], ...]
-    pruned: Forest
-    trunk: RootedTree
-
-
-def admissible_cuts(t: RootedTree) -> tuple[Cut, ...]:
-    """All non-empty edge subsets meeting each root path at most once."""
-    configs = _cut_configs(t)
-    out = []
-    for edges, pruned, trunk in configs:
-        if edges:
-            out.append(Cut(tuple(sorted(edges)), Forest(pruned), trunk))
-    return tuple(out)
-
-
-def _cut_configs(t: RootedTree) -> list[tuple[tuple, tuple, RootedTree]]:
-    """All admissible configurations of t, including the empty cut."""
-    per_child = []
-    for i, c in enumerate(t.children):
-        options = [(((i,),), (c,), None)]  # cut the edge above c
-        for edges, pruned, trunk in _cut_configs(c):
-            shifted = tuple((i,) + e for e in edges)
-            options.append((shifted, pruned, trunk))
-        per_child.append(options)
-    out = []
-    for combo in itertools.product(*per_child):
-        edges: tuple = ()
-        pruned: tuple = ()
-        kept = []
-        for e, p, trunk in combo:
-            edges += e
-            pruned += p
-            if trunk is not None:
-                kept.append(trunk)
-        out.append((edges, pruned, RootedTree(t.label, kept)))
     return out
 
 

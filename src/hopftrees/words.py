@@ -435,9 +435,3 @@ def lie_bracket(x: LinComb | Word, y: LinComb | Word) -> LinComb:
     """Commutator bracket xy - yx in the concatenation algebra."""
     return concat(x, y) - concat(y, x)
 
-
-def is_lie_polynomial(x: LinComb) -> bool:
-    """Primitivity test under the shuffle-dual coproduct on the concatenation side."""
-    expected = LinComb((Tensor(parts), c) for w, c in x.items()
-                       for parts in ((w, EMPTY_WORD), (EMPTY_WORD, w)))
-    return dual_delta(x, ZERO) == expected

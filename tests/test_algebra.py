@@ -1,4 +1,4 @@
-"""Linear combinations, tensors, pairings, and convolution plumbing."""
+"""Linear combinations, tensors, pairings, and the antipode recursion."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -13,7 +13,6 @@ from hopftrees.algebra import (
     PairingError,
     ParseError,
     Tensor,
-    functional_convolve,
     kronecker,
     lincomb_tensor,
     pair_eval,
@@ -95,14 +94,6 @@ def test_splice_at_replaces_one_slot():
     dup = lambda s: LinComb.term(Tensor((s, s)))
     assert splice_at(x, 0, dup) == LinComb.term(Tensor(("a", "a", "b")))
     assert splice_at(x, 1, dup) == LinComb.term(Tensor(("a", "b", "b")))
-
-
-def test_functional_convolve_uses_the_coproduct():
-    # a fake group-like element: delta(x) = x (x) x
-    cop = lambda b: LinComb.term(Tensor((b, b)))
-    f = lambda b: Fraction(2)
-    g = lambda b: Fraction(3)
-    assert functional_convolve(f, g, cop)("x") == 6
 
 
 def test_parse_error_carries_offset():

@@ -3,6 +3,7 @@ synthetic pairs and a stubbed runner."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -83,7 +84,7 @@ def test_written_json_has_pairs_summary_and_layer_rows(tmp_path, monkeypatch):
     calls = []
 
     def fake_run(checkout, workload, seed, seconds, trace=0):
-        side = "parent" if checkout != bench_pair.ROOT else "change"
+        side = checkout.name.split("-")[1]  # bench-parent-* or bench-change-*
         calls.append((side, workload, seed, seconds, trace))
         if trace:
             return {"correct": True, "attempted": 3, "failed": 0,
@@ -94,7 +95,7 @@ def test_written_json_has_pairs_summary_and_layer_rows(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pair, "run_bench", fake_run)
     monkeypatch.setattr(bench_pair, "export", lambda rev, dest: None)
-    monkeypatch.setattr(bench_pair, "clear_bytecode", lambda checkout: None)
+    monkeypatch.setattr(bench_pair, "export_worktree", lambda dest: None)
     monkeypatch.setattr(bench_pair, "src_lines", lambda rev: {"added": 2, "removed": 5, "net": -3})
     monkeypatch.setattr(bench_pair, "git", lambda *args: "" if args[0] == "status" else "abc")
     out = tmp_path / "bench.json"
@@ -111,3 +112,35 @@ def test_written_json_has_pairs_summary_and_layer_rows(tmp_path, monkeypatch):
     traced = [c for c in calls if c[4] == 1]
     assert sorted(traced) == [("change", "suites", 1, 5.0, 1), ("parent", "suites", 1, 5.0, 1)]
     assert len(calls) == 2 * 2 + 2
+
+
+def test_both_sides_run_from_copies_and_the_change_copy_holds_uncommitted_edits(
+        tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    files = {"BENCHMARK.json": '{"end_to_end": []}', ".gitignore": "ignored.txt\n",
+             "src/kept.py": "committed\n"}
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "parent"]):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+    for name, text in {"src/kept.py": "edited\n", "src/new.py": "untracked\n",
+                       "ignored.txt": "ignored\n"}.items():
+        (repo / name).write_text(text)
+    seen = {}
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        seen[checkout.name.split("-")[1]] = checkout, {
+            p.relative_to(checkout).as_posix(): p.read_text()
+            for p in checkout.rglob("*") if p.is_file()}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": 1.0}}
+
+    monkeypatch.setattr(bench_pair, "ROOT", repo)
+    monkeypatch.setattr(bench_pair, "run_bench", fake_run)
+    assert bench_pair.main(["--parent", "HEAD", "--workload", "suites", "--pairs", "1",
+                            "--out", str(tmp_path / "bench.json")]) == 0
+    for checkout, _ in seen.values():
+        assert not checkout.is_relative_to(repo) and not checkout.exists()
+    assert seen["parent"][1] == files
+    assert seen["change"][1] == {**files, "src/kept.py": "edited\n", "src/new.py": "untracked\n"}

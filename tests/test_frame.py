@@ -1,5 +1,5 @@
-"""The truncated universal singular frame: exact coefficients, the forest
-functional calculus, and the Hall-polynomial representation."""
+"""The truncated universal singular frame: exact coefficients, alpha^U and
+its logarithm beta^U, and the Hall-polynomial representation."""
 
 import json
 import random
@@ -27,8 +27,6 @@ from hopftrees.singular_frame import (
     alphaU_extension_sum,
     betaU,
     exp_concat,
-    forest_exp,
-    forest_log,
     frame_coefficient,
     frame_series,
     hall_representation,
@@ -36,7 +34,7 @@ from hopftrees.singular_frame import (
     prop53_check,
     prop53_counterexample,
 )
-from hopftrees.tree_hopf import Character, char_log
+from hopftrees.tree_hopf import char_log
 from hopftrees.trees import (
     EMPTY_FOREST,
     bplus,
@@ -51,6 +49,7 @@ from hopftrees.trees import (
     subtree_product,
 )
 from hopftrees.words import EMPTY_WORD, Word, concat, word, words_of_weight
+from oracles import character, forest_log
 
 
 def alphaU_word_sum(u):
@@ -250,45 +249,6 @@ def test_alphaU_refuses_an_unlabeled_vertex_above_a_labeled_one(text):
 
 
 # ---------------------------------------------------------------------------
-# exp and log of forest functionals
-
-
-def _random_table(seed, zero_at_empty):
-    rng = random.Random(seed)
-    table = {}
-    for u in labeled_forests_up_to_weight(4):
-        table[u] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    table[EMPTY_FOREST] = Fraction(0) if zero_at_empty else Fraction(1)
-    return lambda u: table.get(u, Fraction(0))
-
-
-def test_forest_exp_rejects_nonzero_at_empty():
-    with pytest.raises(ValueError, match=r"a\(I\) = 0"):
-        forest_exp(lambda u: Fraction(1))
-
-
-def test_forest_log_rejects_non_unit_at_empty():
-    with pytest.raises(ValueError, match=r"a\(I\) = 1"):
-        forest_log(lambda u: Fraction(0))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_log_inverts_exp(seed):
-    a = _random_table(seed, zero_at_empty=True)
-    back = forest_log(forest_exp(a))
-    for u in labeled_forests_up_to_weight(4):
-        assert back(u) == a(u)
-
-
-@pytest.mark.parametrize("seed", [3, 4])
-def test_exp_inverts_log(seed):
-    b = _random_table(seed, zero_at_empty=False)
-    back = forest_exp(forest_log(b))
-    for u in labeled_forests_up_to_weight(4):
-        assert back(u) == b(u)
-
-
-# ---------------------------------------------------------------------------
 # beta^U
 
 
@@ -370,10 +330,9 @@ def test_char_log_of_alphaU_matches_the_generic_log():
 def test_char_log_of_a_random_character_matches_the_generic_log(seed):
     rng = random.Random(seed)
     trees = {t for u in labeled_forests_up_to_weight(4) for t in u.trees}
-    ch = Character({t: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                    for t in sorted(trees, key=str)})
-    fast = char_log(lambda t: ch(forest(t)))
-    generic = forest_log(ch)
+    values = {t: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for t in sorted(trees, key=str)}
+    fast = char_log(lambda t: values.get(t, 0))
+    generic = forest_log(character(values))
     for u in labeled_forests_up_to_weight(4):
         assert fast(u) == generic(u), u
 

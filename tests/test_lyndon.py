@@ -42,12 +42,12 @@ from hopftrees.trees import Forest, bplus, forest, leaf
 from hopftrees.words import (
     Word,
     concat,
-    is_lie_polynomial,
     lie_bracket,
     word,
     words_of_weight,
     words_up_to_weight,
 )
+from oracles import is_lie_polynomial
 
 small_words = st.sampled_from([w for w in words_up_to_weight(5) if w.letters])
 

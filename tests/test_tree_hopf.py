@@ -14,9 +14,6 @@ from hopftrees.tree_hopf import (
     GL_UNIT_TREE,
     CocycleLawError,
     CocycleTarget,
-    InfinitesimalCharacter,
-    char_convolution,
-    char_exp,
     ck_antipode,
     ck_coproduct,
     ck_counit,
@@ -25,8 +22,6 @@ from hopftrees.tree_hopf import (
     ck_target,
     cocycle_lift,
     coproduct_forest,
-    convolution_unit,
-    cut_coproduct_tree,
     foissy_antipode,
     foissy_coproduct,
     foissy_counit,
@@ -71,6 +66,7 @@ from hopftrees.trees import (
 )
 from hopftrees.words import EMPTY_WORD, ZERO, _shuffle_table, concat, deconcat, word
 from hopftrees.morphisms import pi
+from oracles import cut_coproduct_tree
 
 L2 = ladder(2)
 L3 = ladder(3)
@@ -253,49 +249,6 @@ def test_antipode_convolution_law(u):
             lambda p: Forest(p.trees + b.trees)).scale(c)
     want = tf(EMPTY_FOREST) if u == EMPTY_FOREST else LinComb.zero()
     assert total == want
-
-
-def test_convolution_of_antipode_functional_kills_the_ladder():
-    s_of = lambda u: ck_antipode(u).coeff(EMPTY_FOREST)
-    ident = lambda u: Fraction(1) if u == EMPTY_FOREST else Fraction(0)
-    # (S * id) evaluated through the counit-like functionals: on l2 both the
-    # pruned and trunk legs cancel exactly
-    conv = char_convolution(s_of, ck_counit)
-    assert conv(forest(L2)) == 0
-    assert conv(EMPTY_FOREST) == 1
-
-
-# ---------------------------------------------------------------------------
-# characters and the convolution exponential
-
-
-def test_infinitesimal_character_squares_to_zero_on_a_vertex():
-    g = InfinitesimalCharacter({leaf(): 5})
-    assert char_convolution(g, g)(forest(leaf())) == 0
-
-
-def test_char_exp_base_cases():
-    zero = InfinitesimalCharacter({})
-    e = char_exp(zero)
-    assert e(EMPTY_FOREST) == 1
-    assert e(forest(CHERRY)) == 0
-
-    g = InfinitesimalCharacter({leaf(): Fraction(3)})
-    e = char_exp(g)
-    assert e(forest(leaf())) == 3
-    assert e(forest(leaf(), leaf())) == 9
-
-
-def test_char_exp_rejects_non_infinitesimal_input():
-    with pytest.raises(ValueError, match="g\\(I\\) = 0"):
-        char_exp(lambda u: Fraction(1))
-
-
-@given(small_forests, small_forests)
-def test_char_exp_is_multiplicative(u, v):
-    g = InfinitesimalCharacter({leaf(): 2, L2: Fraction(1, 3), CHERRY: 1})
-    e = char_exp(g)
-    assert e(Forest(u.trees + v.trees)) == e(u) * e(v)
 
 
 # ---------------------------------------------------------------------------

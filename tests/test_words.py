@@ -23,7 +23,6 @@ from hopftrees.words import (
     dual_word_str,
     hoffman_psi,
     hoffman_tau,
-    is_lie_polynomial,
     lie_bracket,
     parse_word,
     psi_star,
@@ -39,6 +38,7 @@ from hopftrees.words import (
 from hopftrees.lyndon_hall import lyndon_generate
 from hopftrees.morphisms import pi, qsym_product
 from hopftrees.trees import parse_forest
+from oracles import is_lie_polynomial
 
 small_words = st.sampled_from(words_up_to_weight(4))
 pairings = st.sampled_from([ZERO, ADDITIVE])
