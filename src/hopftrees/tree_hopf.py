@@ -33,14 +33,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Callable, Iterable, Mapping
 
-from .algebra import (LinComb, Scalar, Tensor, _wrap, as_fraction, bilinear_map,
-                      lincomb_tensor, linear_map, recursive_antipode)
+from .algebra import (LinComb, Scalar, Tensor, _accumulate, _wrap, as_fraction,
+                      bilinear_map, lincomb_tensor, linear_map, recursive_antipode)
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,
-                    PlanarTree, RootedTree, bplus, forest_mul, leaf,
-                    strip_root, sym_order)
+                    PlanarTree, RootedTree, _multiplicities, bplus, forest_mul,
+                    leaf, strip_root, sym_order)
 from .words import EMPTY_WORD, ZERO, Word, _shuffle_table, deconcat, shuffle
 
 
@@ -52,16 +52,23 @@ def ck_product(u: Forest | PlanarForest, v: Forest | PlanarForest) -> Forest | P
     return forest_mul(u, v)
 
 
-# The most distinct terms a split table may reach while it is multiplied
-# out.  A coproduct has at least as many terms as the table of any prefix
-# of its forest or of a tree's branch forest, so blow-up in trees and
-# forests alike is refused before the full table is built.  The limit is
-# set on the heaviest shape measured per term, bushy unordered trees, by
-# the median of three CLI runs on a 2-core x86_64 machine: a 262,085-term
-# table took 21.6 s and 511 MB peak RSS, and a 275,759-term one took
-# 540 MB (runs in CHANGES.md).  A tree on a long stem builds one trunk
-# vertex per stem vertex per term, so it can pass 512 MB under the limit.
-MAX_SPLIT_TERMS = 2 ** 18
+# The most vertices, summed over the terms being built, that one table or
+# sum of the cut core or of the attachment coproduct may hold: a split table
+# row, the sum for one tree's antipode and the product S(b) S(a) of a
+# forest's halves are refused as they grow or before they are multiplied,
+# and a gl coproduct before any term is built.  The memo keeps every table
+# below the refused one, so the budget is set on the heaviest shape per
+# vertex, a labeled star under a stem, by the median of three CLI runs
+# against 60 s and 512 MB peak RSS on a 2-core x86_64 machine: at 2.4 M,
+# [[f1,...,f17]] reached 515 MB (runs in CHANGES.md).
+MAX_TERM_VERTICES = 2_300_000
+
+
+def _refuse_over(limit: int, what: str, terms: int, vertices: int) -> None:
+    """Raise ValueError, naming `what`, if terms of so many vertices pass limit."""
+    if terms * vertices > limit:
+        raise ValueError(f"{what} of {terms} terms of {vertices} vertices is refused; "
+                         f"the limit is {limit} vertices in all")
 
 
 def _split_product(trees: Iterable[RootedTree | PlanarTree],
@@ -70,18 +77,20 @@ def _split_product(trees: Iterable[RootedTree | PlanarTree],
     split tables, multiplied out in one dict keyed by (pruned, trunks)
     forest pairs.  Keys are forests, sorted when unordered, so equal partial
     terms merge after every tree (k copies of a tree keep polynomially many
-    keys).  A table over MAX_SPLIT_TERMS terms is refused."""
+    keys).  Every key holds the vertices multiplied in so far, and a table
+    past MAX_TERM_VERTICES of them is refused after the row that passes it."""
     unit = forest(())
     splits: dict[tuple[Forest, Forest], int] = {(unit, unit): 1}
+    size = 0
     for t in trees:
+        size += t.size
         grown: dict[tuple[Forest, Forest], int] = {}
         for (pruned, trunks), m in splits.items():
             for p, r, mult in _tree_splits(t):
                 key = (forest_mul(pruned, p),
                        trunks if r is None else forest(trunks.trees + (r,)))
                 grown[key] = grown.get(key, 0) + m * mult
-            if len(grown) > MAX_SPLIT_TERMS:
-                raise ValueError(f"a coproduct of more than {MAX_SPLIT_TERMS} terms is refused")
+            _refuse_over(MAX_TERM_VERTICES, "a split table", len(grown), size)
         splits = grown
     return splits
 
@@ -125,49 +134,35 @@ def _antipode_forest(u: Forest | PlanarForest) -> LinComb:
     """S(u) for a basis forest, memoized per forest: S(t) = -sum m S(P) R
     over the splits (P, R, m) of a single tree that keep a trunk R, and
     S(ab) = S(b) S(a) on a forest of k > 1 trees split into halves a and b,
-    so the depth grows as log k."""
+    so the depth grows as log k.  Every term holds the vertices of u; a sum
+    is refused after the split that takes it past MAX_TERM_VERTICES of them,
+    and a product of halves before it is multiplied out."""
     forest = type(u)
     if len(u.trees) > 1:
         h = len(u.trees) // 2
-        return _antipode_forest(forest(u.trees[h:])).bilinear(
-            _antipode_forest(forest(u.trees[:h])), forest_mul)
+        back = _antipode_forest(forest(u.trees[h:]))
+        front = _antipode_forest(forest(u.trees[:h]))
+        _refuse_over(MAX_TERM_VERTICES, "an antipode product", len(back) * len(front), u.size)
+        return back.bilinear(front, forest_mul)
     if not u.trees:
         return LinComb.term(u)
-    return LinComb.sum(
-        (_antipode_forest(pruned).map_basis(lambda x, r=forest((trunk,)): forest_mul(x, r)), -m)
-        for pruned, trunk, m in _tree_splits(u.trees[0]) if trunk is not None)
+    data: dict[Forest | PlanarForest, int] = {}
+    for pruned, trunk, m in _tree_splits(u.trees[0]):
+        if trunk is not None:
+            r = forest((trunk,))
+            _accumulate(data, ((forest_mul(x, r), c) for x, c in _antipode_forest(pruned).items()),
+                        -m)
+            _refuse_over(MAX_TERM_VERTICES, "an antipode", len(data), u.size)
+    return _wrap(data)
 
 
-# The most edges of a forest whose antipode ck_antipode computes, per
-# forest class.  Its antipode has at most 2^edges terms, one per set of
-# edges cut; ordered ladders reach that bound, and unordered ladders have
-# p(vertices) terms.  Each limit is the edge count of the largest ladder
-# whose antipode took under 60 s and 512 MB peak RSS, median of three CLI
-# runs on a 2-core x86_64 machine (runs in CHANGES.md).  An unordered tree
-# of another shape can have many more terms than the ladder of its size, so
-# under the unordered limit the edge count is no bound on run time.
-MAX_ANTIPODE_EDGES: dict[type, int] = {Forest: 45, PlanarForest: 18}
-
-
-def _refuse_large_antipode(u: Forest | PlanarForest) -> None:
-    edges = u.size - len(u.trees)
-    limit = MAX_ANTIPODE_EDGES[type(u)]
-    if edges > limit:
-        raise ValueError(f"the antipode of a forest with {edges} edges is refused; "
-                         f"the limit is {limit} edges")
-
-
-def ck_antipode(x: LinComb | Forest | PlanarForest) -> LinComb:
+@linear_map
+def ck_antipode(u: Forest | PlanarForest) -> LinComb:
     """Antipode: S(t) = -t - sum S(pruned) * trunk, extended to forests by
     S(t_1 ... t_k) = S(t_k) ... S(t_1), an antihomomorphism on ordered
-    forests and the multiplicative extension on unordered ones.  A forest
-    over MAX_ANTIPODE_EDGES is refused before any term is computed."""
-    if not isinstance(x, LinComb):
-        _refuse_large_antipode(x)
-        return _antipode_forest(x)
-    for u, _ in x.items():
-        _refuse_large_antipode(u)
-    return x.map_basis(_antipode_forest)
+    forests and the multiplicative extension on unordered ones; refused
+    past MAX_TERM_VERTICES while it is built."""
+    return _antipode_forest(u)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +210,18 @@ def gl_unit() -> LinComb:
 
 @linear_map
 def gl_coproduct(t: RootedTree) -> LinComb:
-    """Split the branch multiset of the root in all 2^k ways."""
-    k = len(t.children)
+    """Split the branch multiset of the root: j of the m copies of each
+    distinct branch go left and the rest right, with coefficient the
+    product of the C(m, j).  A root whose prod (m + 1) terms of |t| + 1
+    vertices would pass MAX_TERM_VERTICES is refused before any is built."""
+    groups = _multiplicities(t.children)
+    _refuse_over(MAX_TERM_VERTICES, "a coproduct", prod(m + 1 for _, m in groups), t.size + 1)
     terms = []
-    for mask in range(1 << k):
-        left = tuple(c for i, c in enumerate(t.children) if mask >> i & 1)
-        right = tuple(c for i, c in enumerate(t.children) if not mask >> i & 1)
-        terms.append((Tensor((RootedTree(t.label, left), RootedTree(t.label, right))), 1))
+    for js in itertools.product(*(range(m + 1) for _, m in groups)):
+        left = tuple(b for (b, _), j in zip(groups, js) for _ in range(j))
+        right = tuple(b for (b, m), j in zip(groups, js) for _ in range(m - j))
+        terms.append((Tensor((RootedTree(t.label, left), RootedTree(t.label, right))),
+                      prod(comb(m, j) for (_, m), j in zip(groups, js))))
     return LinComb(terms)
 
 
@@ -302,10 +302,7 @@ def planar_diamond(t: PlanarTree, s: PlanarTree) -> LinComb:
     branches = tuple(index)
     table = _shuffle_table(tuple(map(index.__getitem__, t.children)),
                            tuple(map(index.__getitem__, s.children)), ZERO)
-    size = t.size + s.size - 1
-    if len(table) * size > MAX_PLANAR_PRODUCT_VERTICES:
-        raise ValueError(f"a product of {len(table)} terms of {size} vertices is refused; "
-                         f"the limit is {MAX_PLANAR_PRODUCT_VERTICES} vertices in all")
+    _refuse_over(MAX_PLANAR_PRODUCT_VERTICES, "a product", len(table), t.size + s.size - 1)
     return LinComb((PlanarTree(None, tuple(map(branches.__getitem__, seq))), c)
                    for seq, c in table.items())
 

@@ -1,7 +1,7 @@
 """Second routes, independent of the package's own, for the identities that
 the tests check two ways: the cut coproduct by admissible cuts, the
-convolution logarithm by convolution powers, and Lie elements by
-primitivity."""
+attachment coproduct by subsets of root branches, the convolution logarithm
+by convolution powers, and Lie elements by primitivity."""
 
 import itertools
 from fractions import Fraction
@@ -36,6 +36,17 @@ def cut_coproduct_tree(t):
     pairs = [(whole, EMPTY_FOREST), (EMPTY_FOREST, whole)]
     pairs += [(pruned, Forest((trunk,))) for pruned, trunk in admissible_cuts(t)]
     return LinComb((Tensor(pair), 1) for pair in pairs)
+
+
+def gl_coproduct_by_masks(t):
+    """The attachment coproduct of one tree: each of the 2^k subsets of its
+    k root branches goes left and the rest right, equal terms merged."""
+    k = len(t.children)
+    return LinComb(
+        (Tensor((RootedTree(t.label, [c for i, c in enumerate(t.children) if mask >> i & 1]),
+                 RootedTree(t.label, [c for i, c in enumerate(t.children) if not mask >> i & 1]))),
+         1)
+        for mask in range(1 << k))
 
 
 def forest_log(a):

@@ -341,42 +341,16 @@ def _ladder_text(n):
     return "[" * n + "]" * n
 
 
-@pytest.mark.parametrize("algebra, limit", [("ck", 45), ("foissy", 18)])
-def test_antipode_refuses_a_ladder_over_the_edge_limit(algebra, limit, capsys):
-    assert tree_hopf.MAX_ANTIPODE_EDGES == {tree_hopf.Forest: 45, tree_hopf.PlanarForest: 18}
-    start = time.perf_counter()
-    assert main(["antipode", "--algebra", algebra, "--input", _ladder_text(limit + 2)]) == 1
-    assert time.perf_counter() - start < 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == (f"error: the antipode of a forest with {limit + 1} edges is refused; "
-                   f"the limit is {limit} edges\n")
-
-
-@pytest.mark.parametrize("algebra, terms", [("ck", 7), ("foissy", 16)])
-def test_antipode_just_inside_and_outside_a_lowered_edge_limit(algebra, terms, monkeypatch,
-                                                               capsys):
-    monkeypatch.setattr(tree_hopf, "MAX_ANTIPODE_EDGES",
-                        {tree_hopf.Forest: 4, tree_hopf.PlanarForest: 4})
-    assert main(["antipode", "--algebra", algebra, "--input", _ladder_text(5)]) == 0
-    out, err = capsys.readouterr()
-    assert (out.count("*"), err) == (terms, "")
-    assert main(["antipode", "--algebra", algebra, "--input", _ladder_text(6)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == ("error: the antipode of a forest with 5 edges is refused; "
-                   "the limit is 4 edges\n")
-
-
 def test_ordered_coproduct_of_twenty_equal_trees_is_refused(capsys):
     # the ordered table of k copies of [[]] grows about 2.6x per copy
-    assert tree_hopf.MAX_SPLIT_TERMS == 262_144
+    assert tree_hopf.MAX_TERM_VERTICES == 2_300_000
     start = time.perf_counter()
     assert main(["coproduct", "--algebra", "foissy", "--input", " ".join(["[[]]"] * 20)]) == 1
     assert time.perf_counter() - start < 20
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: a coproduct of more than 262144 terms is refused\n"
+    assert err == ("error: a split table of 95834 terms of 24 vertices is refused; "
+                   "the limit is 2300000 vertices in all\n")
 
 
 @pytest.mark.parametrize("algebra, text, terms", [
@@ -387,18 +361,66 @@ def test_ordered_coproduct_of_twenty_equal_trees_is_refused(capsys):
 ])
 def test_coproduct_just_inside_and_outside_a_lowered_term_limit(algebra, text, terms,
                                                                 monkeypatch, capsys):
-    argv = ["coproduct", "--algebra", algebra, "--input", text]
+    # the whole table is the heaviest row: its terms each hold every vertex
+    vertices = text.count("[")
+    _accepted_at_and_refused_below(["coproduct", "--algebra", algebra, "--input", text],
+                                   terms, terms * vertices,
+                                   f"a split table of {terms} terms of {vertices} vertices",
+                                   monkeypatch, capsys)
+
+
+def _accepted_at_and_refused_below(argv, terms, budget, refused, monkeypatch, capsys):
+    """argv prints its terms from cold caches under a budget of so many
+    vertices, and one vertex below it is refused, naming what it built."""
     clear_caches()
-    monkeypatch.setattr(tree_hopf, "MAX_SPLIT_TERMS", terms)
+    monkeypatch.setattr(tree_hopf, "MAX_TERM_VERTICES", budget)
     assert main(argv) == 0
     out, err = capsys.readouterr()
-    assert (out.count("(x)"), err) == (terms, "")
+    assert (out.count("*"), err) == (terms, "")
     clear_caches()
-    monkeypatch.setattr(tree_hopf, "MAX_SPLIT_TERMS", terms - 1)
+    monkeypatch.setattr(tree_hopf, "MAX_TERM_VERTICES", budget - 1)
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: a coproduct of more than {terms - 1} terms is refused\n"
+    assert err == f"error: {refused} is refused; the limit is {budget - 1} vertices in all\n"
+
+
+@pytest.mark.parametrize("command, algebra, text, terms, budget, refused", [
+    # the sum for one tree's antipode
+    ("antipode", "ck", _ladder_text(5), 7, 35, "an antipode of 7 terms of 5 vertices"),
+    ("antipode", "foissy", _ladder_text(5), 16, 80, "an antipode of 16 terms of 5 vertices"),
+    # the product of two ladders' antipodes, 3 x 5 or 4 x 8 terms before they merge
+    ("antipode", "ck", _ladder_text(3) + " " + _ladder_text(4), 11, 105,
+     "an antipode product of 15 terms of 7 vertices"),
+    ("antipode", "foissy", _ladder_text(3) + " " + _ladder_text(4), 32, 224,
+     "an antipode product of 32 terms of 7 vertices"),
+    # a branch multiset of 2 + 1 equal branches: 3 x 2 terms of 5 + 1 vertices
+    ("coproduct", "gl", "[[],[],[[]]]", 6, 36, "a coproduct of 6 terms of 6 vertices"),
+], ids=["tree-ck", "tree-foissy", "forest-ck", "forest-foissy", "gl"])
+def test_just_inside_and_outside_a_lowered_vertex_budget(command, algebra, text, terms, budget,
+                                                         refused, monkeypatch, capsys):
+    _accepted_at_and_refused_below([command, "--algebra", algebra, "--input", text],
+                                   terms, budget, refused, monkeypatch, capsys)
+
+
+def test_gl_coproduct_of_many_equal_branches_is_summed_by_multiplicity(capsys):
+    start = time.perf_counter()
+    assert main(["coproduct", "--algebra", "gl", "--input", "[" + ",".join(["[]"] * 24) + "]"]) == 0
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert (out.count("*"), err) == (25, "")
+
+
+def test_gl_coproduct_over_the_vertex_budget_is_refused_up_front(capsys):
+    # 2^17 terms of 19 vertices, one per subset of the distinct leaves
+    start = time.perf_counter()
+    leaves = ",".join(f"f{i}" for i in range(1, 18))
+    assert main(["coproduct", "--algebra", "gl", "--input", f"[{leaves}]"]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: a coproduct of 131072 terms of 19 vertices is refused; "
+                   "the limit is 2300000 vertices in all\n")
 
 
 PLANAR_PAIR = ["product", "--algebra", "planar", "--input", "[[],[],[]]", "--input", "[[[]],[]]"]

@@ -5,8 +5,8 @@ A hand-written lift outside ``algebra.py`` (``LinComb.lift(x).map_basis(f)``,
 ``LinComb.lift(x).bilinear(LinComb.lift(y), f)``, or a conditional
 expression on ``isinstance(x, LinComb)``) is a second copy of the one
 lifting rule.  This test keeps those patterns out of the other modules.
-The refusal scans of ``tree_hopf.ck_antipode`` and ``words._contractions``
-branch on a statement, not an expression, and are not matched.
+The refusal scan of ``words._contractions`` branches on a statement, not an
+expression, and is not matched.
 """
 
 import ast

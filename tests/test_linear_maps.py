@@ -42,6 +42,7 @@ def words(*letter_tuples):
 MAPS = {
     "tree_hopf.ck_product": ((forests("f1", "[[]] f2"), forests("I", "[] f1[f2]")), ()),
     "tree_hopf.ck_coproduct": (forests("f1[f2,f3]", "[[]] []"), ()),
+    "tree_hopf.ck_antipode": (forests("f1[f2,f3]", "[[]] [[],[]]"), ()),
     "tree_hopf.gl_product": ((trees("[[],[]]", "[[[]]]"), trees("[[]]", "[]")), ()),
     "tree_hopf.gl_coproduct": (trees("[[],[[]]]", "f1[f2]"), ()),
     "tree_hopf.gl_antipode": (trees("[[],[]]", "[[[]],[]]"), ()),

@@ -66,7 +66,7 @@ from hopftrees.trees import (
 )
 from hopftrees.words import EMPTY_WORD, ZERO, _shuffle_table, concat, deconcat, word
 from hopftrees.morphisms import pi
-from oracles import cut_coproduct_tree
+from oracles import cut_coproduct_tree, gl_coproduct_by_masks
 
 L2 = ladder(2)
 L3 = ladder(3)
@@ -313,6 +313,13 @@ def test_branch_coproduct_is_cocommutative_and_coassociative(t):
         (Tensor((ten.parts[1], ten.parts[0])), c) for ten, c in d.items())
     assert d == flipped
     assert splice_at(d, 0, gl_coproduct) == splice_at(d, 1, gl_coproduct)
+
+
+def test_branch_coproduct_matches_the_subsets_of_branches():
+    trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+    trees += [t for w in range(1, 8) for t in labeled_trees_of_weight(w)]
+    for t in trees:
+        assert gl_coproduct(t) == gl_coproduct_by_masks(t), t
 
 
 def test_gl_antipode_of_the_cherry():
@@ -710,19 +717,23 @@ def test_ordered_forest_antipode_reverses_the_trees():
             assert foissy_antipode(u) == want, u
 
 
-def test_antipodes_are_refused_by_edges_up_front(monkeypatch):
-    monkeypatch.setattr(tree_hopf, "MAX_ANTIPODE_EDGES", {Forest: 5, PlanarForest: 4})
-    assert len(ck_antipode(forest(ladder(6)))) == 11
-    assert len(ck_antipode(LinComb.term(forest(ladder(3), ladder(4))))) == 11
-    assert len(foissy_antipode(PlanarForest((planar_ladder(5),)))) == 16
-    for x in (forest(ladder(7)), forest(ladder(3), ladder(5)),
-              LinComb.term(forest(ladder(7))) + tf(EMPTY_FOREST)):
-        with pytest.raises(ValueError, match="forest with 6 edges is refused; "
-                                             "the limit is 5 edges"):
+def test_antipodes_are_refused_by_the_vertex_budget(monkeypatch):
+    monkeypatch.setattr(tree_hopf, "MAX_TERM_VERTICES", 66)
+    clear_caches()
+    assert len(ck_antipode(forest(ladder(6)))) == 11  # 11 terms of 6 vertices
+    assert len(foissy_antipode(PlanarForest((planar_ladder(4),)))) == 8
+    for x in (forest(ladder(7)), LinComb.term(forest(ladder(7))) + tf(EMPTY_FOREST),
+              PlanarForest((planar_ladder(5),))):
+        with pytest.raises(ValueError, match=r"^an antipode of \d+ terms of [57] vertices is "
+                                             r"refused; the limit is 66 vertices in all$"):
             ck_antipode(x)
-    with pytest.raises(ValueError, match="the limit is 4 edges"):
-        foissy_antipode(PlanarForest((planar_ladder(6),)))
-    assert ck_antipode(Forest([leaf()] * 3000)) == tf(Forest([leaf()] * 3000))
+    # each half fits, their product of 3 x 5 terms of 7 vertices does not
+    with pytest.raises(ValueError, match="^an antipode product of 15 terms of 7 vertices"):
+        ck_antipode(forest(ladder(3), ladder(4)))
+    # 11 terms of 12 vertices, refused before any term is built
+    with pytest.raises(ValueError, match="^a coproduct of 11 terms of 12 vertices"):
+        gl_coproduct(bplus(Forest([leaf()] * 10)))
+    clear_caches()
 
 
 def test_antipode_of_a_wide_forest_does_not_recurse_per_tree():
