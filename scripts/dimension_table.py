@@ -9,6 +9,7 @@ Usage: python3 scripts/dimension_table.py --max-weight 6
 
 import argparse
 
+from hopftrees.cli import _max_weight
 from hopftrees.linsolve import exact_rank
 from hopftrees.lyndon_hall import hall_forests, lyndon_generate, pbw_element
 from hopftrees.trees import enumerate_forests, enumerate_trees, labeled_forests_of_weight
@@ -17,7 +18,7 @@ from hopftrees.words import words_of_weight
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-weight", type=int, default=6)
+    ap.add_argument("--max-weight", type=_max_weight, default=6)
     args = ap.parse_args()
 
     lyndon = {}

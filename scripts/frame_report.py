@@ -5,6 +5,7 @@ Usage: python3 scripts/frame_report.py --max-weight 4
 
 import argparse
 
+from hopftrees.cli import _max_weight
 from hopftrees.lyndon_hall import hall_polynomial
 from hopftrees.morphisms import eword_str
 from hopftrees.singular_frame import frame_series, hall_representation, prop53_check
@@ -12,12 +13,12 @@ from hopftrees.singular_frame import frame_series, hall_representation, prop53_c
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-weight", type=int, default=4)
+    ap.add_argument("--max-weight", type=_max_weight, default=4)
     args = ap.parse_args()
     n = args.max_weight
 
     print(f"frame series through weight {n}")
-    for line in frame_series(n).text_lines():
+    for line in frame_series(n).iter_lines():
         print(f"  {line}")
 
     print("\nHall representation (coefficients of the logarithm)")

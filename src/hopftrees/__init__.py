@@ -10,10 +10,9 @@ from .lyndon_hall import (HallForest, HallTree, alpha_key, foliage_word,
                           hall_tree_less, hall_tree_of_lyndon, is_hall_tree,
                           is_lyndon, lyndon_factorize, lyndon_generate,
                           lyndon_poly_decompose, lyndon_words, pbw_element, xi)
-from .morphisms import (Composition, composition, diagram_check, e_basis,
-                        kernel_generators, m_lambda, pi, qsym_antipode,
-                        qsym_coproduct, qsym_product, rho, sym_e_decompose,
-                        zhao_Z, zhao_Zstar, zhao_eps, zhao_k)
+from .morphisms import (composition, diagram_check, e_basis, kernel_generators,
+                        m_lambda, pi, qsym_antipode, qsym_product, rho,
+                        sym_e_decompose, zhao_Z, zhao_Zstar, zhao_eps, zhao_k)
 from .singular_frame import (FrameSeries, FrameTerm, UnivariatePoly, alphaU,
                              betaU, frame_coefficient, frame_series,
                              hall_representation, iterated_integral,
@@ -21,8 +20,7 @@ from .singular_frame import (FrameSeries, FrameTerm, UnivariatePoly, alphaU,
 from .tree_hopf import (CocycleLawError, CocycleTarget, char_log,
                         ck_antipode, ck_coproduct, ck_counit, ck_gl_dual,
                         ck_gl_pairing, ck_product, ck_target, cocycle_lift,
-                        coproduct_forest, foissy_antipode, foissy_coproduct,
-                        foissy_product, gl_antipode, gl_coproduct, gl_counit,
+                        coproduct_forest, gl_antipode, gl_coproduct, gl_counit,
                         gl_product, gl_unit, pair_gl_ck, planar_diamond,
                         planar_diamond_antipode, planar_diamond_coproduct,
                         shuffle_target, universal_cocycle_map)

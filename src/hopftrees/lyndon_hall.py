@@ -259,41 +259,32 @@ def xi(u: HallForest) -> RootedTree:
 # ---------------------------------------------------------------------------
 # Hall polynomials and the PBW basis
 
-def _check_bracket(bracket: str) -> None:
-    if bracket not in ("rl", "lr"):
-        raise ValueError(f"unknown bracket orientation {bracket!r}")
-
-
-def _hall_letters(t: HallTree, bracket: str) -> dict[tuple[int, ...], int]:
+def _hall_letters(t: HallTree) -> dict[tuple[int, ...], int]:
     """E(t) as a dict from letter tuples to coefficients: [x, y] = xy - yx
     is formed on tuples, so no Word is built for an intermediate term."""
     if t.std_decomp is None:
         return {t.foliage.letters: 1}
     t1, t2 = t.std_decomp
-    x, y = _hall_letters(t2, bracket), _hall_letters(t1, bracket)
-    if bracket == "lr":
-        x, y = y, x
+    x, y = _hall_letters(t2), _hall_letters(t1)
     return _concat_table(_concat_table({}, x, y), y, x, -1)
 
 
-def hall_polynomial(t: HallTree, bracket: str = "rl") -> LinComb:
+def hall_polynomial(t: HallTree) -> LinComb:
     """The Lie element E(t) over single-letter generators, as words.
 
-    E(leaf f_k) is the letter k; for the standard decomposition (t1, t2)
-    the default orientation is [E(t2), E(t1)], flipped by bracket="lr".
-    The orientations differ per bracket by a sign; only "rl" matches the
-    singular frame identity.
+    E(leaf f_k) is the letter k; for the standard decomposition (t1, t2),
+    E(t) = [E(t2), E(t1)].  The flipped bracket [E(t1), E(t2)] changes the
+    sign of each bracket, and it does not match the singular frame
+    identity.
     """
-    _check_bracket(bracket)
-    return _word_lincomb(_hall_letters(t, bracket))
+    return _word_lincomb(_hall_letters(t))
 
 
-def pbw_element(u: HallForest, bracket: str = "rl") -> LinComb:
+def pbw_element(u: HallForest) -> LinComb:
     """E(u): the concatenation product of E(t) with smallest factor first."""
-    _check_bracket(bracket)
     out = {(): 1}
     for t in reversed(u.factors):
-        out = _concat_table({}, out, _hall_letters(t, bracket))
+        out = _concat_table({}, out, _hall_letters(t))
     return _word_lincomb(out)
 
 

@@ -35,8 +35,7 @@ from .trees import (EMPTY_FOREST, Forest, PlanarForest, PlanarTree,
                     planar_variants, forget_order_forest, sym_order)
 from .tree_hopf import gl_product, gl_unit
 from .words import (ADDITIVE, EMPTY_WORD, Word, _letter_texts, compositions_of_length,
-                    deconcat, quasi_shuffle, word, word_antipode, word_counit,
-                    words_of_weight)
+                    quasi_shuffle, word, word_antipode, words_of_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +113,6 @@ def kernel_generators(max_weight: int) -> list[LinComb]:
 # quasi-symmetric functions: monomial basis indexed by compositions
 
 # the composition (i_1, ..., i_k) is the word f_{i_1} ... f_{i_k}
-Composition = Word
-EMPTY_COMPOSITION = EMPTY_WORD
 composition = word
 
 
@@ -157,15 +154,6 @@ def qsym_product(x: LinComb | Word, y: LinComb | Word) -> LinComb:
     return quasi_shuffle(x, y, ADDITIVE)
 
 
-@linear_map
-def qsym_coproduct(c: Word) -> LinComb:
-    """Deconcatenation of compositions."""
-    return deconcat(c)
-
-
-qsym_counit = word_counit
-
-
 def qsym_antipode(x: LinComb | Word) -> LinComb:
     """The antipode of the additive quasi-shuffle algebra."""
     return word_antipode(x, ADDITIVE)
@@ -205,7 +193,7 @@ def _e_solver(n: int) -> tuple[list[tuple[int, ...]], Callable[[LinComb], list[S
     mus = partitions(n)
     products = []
     for mu in mus:
-        prod = LinComb.term(EMPTY_COMPOSITION)
+        prod = LinComb.term(EMPTY_WORD)
         for p in mu:
             prod = qsym_product(prod, e_basis(p))
         products.append(prod)
@@ -242,7 +230,7 @@ def _e_decompose(terms: Iterable[tuple[Word, Scalar]]) -> list[tuple[tuple[int, 
     for n in sorted(by_weight):
         target = LinComb(by_weight[n])
         if n == 0:
-            out.append(((), target.coeff(EMPTY_COMPOSITION)))
+            out.append(((), target.coeff(EMPTY_WORD)))
             continue
         mus, solve = _e_solver(n)
         sol = solve(target)
@@ -291,7 +279,7 @@ def alpha2(u: PlanarForest) -> Forest:
 @linear_map
 def alpha3(w: Word) -> LinComb:
     """NSYM -> SYM (inside QSYM): z_n to e_n, extended multiplicatively."""
-    out = LinComb.term(EMPTY_COMPOSITION)
+    out = LinComb.term(EMPTY_WORD)
     for n in w.letters:
         out = qsym_product(out, e_basis(n))
     return out
@@ -371,7 +359,7 @@ def zhao_Z(w: Word) -> LinComb:
 @linear_map
 def zhao_Zstar(u: Forest) -> LinComb:
     """Forests -> QSYM: the unique algebra morphism with Z*(B+(u)) = A+(Z*(u))."""
-    out = LinComb.term(EMPTY_COMPOSITION)
+    out = LinComb.term(EMPTY_WORD)
     for t in u.trees:
         out = qsym_product(out, Aplus(zhao_Zstar(Forest(t.children))))
     return out
@@ -428,15 +416,6 @@ def F(w: Word) -> RootedTree:
     """Words -> labeled trees: w to the element whose branch forest is the
     labeled ladder of w (ladders are symmetry-free, so no normalization)."""
     return bplus(forest(labeled_ladder(w))) if len(w) else leaf()
-
-
-def F_star(x: LinComb | Forest) -> LinComb:
-    """Labeled forests -> dual words; coefficientwise this is pi."""
-    return pi(x)
-
-
-def beta1(x: LinComb | Word) -> LinComb:
-    return alpha1(x)
 
 
 @linear_map
@@ -552,7 +531,7 @@ DIAGRAMS: dict[str, DiagramSpec] = {
     ),
     "propdiag": DiagramSpec(
         probes=lambda n: _word_probes(n, zword_str),
-        left=lambda x, n: beta2(beta1(x), n),
+        left=lambda x, n: beta2(alpha1(x), n),
         right=lambda x, n: beta4(alpha3(x), n),
     ),
     "propdiag-dual": DiagramSpec(
@@ -578,7 +557,7 @@ DIAGRAMS: dict[str, DiagramSpec] = {
 
 
 def _beta4_star_word(w: Word) -> LinComb:
-    out = LinComb.term(EMPTY_COMPOSITION)
+    out = LinComb.term(EMPTY_WORD)
     for n in w.letters:
         out = qsym_product(out, beta4_star(n))
     return out

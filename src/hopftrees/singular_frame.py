@@ -32,8 +32,7 @@ from .algebra import LinComb, Scalar, as_fraction
 from .lyndon_hall import hall_polynomial, hall_set
 from .morphisms import _eword_text
 from .tree_hopf import char_log
-from .trees import (EMPTY_FOREST, Forest, RootedTree, labeled_forests_up_to_weight,
-                    subtree_product, sym_order)
+from .trees import EMPTY_FOREST, Forest, RootedTree, subtree_product, sym_order
 from .words import EMPTY_WORD, Word, _letter_texts, compositions, words_of_weight
 
 
@@ -159,7 +158,7 @@ def alphaU_extension_sum() -> Callable[[Forest], Scalar]:
 # ---------------------------------------------------------------------------
 # beta^U, the logarithm of alpha^U
 
-def betaU(max_weight: int | None = None) -> Callable[[Forest], Scalar]:
+def betaU() -> Callable[[Forest], Scalar]:
     """The tree-supported logarithm of alpha^U, by char_log over ints.
 
     On a forest u of weight N put L = lcm(1..N).  Every tree s met in the
@@ -168,10 +167,8 @@ def betaU(max_weight: int | None = None) -> Callable[[Forest], Scalar]:
     the grading, so it commutes with convolution, and char_log of the
     scaled values is L^n beta^U(u), n = |u|, computed over ints with one
     Fraction per forest.  One char_log is kept per L, as long as the
-    returned callable lives, so the lazy form needs no weight up front and
-    values do not depend on the order of the calls.  When max_weight is
-    given, values on all labeled forests up to that weight are computed
-    eagerly.
+    returned callable lives, so it needs no weight up front and values do
+    not depend on the order of the calls.
     """
     logs: dict[int, Callable[[Forest], Scalar]] = {}
 
@@ -183,9 +180,6 @@ def betaU(max_weight: int | None = None) -> Callable[[Forest], Scalar]:
         value = log_scaled(u)
         return Fraction(value, scale ** u.size) if value else 0
 
-    if max_weight is not None:
-        for u in labeled_forests_up_to_weight(max_weight):
-            log_alpha(u)
     return log_alpha
 
 
@@ -228,9 +222,11 @@ class FrameSeries:
                      for c, d in _frame_rows(self.max_weight))
 
     def json_chunks(self) -> Iterator[str]:
-        """The text of to_json in pieces: the header, then the term objects
-        _JSON_BATCH at a time, then the closing brackets.  Only one batch of
-        term texts is held at once."""
+        """The text of json.dumps(payload, separators=(",", ":")), payload
+        holding max_weight and one {word, coeff, v_pow, z_pow} object per
+        term, in pieces: the header, then the term objects _JSON_BATCH at a
+        time, then the closing brackets.  Only one batch of term texts is
+        held at once."""
         yield f'{{"max_weight":{self.max_weight},"terms":['
         terms = (f'{{"word":[{",".join(_letter_texts(c))}],"coeff":"{_coeff_text(d)}",'
                  f'"v_pow":{sum(c)},"z_pow":-{len(c)}}}'
@@ -241,18 +237,10 @@ class FrameSeries:
             sep = ","
         yield "]}"
 
-    def to_json(self) -> str:
-        """The text of json.dumps(payload, separators=(",", ":")), payload
-        holding max_weight and one {word, coeff, v_pow, z_pow} object per term."""
-        return "".join(self.json_chunks())
-
     def iter_lines(self) -> Iterator[str]:
         """Each term's text line, in series order, one at a time."""
         for c, d in _frame_rows(self.max_weight):
             yield f"{_coeff_text(d)} * {_eword_text(c)} v^{sum(c)} z^-{len(c)}"
-
-    def text_lines(self) -> list[str]:
-        return list(self.iter_lines())
 
 
 def _frame_rows(max_weight: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -329,12 +317,11 @@ def exp_concat(x: LinComb, max_weight: int) -> LinComb:
     return LinComb.sum(parts)
 
 
-def prop53_counterexample(max_weight: int, bracket: str = "rl"
-                          ) -> tuple[Word, Scalar, Scalar] | None:
+def prop53_counterexample(max_weight: int) -> tuple[Word, Scalar, Scalar] | None:
     """The first word, by weight, through the given weight where the frame
     series and the exponential of the Hall representation differ, with the
     series coefficient and the exponential's; None where they agree."""
-    rep = LinComb.sum((hall_polynomial(t, bracket), c)
+    rep = LinComb.sum((hall_polynomial(t), c)
                       for t, c in hall_representation(max_weight).items())
     exp = exp_concat(rep, max_weight)
     for n in range(1, max_weight + 1):
@@ -345,11 +332,11 @@ def prop53_counterexample(max_weight: int, bracket: str = "rl"
     return None
 
 
-def prop53_check(max_weight: int, bracket: str = "rl") -> bool:
+def prop53_check(max_weight: int) -> bool:
     """Word-by-word equality of the frame series with the exponential of
     the Hall representation, through the given weight.
 
-    Exact for every weight with the default bracket orientation; the
-    flipped orientation first fails at weight 3.
+    Exact for every weight with E(t) bracketed as [E(t2), E(t1)]; the
+    flipped bracket [E(t1), E(t2)] first fails at weight 3.
     """
-    return prop53_counterexample(max_weight, bracket) is None
+    return prop53_counterexample(max_weight) is None

@@ -9,10 +9,11 @@ Four structures are implemented:
 * its graded dual with the vertex-attachment product (selector ``gl``),
   whose basis trees pair with forests by stripping the root;
 * the ordered-forest variant with the concatenation product (selector
-  ``foissy``), under the same identity; one cut core (tree splits, forest
-  coproduct, product and antipode) serves ordered and unordered forests,
-  reading the forest type off its argument, and its coproduct and antipode
-  return a basis argument's memoized LinComb itself;
+  ``foissy``), under the same identity: the ``ck_*`` maps on
+  ``PlanarForest`` values.  One cut core (tree splits, forest coproduct,
+  product and antipode) serves ordered and unordered forests, reading the
+  forest type off its argument, and its coproduct and antipode return a
+  basis argument's memoized LinComb itself;
 * the root-branch shuffle product with deconcatenation of branches on
   planar trees (selector ``planar``).
 
@@ -325,26 +326,6 @@ def planar_diamond_antipode(t: PlanarTree) -> LinComb:
 
 
 # ---------------------------------------------------------------------------
-# ordered forests: the cut coproduct algebra above, without commutativity
-
-def foissy_product(x: LinComb | PlanarForest, y: LinComb | PlanarForest) -> LinComb:
-    return ck_product(x, y)
-
-
-def foissy_coproduct(x: LinComb | PlanarForest) -> LinComb:
-    return ck_coproduct(x)
-
-
-def foissy_counit(x: LinComb | PlanarForest) -> Scalar:
-    return ck_counit(x)
-
-
-def foissy_antipode(x: LinComb | PlanarForest) -> LinComb:
-    """Antipode on ordered forests; an algebra antihomomorphism."""
-    return ck_antipode(x)
-
-
-# ---------------------------------------------------------------------------
 # the convolution logarithm of a character
 
 def _log_weight(n: int, j: int) -> Fraction:
@@ -434,7 +415,6 @@ class CocycleTarget:
     product: Callable[[LinComb, LinComb], LinComb]
     coproduct: Callable[[object], LinComb]
     cocycles: Mapping[int | None, Callable[[LinComb], LinComb]]
-    verify: bool = True
 
 
 class CocycleLawError(ValueError):
@@ -460,9 +440,8 @@ def cocycle_lift(target: CocycleTarget) -> Callable[[LinComb | Forest], LinComb]
     """The unique algebra morphism from forests sending B+_a to the a-cocycle.
 
     The returned callable keeps the image of every tree and forest it has
-    built, so each intermediate image is built, and its cocycle law verified
-    (unless the target opts out), once per lift.  The memo lives as long as
-    the callable.
+    built, so each intermediate image is built, and its cocycle law verified,
+    once per lift.  The memo lives as long as the callable.
     """
     images: dict[RootedTree | Forest, LinComb] = {}
 
@@ -471,8 +450,7 @@ def cocycle_lift(target: CocycleTarget) -> Callable[[LinComb | Forest], LinComb]
             inner = on_forest(strip_root(t))
             if t.label not in target.cocycles:
                 raise KeyError(f"no cocycle for label {t.label!r} (tree {t})")
-            if target.verify:
-                _check_cocycle(target, t.label, inner, strip_root(t))
+            _check_cocycle(target, t.label, inner, strip_root(t))
             images[t] = target.cocycles[t.label](inner)
         return images[t]
 
@@ -493,7 +471,7 @@ def universal_cocycle_map(target: CocycleTarget, x: LinComb | Forest) -> LinComb
     return cocycle_lift(target)(x)
 
 
-def ck_target(labels: Iterable[int | None] = (None,), verify: bool = True) -> CocycleTarget:
+def ck_target(labels: Iterable[int | None] = (None,)) -> CocycleTarget:
     """Forests with the cut coproduct and L_a = B+_a; the lift is the identity."""
     def make(a):
         return lambda x: x.map_basis(lambda u: Forest((bplus(u, a),)))
@@ -503,11 +481,10 @@ def ck_target(labels: Iterable[int | None] = (None,), verify: bool = True) -> Co
         product=ck_product,
         coproduct=coproduct_forest,
         cocycles={a: make(a) for a in labels},
-        verify=verify,
     )
 
 
-def shuffle_target(labels: Iterable[int], verify: bool = True) -> CocycleTarget:
+def shuffle_target(labels: Iterable[int]) -> CocycleTarget:
     """Words with shuffle/deconcatenation and L_a(w) = w.a: the lift is pi."""
     def make(a: int):
         return lambda x: x.map_basis(lambda w: Word(w.letters + (a,)))
@@ -517,5 +494,4 @@ def shuffle_target(labels: Iterable[int], verify: bool = True) -> CocycleTarget:
         product=shuffle,
         coproduct=deconcat,
         cocycles={a: make(a) for a in labels},
-        verify=verify,
     )

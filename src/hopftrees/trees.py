@@ -433,25 +433,17 @@ def pbplus(u: PlanarForest, label: int | None = None) -> PlanarTree:
     return bplus(u, label, PlanarTree)
 
 
-def planar_concat(u: PlanarForest, v: PlanarForest) -> PlanarForest:
-    return forest_mul(u, v)
-
-
 def planar_ladder(n: int) -> PlanarTree:
     """The n-vertex planar ladder; n < 1 gives a single vertex."""
     return ladder(max(n, 1), None, PlanarTree)
 
 
-def forget_order(t: PlanarTree) -> RootedTree:
-    return canonicalize(t)
-
-
 def forget_order_forest(u: PlanarForest) -> Forest:
-    return Forest(forget_order(t) for t in u.trees)
+    return Forest(canonicalize(t) for t in u.trees)
 
 
 def planar_variants(t: RootedTree) -> tuple[PlanarTree, ...]:
-    """All distinct planar trees that flatten to t under forget_order."""
+    """All distinct planar trees that flatten to t under canonicalize."""
     child_variants = [planar_variants(c) for c in t.children]
     seen = set()
     for choice in itertools.product(*child_variants):

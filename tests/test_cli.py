@@ -285,7 +285,6 @@ def _stub_generators(monkeypatch) -> list[int]:
     for name in ("lyndon_words", "hall_set", "zhao_k", "zhao_eps"):
         monkeypatch.setattr(cli, name, stub([]))
     monkeypatch.setattr(cli, "frame_series", stub(SimpleNamespace(
-        to_json=lambda: "{}", text_lines=lambda: [],
         json_chunks=lambda: iter(["{}"]), iter_lines=lambda: iter([]))))
     return asked
 

@@ -268,13 +268,6 @@ def test_betaU_vanishes_on_proper_forests():
             assert beta(u) == 0, f"beta^U nonzero on {u}"
 
 
-def test_betaU_eager_equals_lazy():
-    eager = betaU(3)
-    lazy = betaU()
-    for u in labeled_forests_up_to_weight(3):
-        assert eager(u) == lazy(u)
-
-
 def test_integer_betaU_matches_the_fraction_recursion_through_weight_eight():
     fast, oracle = betaU(), char_log(_alphaU_tree)
     for u in labeled_forests_up_to_weight(8):
@@ -295,12 +288,6 @@ def test_betaU_values_do_not_depend_on_the_order_of_calls():
     oracle, fresh = char_log(_alphaU_tree), betaU()
     for u in [heavy] + lighter:
         assert fresh(u) == oracle(u), u
-
-
-def test_betaU_eager_and_lazy_forms_agree_past_the_eager_weight():
-    eager, lazy = betaU(5), betaU()
-    for u in reversed(labeled_forests_up_to_weight(6)):
-        assert eager(u) == lazy(u), u
 
 
 @pytest.mark.parametrize("text", ["[]", "f1 []", "[f1]", "f2[f1, []]"])
@@ -380,7 +367,7 @@ def test_frame_series_rejects_weight_zero():
 
 
 def test_frame_series_json_shape():
-    payload = json.loads(frame_series(2).to_json())
+    payload = json.loads("".join(frame_series(2).json_chunks()))
     assert payload["max_weight"] == 2
     assert payload["terms"][0] == {
         "word": [1], "coeff": "1", "v_pow": 1, "z_pow": -1}
@@ -388,7 +375,7 @@ def test_frame_series_json_shape():
 
 
 def test_frame_series_text_lines():
-    lines = frame_series(2).text_lines()
+    lines = list(frame_series(2).iter_lines())
     assert lines[0] == "1 * e(-1) v^1 z^-1"
     assert lines[2] == "1/2 * e(-1)e(-1) v^2 z^-2"
 
@@ -407,10 +394,8 @@ def _word_route(max_weight):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_frame_rows_match_the_word_route(n):
-    terms, text, lines = _word_route(n)
+    terms, _, _ = _word_route(n)
     s = frame_series(n)
-    assert s.to_json() == text
-    assert s.text_lines() == lines
     assert s.terms == terms
     assert s.terms is s.terms
 
@@ -418,7 +403,7 @@ def test_frame_rows_match_the_word_route(n):
 def test_frame_json_peak_memory_stays_within_eight_times_its_length():
     tracemalloc.start()
     try:
-        text = frame_series(14).to_json()
+        text = "".join(frame_series(14).json_chunks())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -430,9 +415,9 @@ def test_frame_streams_match_the_word_route(n):
     _, text, lines = _word_route(n)
     s = frame_series(n)
     chunks = list(s.json_chunks())
-    assert "".join(chunks) == text == s.to_json()
+    assert "".join(chunks) == text
     assert len(chunks) == 2 + -(-(2 ** n - 1) // _JSON_BATCH)
-    assert list(s.iter_lines()) == lines == s.text_lines()
+    assert list(s.iter_lines()) == lines
 
 
 def _stream_peak(stream) -> int:
@@ -449,7 +434,7 @@ def _stream_peak(stream) -> int:
 @pytest.mark.parametrize("n", [12, 15])
 def test_frame_streams_hold_one_batch_at_any_weight(n):
     # about 0.7 MB for json and 0.2-0.4 MB for lines at both weights; at 15,
-    # text_lines peaks at 3.9 MB, and a to_json built as one list at 9.2 MB
+    # a list of the lines peaks at 3.9 MB, and the json built as one list at 9.2 MB
     s = frame_series(n)
     assert _stream_peak(s.json_chunks()) < 1_500_000
     assert _stream_peak(s.iter_lines()) < 1_500_000
@@ -538,16 +523,26 @@ def test_exponential_identity_holds_by_weight():
     assert all(prop53_check(n) for n in range(1, 5))
 
 
+def _flipped_hall_polynomial(t):
+    """E(t) bracketed as [E(t1), E(t2)] in place of [E(t2), E(t1)]: each of
+    its len(foliage) - 1 brackets flips sign."""
+    return hall_polynomial(t).scale((-1) ** (len(t.foliage) - 1))
+
+
 def test_flipped_bracket_orientation_fails_at_weight_three():
-    assert prop53_check(1, bracket="lr")
-    assert prop53_check(2, bracket="lr")
-    assert not prop53_check(3, bracket="lr")
+    rep = LinComb.sum((_flipped_hall_polynomial(t), c)
+                      for t, c in hall_representation(3).items())
+    exp = exp_concat(rep, 3)
+    differ = [w for n in range(1, 4) for w in words_of_weight(n)
+              if exp.coeff(w) != frame_coefficient(w)]
+    assert differ and all(w.weight == 3 for w in differ)
 
 
-def test_prop53_counterexample_names_a_word_and_both_coefficients():
-    assert prop53_counterexample(2, bracket="lr") is None
+def test_prop53_counterexample_names_a_word_and_both_coefficients(monkeypatch):
     assert all(prop53_counterexample(n) is None for n in range(1, 5))
-    w, series, exponential = prop53_counterexample(3, bracket="lr")
+    monkeypatch.setattr(singular_frame, "hall_polynomial", _flipped_hall_polynomial)
+    assert prop53_counterexample(2) is None
+    w, series, exponential = prop53_counterexample(3)
     assert w.weight == 3
     assert series == frame_coefficient(w)
     assert series != exponential

@@ -54,7 +54,6 @@ MAPS = {
     "words.concat": ((words((1, 2), ()), words((2,), (1, 1))), ()),
     "words.dual_delta": (words((2, 1), (1, 3)), (ADDITIVE,)),
     "morphisms.pi": (forests("f1[f2] f3", "f2[f1,f1]"), ()),
-    "morphisms.qsym_coproduct": (words((1, 2), (3, 1, 1)), ()),
     "morphisms.Aplus": (words((), (2, 1)), ()),
     "morphisms.alpha1": (words((2,), (1, 3)), ()),
     "morphisms.alpha2": (forests("[[]] []", "[[],[[]]]", planar=True), ()),

@@ -13,10 +13,7 @@ from hopftrees.morphisms import _label_tuples, _relabel
 from hopftrees.morphisms import (
     DIAGRAMS,
     Aplus,
-    Composition,
-    EMPTY_COMPOSITION,
     F,
-    F_star,
     Z_u,
     alpha1,
     alpha2,
@@ -25,7 +22,6 @@ from hopftrees.morphisms import (
     alpha4,
     alpha4_star,
     alpha_of,
-    beta1,
     beta2,
     beta2_star,
     beta4,
@@ -41,8 +37,6 @@ from hopftrees.morphisms import (
     partitions,
     pi,
     qsym_antipode,
-    qsym_coproduct,
-    qsym_counit,
     qsym_product,
     rho,
     rho_star,
@@ -70,7 +64,8 @@ from hopftrees.trees import (
     pbplus,
     pleaf,
 )
-from hopftrees.words import EMPTY_WORD, Word, concat, shuffle, word, words_of_weight
+from hopftrees.words import (EMPTY_WORD, Word, concat, deconcat, shuffle, word, word_counit,
+                             words_of_weight)
 
 L2 = ladder(2)
 L3 = ladder(3)
@@ -82,7 +77,7 @@ labeled_forests = st.sampled_from(labeled_forests_up_to_weight(4))
 def all_compositions(max_weight):
     from hopftrees.words import compositions as comps
 
-    out = [EMPTY_COMPOSITION]
+    out = [EMPTY_WORD]
     for n in range(1, max_weight + 1):
         out.extend(composition(*p) for p in comps(n))
     return out
@@ -177,7 +172,7 @@ def test_qsym_product_base_cases():
 
 @given(compositions_small)
 def test_qsym_unit(c):
-    assert qsym_product(EMPTY_COMPOSITION, c) == LinComb.term(c)
+    assert qsym_product(EMPTY_WORD, c) == LinComb.term(c)
 
 
 @given(compositions_small, compositions_small)
@@ -186,42 +181,42 @@ def test_qsym_product_is_commutative(c, d):
 
 
 def test_qsym_coproduct_deconcatenates():
-    got = qsym_coproduct(composition(2, 1))
+    got = deconcat(composition(2, 1))
     want = (
-        LinComb.term(Tensor((EMPTY_COMPOSITION, composition(2, 1))))
+        LinComb.term(Tensor((EMPTY_WORD, composition(2, 1))))
         + LinComb.term(Tensor((composition(2), composition(1))))
-        + LinComb.term(Tensor((composition(2, 1), EMPTY_COMPOSITION)))
+        + LinComb.term(Tensor((composition(2, 1), EMPTY_WORD)))
     )
     assert got == want
 
 
 @given(compositions_small)
 def test_qsym_coassociativity(c):
-    d = qsym_coproduct(c)
-    assert splice_at(d, 0, qsym_coproduct) == splice_at(d, 1, qsym_coproduct)
+    d = deconcat(c)
+    assert splice_at(d, 0, deconcat) == splice_at(d, 1, deconcat)
 
 
 @given(compositions_small)
 def test_qsym_counit_picks_the_empty_part(c):
-    want = 1 if c == EMPTY_COMPOSITION else 0
-    assert qsym_counit(c) == want
+    want = 1 if c == EMPTY_WORD else 0
+    assert word_counit(c) == want
 
 
 @given(compositions_small)
 def test_qsym_antipode_convolution_law(c):
     total = LinComb.zero()
-    for t, coeff in qsym_coproduct(c).items():
+    for t, coeff in deconcat(c).items():
         a, b = t.parts
         total = total + qsym_product(qsym_antipode(a), LinComb.term(b)).scale(coeff)
     want = (
-        LinComb.term(EMPTY_COMPOSITION) if c == EMPTY_COMPOSITION else LinComb.zero()
+        LinComb.term(EMPTY_WORD) if c == EMPTY_WORD else LinComb.zero()
     )
     assert total == want
 
 
 def test_parse_composition():
     assert parse_composition("M(2,1)") == composition(2, 1)
-    assert parse_composition("M()") == EMPTY_COMPOSITION
+    assert parse_composition("M()") == EMPTY_WORD
     with pytest.raises(ParseError):
         parse_composition("M(0)")
     with pytest.raises(ParseError):
@@ -278,7 +273,7 @@ def test_sym_e_decomposition_round_trips():
     decomp = sym_e_decompose(x)
     total = LinComb.zero()
     for parts, c in decomp:
-        prod = LinComb.term(EMPTY_COMPOSITION)
+        prod = LinComb.term(EMPTY_WORD)
         for k in parts:
             prod = qsym_product(prod, e_basis(k))
         total = total + prod.scale(c)
@@ -289,7 +284,7 @@ def test_sym_e_decompose_matches_a_fresh_solve_on_every_basis_element():
     for n in range(1, 9):
         products = []
         for mu in partitions(n):
-            prod = LinComb.term(EMPTY_COMPOSITION)
+            prod = LinComb.term(EMPTY_WORD)
             for p in mu:
                 prod = qsym_product(prod, e_basis(p))
             products.append(prod)
@@ -320,7 +315,7 @@ def test_zhao_eps_values():
 
 
 def test_zhao_Zstar_values():
-    assert zhao_Zstar(EMPTY_FOREST) == LinComb.term(EMPTY_COMPOSITION)
+    assert zhao_Zstar(EMPTY_FOREST) == LinComb.term(EMPTY_WORD)
     assert zhao_Zstar(forest(L2)) == LinComb.term(composition(1, 1))
     got = zhao_Zstar(forest(CHERRY))
     want = LinComb.term(composition(1, 1, 1), 2) + LinComb.term(composition(2, 1))
@@ -387,17 +382,10 @@ def test_F_grafts_the_labeled_ladder_under_a_fresh_root():
     assert pi(forest(t)) == LinComb.term(word(1, 2))
 
 
-def test_F_star_values():
-    assert F_star(forest(leaf(3))) == LinComb.term(word(3))
-    cherry = bplus(forest(leaf(1), leaf(2)), 1)
-    got = F_star(forest(cherry))
-    assert got == LinComb.term(word(1, 2, 1)) + LinComb.term(word(2, 1, 1))
-
-
 def test_beta_values():
     assert beta4(composition(1, 1), 2) == LinComb.term(word(1, 1))
     assert beta2_star(2).sorted_items()[0][1] == 1
-    assert len(beta1(word(2))) == 1
+    assert len(alpha1(word(2))) == 1
 
 
 def _beta4_by_shuffles(x: LinComb, max_weight: int) -> LinComb:
@@ -420,15 +408,15 @@ def _beta4_by_shuffles(x: LinComb, max_weight: int) -> LinComb:
 def test_beta4_closed_form_matches_the_shuffle_route():
     for n in range(1, 8):
         for mu in partitions(n):
-            e_mu = LinComb.term(EMPTY_COMPOSITION)
+            e_mu = LinComb.term(EMPTY_WORD)
             for p in mu:
                 e_mu = qsym_product(e_mu, e_basis(p))
             for x in (m_lambda(mu), e_mu):
                 for max_weight in sorted({n - 1, n, 7}):
                     assert beta4(x, max_weight) == _beta4_by_shuffles(x, max_weight), (mu, max_weight)
     assert not beta4(e_basis(3), 2)
-    assert beta4(m_lambda((2, 1)) + LinComb.term(EMPTY_COMPOSITION), 3) == \
-        _beta4_by_shuffles(m_lambda((2, 1)) + LinComb.term(EMPTY_COMPOSITION), 3)
+    assert beta4(m_lambda((2, 1)) + LinComb.term(EMPTY_WORD), 3) == \
+        _beta4_by_shuffles(m_lambda((2, 1)) + LinComb.term(EMPTY_WORD), 3)
 
 
 def _planar_slot_labelings(u, max_weight):
@@ -499,7 +487,7 @@ def test_composition_strings_round_trip(w):
 
 
 def test_composition_printing():
-    assert composition_str(EMPTY_COMPOSITION) == "M()"
+    assert composition_str(EMPTY_WORD) == "M()"
     assert composition_str(composition(2, 1)) == "M(2,1)"
-    assert composition_str(Tensor((EMPTY_COMPOSITION, composition(3)))) == "M() (x) M(3)"
+    assert composition_str(Tensor((EMPTY_WORD, composition(3)))) == "M() (x) M(3)"
     assert composition(2, 1) == word(2, 1)

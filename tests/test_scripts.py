@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parents[1]
 
 
@@ -28,3 +30,13 @@ def test_frame_report_through_weight_4():
     proc = run_script("frame_report.py", "--max-weight", "4")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "exp(sum) reproduces the series word-by-word: True"
+
+
+@pytest.mark.parametrize("name", ["dimension_table.py", "frame_report.py"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_scripts_refuse_a_max_weight_below_one(name, value):
+    proc = run_script(name, "--max-weight", value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        f"{name}: error: argument --max-weight: must be >= 1, got {value}")

@@ -22,10 +22,6 @@ from hopftrees.tree_hopf import (
     ck_target,
     cocycle_lift,
     coproduct_forest,
-    foissy_antipode,
-    foissy_coproduct,
-    foissy_counit,
-    foissy_product,
     gl_antipode,
     gl_coproduct,
     gl_counit,
@@ -59,7 +55,6 @@ from hopftrees.trees import (
     leaf,
     parse_tree,
     pbplus,
-    planar_concat,
     planar_ladder,
     pleaf,
     strip_root,
@@ -224,7 +219,7 @@ def test_counit_serves_ordered_forests():
                      + LinComb.term(PlanarForest((pleaf(),)))) == 3
     for u in [f for n in range(4) for f in enumerate_planar_forests(n)]:
         x = LinComb.term(u, 2)
-        assert ck_counit(x) == foissy_counit(x) == (2 if not u.trees else 0)
+        assert ck_counit(x) == (2 if not u.trees else 0)
 
 
 def test_antipode_of_the_ladder():
@@ -504,8 +499,8 @@ def test_diamond_antipode_closed_form_matches_recursion():
 
 
 def test_foissy_coproduct_keeps_branch_order():
-    p = pbplus(planar_concat(PlanarForest((pleaf(),)), PlanarForest((pleaf(),))))
-    got = foissy_coproduct(PlanarForest((p,)))
+    p = pbplus(forest_mul(PlanarForest((pleaf(),)), PlanarForest((pleaf(),))))
+    got = ck_coproduct(PlanarForest((p,)))
     pl2 = pbplus(PlanarForest((pleaf(),)))
     want = (
         tf(Tensor((PlanarForest((p,)), EMPTY_PLANAR_FOREST)))
@@ -518,35 +513,34 @@ def test_foissy_coproduct_keeps_branch_order():
 
 def test_foissy_single_vertex():
     v = PlanarForest((pleaf(),))
-    got = foissy_coproduct(v)
+    got = ck_coproduct(v)
     assert got == tf(Tensor((v, EMPTY_PLANAR_FOREST))) + tf(
         Tensor((EMPTY_PLANAR_FOREST, v)))
-    assert foissy_counit(EMPTY_PLANAR_FOREST) == 1
-    assert foissy_counit(v) == 0
+    assert ck_counit(EMPTY_PLANAR_FOREST) == 1
+    assert ck_counit(v) == 0
 
 
 @given(small_planar_forests)
 def test_foissy_coproduct_is_coassociative(u):
-    d = foissy_coproduct(u)
-    cop = lambda v: foissy_coproduct(v)
-    assert splice_at(d, 0, cop) == splice_at(d, 1, cop)
+    d = ck_coproduct(u)
+    assert splice_at(d, 0, ck_coproduct) == splice_at(d, 1, ck_coproduct)
 
 
 @given(small_planar_forests)
 def test_foissy_antipode_convolution_law(u):
     total = LinComb.zero()
-    for ten, c in foissy_coproduct(u).items():
+    for ten, c in ck_coproduct(u).items():
         a, b = ten.parts
-        for s, c2 in foissy_antipode(a).items():
-            total = total + foissy_product(s, b).scale(c * c2)
+        for s, c2 in ck_antipode(a).items():
+            total = total + ck_product(s, b).scale(c * c2)
     want = tf(EMPTY_PLANAR_FOREST) if u == EMPTY_PLANAR_FOREST else LinComb.zero()
     assert total == want
 
 
 @given(small_planar_forests, small_planar_forests)
 def test_foissy_product_concatenates(u, v):
-    got = foissy_product(u, v)
-    assert got == tf(planar_concat(u, v))
+    got = ck_product(u, v)
+    assert got == tf(forest_mul(u, v))
 
 
 def test_forgetting_order_maps_the_ordered_structure_onto_the_unordered_one():
@@ -556,8 +550,8 @@ def test_forgetting_order_maps_the_ordered_structure_onto_the_unordered_one():
     for n in range(6):
         for u in enumerate_planar_forests(n):
             v = forget_order_forest(u)
-            assert foissy_coproduct(u).map_basis(forget_tensor) == coproduct_forest(v)
-            assert foissy_antipode(u).map_basis(forget_order_forest) == ck_antipode(v)
+            assert ck_coproduct(u).map_basis(forget_tensor) == coproduct_forest(v)
+            assert ck_antipode(u).map_basis(forget_order_forest) == ck_antipode(v)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +586,6 @@ def test_lift_rejects_a_broken_cocycle():
         product=shuffle,
         coproduct=deconcat,
         cocycles={1: prepend(1), 2: prepend(2)},
-        verify=True,
     )
     # prepending coincides with appending on powers of one letter, so the
     # probe needs two distinct labels to expose the broken law
@@ -614,12 +607,6 @@ def _counted(target):
 def test_one_lift_builds_and_verifies_each_tree_once():
     forests = labeled_forests_up_to_weight(5)
     trees = {t for u in forests for t in u.trees}
-
-    target, calls = _counted(shuffle_target(range(1, 6), verify=False))
-    lift = cocycle_lift(target)
-    for u in forests:
-        lift(u)
-    assert len(calls) == len(trees)
 
     # a verification applies the cocycle twice to the branch image x and
     # once to the right factor of each term of cop(x); the build once more
@@ -714,14 +701,14 @@ def test_ordered_forest_antipode_reverses_the_trees():
             want = LinComb.term(EMPTY_PLANAR_FOREST)
             for t in u.trees:
                 want = ck_product(ck_antipode(PlanarForest((t,))), want)
-            assert foissy_antipode(u) == want, u
+            assert ck_antipode(u) == want, u
 
 
 def test_antipodes_are_refused_by_the_vertex_budget(monkeypatch):
     monkeypatch.setattr(tree_hopf, "MAX_TERM_VERTICES", 66)
     clear_caches()
     assert len(ck_antipode(forest(ladder(6)))) == 11  # 11 terms of 6 vertices
-    assert len(foissy_antipode(PlanarForest((planar_ladder(4),)))) == 8
+    assert len(ck_antipode(PlanarForest((planar_ladder(4),)))) == 8
     for x in (forest(ladder(7)), LinComb.term(forest(ladder(7))) + tf(EMPTY_FOREST),
               PlanarForest((planar_ladder(5),))):
         with pytest.raises(ValueError, match=r"^an antipode of \d+ terms of [57] vertices is "

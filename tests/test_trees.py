@@ -26,7 +26,6 @@ from hopftrees.trees import (
     enumerate_trees,
     forest,
     forest_mul,
-    forget_order,
     graft,
     labeled_forests_of_weight,
     labeled_forests_up_to_weight,
@@ -34,7 +33,6 @@ from hopftrees.trees import (
     labeled_trees_of_weight,
     ladder,
     pbplus,
-    planar_concat,
     leaf,
     MAX_LINEAR_EXTENSIONS,
     extension_count,
@@ -340,8 +338,8 @@ def test_labeled_forest_strings_round_trip(u):
 def test_bbr_base_cases():
     assert bbr_parse("") == pleaf()
     two = bbr_parse("<>")
-    assert forget_order(two) == ladder(2)
-    assert forget_order(bbr_parse("<><>")) == CHERRY
+    assert canonicalize(two) == ladder(2)
+    assert canonicalize(bbr_parse("<><>")) == CHERRY
 
 
 def test_bbr_round_trip():
@@ -360,7 +358,7 @@ def test_planar_variants_forget_back():
             variants = planar_variants(t)
             assert len(set(variants)) == len(variants)
             for p in variants:
-                assert forget_order(p) == t
+                assert canonicalize(p) == t
 
 
 def test_planar_variant_counts_partition_catalan():
@@ -437,7 +435,7 @@ def test_planar_forest_strings_round_trip(u):
 def test_plain_and_planar_values_of_one_shape_are_unequal():
     for n in range(1, 5):
         for t in enumerate_planar_trees(n):
-            plain = forget_order(t)
+            plain = canonicalize(t)
             assert plain != t and t != plain
             assert Forest((plain,)) != PlanarForest((t,))
             assert PlanarForest((t,)) != Forest((plain,))
@@ -498,11 +496,11 @@ def test_planar_builders_are_the_plain_ones_on_planar_trees():
     assert pleaf(2) == PlanarTree(2, ())
     assert pbplus(PlanarForest((pleaf(1), pleaf())), 3) == PlanarTree(3, (pleaf(1), pleaf()))
     assert planar_ladder(3) == PlanarTree(None, (PlanarTree(None, (pleaf(),)),))
-    assert forget_order(planar_ladder(4)) == ladder(4)
+    assert canonicalize(planar_ladder(4)) == ladder(4)
     assert planar_ladder(0) == planar_ladder(1) == pleaf()
     u, v = PlanarForest((pleaf(1),)), PlanarForest((pleaf(), pleaf(2)))
-    assert planar_concat(u, v) == forest_mul(u, v) == PlanarForest(u.trees + v.trees)
-    assert planar_concat(u, EMPTY_PLANAR_FOREST) is u
+    assert forest_mul(u, v) == PlanarForest(u.trees + v.trees)
+    assert forest_mul(u, EMPTY_PLANAR_FOREST) is u
     for n in range(6):
         want = sorted((PlanarTree(None, f.trees) for f in enumerate_planar_forests(n - 1)),
                       key=lambda t: t.sort_key()) if n else []
