@@ -1,6 +1,7 @@
 """Combinatorial Hopf algebras of rooted trees and words, with the exact
 universal singular frame and its Hall-polynomial representation."""
 
+from . import trees
 from .algebra import (LinComb, PairingError, ParseError, Scalar, Tensor,
                       as_fraction, kronecker, lincomb_tensor, pair_eval,
                       splice_at)
@@ -13,10 +14,9 @@ from .lyndon_hall import (HallForest, HallTree, alpha_key, foliage_word,
 from .morphisms import (composition, diagram_check, e_basis, kernel_generators,
                         m_lambda, pi, qsym_antipode, qsym_product, rho,
                         sym_e_decompose, zhao_Z, zhao_Zstar, zhao_eps, zhao_k)
-from .singular_frame import (FrameSeries, FrameTerm, UnivariatePoly, alphaU,
-                             betaU, frame_coefficient, frame_series,
-                             hall_representation, iterated_integral,
-                             prop53_check, prop53_counterexample)
+from .singular_frame import (FrameSeries, UnivariatePoly, alphaU, betaU,
+                             frame_coefficient, frame_series, hall_representation,
+                             iterated_integral, prop53_check, prop53_counterexample)
 from .tree_hopf import (CocycleLawError, CocycleTarget, char_log,
                         ck_antipode, ck_coproduct, ck_counit, ck_gl_dual,
                         ck_gl_pairing, ck_product, ck_target, cocycle_lift,
@@ -35,18 +35,17 @@ from .words import (ADDITIVE, EMPTY_WORD, ZERO, Word, concat, deconcat,
 
 
 def clear_caches() -> None:
-    """Empty every memo the package keeps: each module-level lru_cache and
-    each module-level dict named *_CACHE, found by walking the package's
-    modules."""
+    """Empty every process-wide memo, each a module-level lru_cache found by
+    walking the package's modules, and the tree intern table.  A closure's
+    cache lives with the callable that holds it and is not reached here."""
     import importlib
     import pkgutil
     for info in pkgutil.iter_modules(__path__):
         module = importlib.import_module(f"{__name__}.{info.name}")
-        for name, obj in vars(module).items():
+        for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()
-            elif name.endswith("_CACHE") and isinstance(obj, dict):
-                obj.clear()
+    trees._INTERN_CACHE.clear()
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

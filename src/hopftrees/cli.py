@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import cache
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable
 
@@ -55,7 +55,7 @@ def _bounded_weight(args) -> int:
     return args.max_weight
 
 
-@cache
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built by the first main() call in a process (and
     the first after clear_caches()).  It reads the algebra and suite names

@@ -157,9 +157,7 @@ def hall_set(max_weight: int) -> list[HallTree]:
     return [hall_tree_of_lyndon(w) for w in lyndon_generate(max_weight)]
 
 
-_FOLIAGE_CACHE: dict[RootedTree, Word] = {}
-
-
+@lru_cache(maxsize=None)
 def foliage_word(t: RootedTree) -> Word:
     """Word read off a labeled tree by peeling the minimal root branch.
 
@@ -168,18 +166,12 @@ def foliage_word(t: RootedTree) -> Word:
     """
     if t.label is None:
         raise ValueError("foliage needs a fully labeled tree")
-    got = _FOLIAGE_CACHE.get(t)
-    if got is not None:
-        return got
     if not t.children:
-        out = word(t.label)
-    else:
-        fols = [foliage_word(c) for c in t.children]
-        m = min(range(len(fols)), key=lambda i: alpha_key(fols[i]))
-        rest = RootedTree(t.label, t.children[:m] + t.children[m + 1:])
-        out = foliage_word(rest).concat(fols[m])
-    _FOLIAGE_CACHE[t] = out
-    return out
+        return word(t.label)
+    fols = [foliage_word(c) for c in t.children]
+    m = min(range(len(fols)), key=lambda i: alpha_key(fols[i]))
+    rest = RootedTree(t.label, t.children[:m] + t.children[m + 1:])
+    return foliage_word(rest).concat(fols[m])
 
 
 def is_hall_tree(t: RootedTree) -> bool:

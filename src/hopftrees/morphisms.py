@@ -191,38 +191,21 @@ def _e_solver(n: int) -> tuple[list[tuple[int, ...]], Callable[[LinComb], list[S
     """The partitions mu of n, and coordinates in the e_mu basis of weight
     n; the basis is eliminated once per weight."""
     mus = partitions(n)
-    products = []
-    for mu in mus:
-        prod = LinComb.term(EMPTY_WORD)
-        for p in mu:
-            prod = qsym_product(prod, e_basis(p))
-        products.append(prod)
-    return mus, span_solver(products)
-
-
-# The decompositions made inside one diagram_checks call, keyed by an
-# element's terms, so that routes of different diagrams decomposing the
-# same symmetric element solve it once; None outside such a call, where
-# nothing is kept.
-_shared_decompositions: dict | None = None
+    return mus, span_solver([alpha3(Word(mu)) for mu in mus])
 
 
 def sym_e_decompose(x: LinComb) -> list[tuple[tuple[int, ...], Scalar]]:
     """Write a symmetric element of QSYM in the elementary basis.
 
     Solved exactly per weight class; raises if some graded piece lies
-    outside the span (i.e. the input is not symmetric).
+    outside the span (i.e. the input is not symmetric).  Each element is
+    solved once until clear_caches(), through _e_decompose.
     """
-    memo = _shared_decompositions
-    if memo is None:
-        return _e_decompose(x.items())
-    key = frozenset(x.items())
-    if key not in memo:
-        memo[key] = _e_decompose(key)
-    return list(memo[key])
+    return list(_e_decompose(frozenset(x.items())))
 
 
-def _e_decompose(terms: Iterable[tuple[Word, Scalar]]) -> list[tuple[tuple[int, ...], Scalar]]:
+@lru_cache(maxsize=None)
+def _e_decompose(terms: frozenset[tuple[Word, Scalar]]) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
     out: list[tuple[tuple[int, ...], Scalar]] = []
     by_weight: dict[int, list] = {}
     for c, v in terms:
@@ -237,7 +220,7 @@ def _e_decompose(terms: Iterable[tuple[Word, Scalar]]) -> list[tuple[tuple[int, 
         if sol is None:
             raise ValueError(f"not a symmetric element: {target}")
         out.extend((mu, c) for mu, c in zip(mus, sol) if c)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +565,6 @@ def diagram_check(name: str, max_weight: int) -> list[DiagramRow]:
 def diagram_checks(max_weight: int) -> dict[str, list[DiagramRow]]:
     """diagram_check on every diagram, in DIAGRAMS order.  Routes that
     decompose the same symmetric element (thm5 and propdiag on alpha3 of a
-    probe, the two sides of hex1) share one decomposition, kept for this
-    call only."""
-    global _shared_decompositions
-    _shared_decompositions = {}
-    try:
-        return {name: diagram_check(name, max_weight) for name in DIAGRAMS}
-    finally:
-        _shared_decompositions = None
+    probe, the two sides of hex1) share one decomposition through
+    sym_e_decompose's memo."""
+    return {name: diagram_check(name, max_weight) for name in DIAGRAMS}

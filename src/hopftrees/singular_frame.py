@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from itertools import accumulate, islice
 from math import lcm, prod
 from operator import attrgetter
@@ -32,7 +32,7 @@ from .algebra import LinComb, Scalar, as_fraction
 from .lyndon_hall import hall_polynomial, hall_set
 from .morphisms import _eword_text
 from .tree_hopf import char_log
-from .trees import EMPTY_FOREST, Forest, RootedTree, subtree_product, sym_order
+from .trees import Forest, RootedTree, subtree_product, sym_order
 from .words import EMPTY_WORD, Word, _letter_texts, compositions, words_of_weight
 
 
@@ -137,15 +137,14 @@ def alphaU_extension_sum() -> Callable[[Forest], Scalar]:
     each, as linear_extensions counts them.  The memo lives as long as the
     returned callable.
     """
-    memo: dict[Forest, Scalar] = {EMPTY_FOREST: 1}
-
+    @cache
     def extension_sum(u: Forest) -> Scalar:
-        if u not in memo:
-            ts = u.trees
-            total = sum(extension_sum(Forest(ts[:i] + ts[i + 1:] + t.children))
-                        for i, t in enumerate(ts))
-            memo[u] = Fraction(total, u.weight)
-        return memo[u]
+        ts = u.trees
+        if not ts:
+            return 1
+        total = sum(extension_sum(Forest(ts[:i] + ts[i + 1:] + t.children))
+                    for i, t in enumerate(ts))
+        return Fraction(total, u.weight)
 
     def alpha(u: Forest) -> Scalar:
         if not u.is_fully_labeled():
@@ -170,14 +169,13 @@ def betaU() -> Callable[[Forest], Scalar]:
     returned callable lives, so it needs no weight up front and values do
     not depend on the order of the calls.
     """
-    logs: dict[int, Callable[[Forest], Scalar]] = {}
+    @cache
+    def log_scaled(scale: int) -> Callable[[Forest], Scalar]:
+        return char_log(cache(partial(_scaled_alphaU_tree, scale)))
 
     def log_alpha(u: Forest) -> Scalar:
         scale = lcm(*range(1, u.weight + 1))
-        log_scaled = logs.get(scale)
-        if log_scaled is None:
-            log_scaled = logs[scale] = char_log(cache(partial(_scaled_alphaU_tree, scale)))
-        value = log_scaled(u)
+        value = log_scaled(scale)(u)
         return Fraction(value, scale ** u.size) if value else 0
 
     return log_alpha
@@ -195,14 +193,6 @@ def _scaled_alphaU_tree(scale: int, s: RootedTree) -> int:
 # ---------------------------------------------------------------------------
 # the series and its Hall representation
 
-@dataclass(frozen=True)
-class FrameTerm:
-    word: Word
-    coeff: Fraction
-    v_pow: int
-    z_pow: int
-
-
 # Term objects per json_chunks piece: enough that joining and writing the
 # pieces costs little per term, few enough to keep each piece small.
 _JSON_BATCH = 1024
@@ -212,14 +202,9 @@ _JSON_BATCH = 1024
 class FrameSeries:
     """The frame series through max_weight.  Its text and JSON are written
     straight from the composition rows, and streamed by ``iter_lines`` and
-    ``json_chunks``; ``terms`` is built on first use."""
+    ``json_chunks``."""
 
     max_weight: int
-
-    @cached_property
-    def terms(self) -> tuple[FrameTerm, ...]:
-        return tuple(FrameTerm(Word(c), Fraction(1, d), sum(c), -len(c))
-                     for c, d in _frame_rows(self.max_weight))
 
     def json_chunks(self) -> Iterator[str]:
         """The text of json.dumps(payload, separators=(",", ":")), payload

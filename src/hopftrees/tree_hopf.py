@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb, lcm, prod
 from typing import Callable, Iterable, Mapping
 
@@ -350,45 +350,34 @@ def char_log(tree_value: Callable[[RootedTree], Scalar]) -> Callable[[Forest], S
     when the tree values are ints: one Fraction per forest, none where the
     sum is 0.  Values and weights are memoized per call.
     """
-    splits: dict[RootedTree, list[tuple[Scalar, RootedTree | None]]] = {}
-    powers: dict[tuple[int, RootedTree], Scalar] = {}
-    rows: dict[int, tuple[int, list[int]]] = {}
-
+    @cache
     def weighted_splits(t: RootedTree) -> list[tuple[Scalar, RootedTree | None]]:
         # the splits (P, R, m) of t as (m a(P), R), zero weights dropped
-        got = splits.get(t)
-        if got is None:
-            got = []
-            for pruned, trunk, mult in _tree_splits(t):
-                weight = mult
-                for s in pruned.trees:
-                    weight *= as_fraction(tree_value(s))
-                if weight:
-                    got.append((weight, trunk))
-            splits[t] = got
-        return got
+        out = []
+        for pruned, trunk, mult in _tree_splits(t):
+            weight = mult
+            for s in pruned.trees:
+                weight *= as_fraction(tree_value(s))
+            if weight:
+                out.append((weight, trunk))
+        return out
 
+    @cache
     def power(j: int, t: RootedTree) -> Scalar:
-        key = (j, t)
-        got = powers.get(key)
-        if got is None:
-            got = 0
-            for weight, trunk in weighted_splits(t):
-                if trunk is None:
-                    got += weight
-                elif j > 1:
-                    got += weight * power(j - 1, trunk)
-            powers[key] = got
-        return got
+        total = 0
+        for weight, trunk in weighted_splits(t):
+            if trunk is None:
+                total += weight
+            elif j > 1:
+                total += weight * power(j - 1, trunk)
+        return total
 
+    @cache
     def log_row(n: int) -> tuple[int, list[int]]:
         # D and the ints D w(n, j), j = 1..n
-        got = rows.get(n)
-        if got is None:
-            weights = [_log_weight(n, j) for j in range(1, n + 1)]
-            d = lcm(*(w.denominator for w in weights))
-            got = rows[n] = (d, [w.numerator * (d // w.denominator) for w in weights])
-        return got
+        weights = [_log_weight(n, j) for j in range(1, n + 1)]
+        d = lcm(*(w.denominator for w in weights))
+        return d, [w.numerator * (d // w.denominator) for w in weights]
 
     def log_a(u: Forest) -> Scalar:
         d, row = log_row(u.size)
@@ -443,27 +432,22 @@ def cocycle_lift(target: CocycleTarget) -> Callable[[LinComb | Forest], LinComb]
     built, so each intermediate image is built, and its cocycle law verified,
     once per lift.  The memo lives as long as the callable.
     """
-    images: dict[RootedTree | Forest, LinComb] = {}
-
+    @cache
     def on_tree(t: RootedTree) -> LinComb:
-        if t not in images:
-            inner = on_forest(strip_root(t))
-            if t.label not in target.cocycles:
-                raise KeyError(f"no cocycle for label {t.label!r} (tree {t})")
-            _check_cocycle(target, t.label, inner, strip_root(t))
-            images[t] = target.cocycles[t.label](inner)
-        return images[t]
+        inner = on_forest(strip_root(t))
+        if t.label not in target.cocycles:
+            raise KeyError(f"no cocycle for label {t.label!r} (tree {t})")
+        _check_cocycle(target, t.label, inner, strip_root(t))
+        return target.cocycles[t.label](inner)
 
-    @linear_map
+    @cache
     def on_forest(u: Forest) -> LinComb:
-        if u not in images:
-            total = target.unit
-            for t in u.trees:
-                total = target.product(total, on_tree(t))
-            images[u] = total
-        return images[u]
+        total = target.unit
+        for t in u.trees:
+            total = target.product(total, on_tree(t))
+        return total
 
-    return on_forest
+    return linear_map(on_forest)
 
 
 def universal_cocycle_map(target: CocycleTarget, x: LinComb | Forest) -> LinComb:

@@ -1,17 +1,27 @@
 """clear_caches reaches every memo in the package and changes no output, and
-the intern table makes equal trees and forests one object."""
+the intern table makes equal trees and forests one object.
+
+Every memo is a functools cache: a process-wide one is a module-level
+``lru_cache``, which clear_caches finds through its module attribute, and
+one that lives as long as a returned callable is a closure decorated with
+``cache``.  The lint below keeps other memo forms out of ``src/hopftrees``:
+``global`` state, ``cached_property``, an ``lru_cache`` on a nested def,
+``cache`` on a module-level def, and module dicts named ``*_CACHE`` other
+than the intern table, which clear_caches empties by name.
+"""
 
 import ast
 import contextlib
 import copy
 import io
 import pickle
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import hopftrees
-from hopftrees import cli, lyndon_hall, trees
+from hopftrees import cli, trees
 from hopftrees.checks import run_suite
 from hopftrees.trees import (Forest, PlanarForest, PlanarTree, RootedTree, canonicalize,
                              leaf, parse_forest, parse_tree, pleaf)
@@ -30,6 +40,69 @@ def _lru_cached_functions():
     return found
 
 
+def _memo_lint(tree: ast.Module, module: str) -> list[str]:
+    """The memo forms other than the two functools ones, in one module."""
+    top = set(map(id, tree.body))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            hits.append(f"global {', '.join(node.names)}")
+        elif isinstance(node, ast.FunctionDef):
+            nested = id(node) not in top
+            for d in map(ast.unparse, node.decorator_list):
+                if "cached_property" in d:
+                    hits.append(f"cached_property {node.name}")
+                elif nested and "lru_cache" in d:
+                    hits.append(f"lru_cache on nested {node.name}")
+                elif not nested and d in ("cache", "functools.cache"):
+                    hits.append(f"cache on module-level {node.name}")
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        hits.extend(t.id for t in targets if isinstance(t, ast.Name)
+                    and t.id.endswith("_CACHE") and (module, t.id) != ("trees", "_INTERN_CACHE"))
+    return hits
+
+
+def test_memo_lint_flags_each_other_memo_form():
+    code = textwrap.dedent("""\
+        from functools import cache, cached_property, lru_cache
+        _FOLIAGE_CACHE: dict = {}
+        _INTERN_CACHE = {}
+        _LIMIT = 3
+        @lru_cache(maxsize=None)
+        def a(x):
+            return x
+        @cache
+        def b(x):
+            return x
+        def c():
+            global _hook
+            @cache
+            def d(x):
+                return x
+            @lru_cache(maxsize=None)
+            def e(x):
+                return x
+            return d, e
+        class F:
+            @functools.cached_property
+            def g(self):
+                return 1
+        """)
+    assert sorted(_memo_lint(ast.parse(code), "words")) == [
+        "_FOLIAGE_CACHE", "_INTERN_CACHE", "cache on module-level b", "cached_property g",
+        "global _hook", "lru_cache on nested e"]
+    assert "_INTERN_CACHE" not in _memo_lint(ast.parse(code), "trees")
+
+
+def test_every_memo_in_the_library_is_a_functools_cache():
+    hits = [f"{path.name}: {hit}" for path in sorted(SRC.glob("*.py"))
+            for hit in _memo_lint(ast.parse(path.read_text(), str(path)), path.stem)]
+    assert SRC.is_dir() and not hits, (
+        "memoize with a module-level lru_cache, or a closure's cache:\n" + "\n".join(hits))
+
+
 def _check_stdout(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -39,16 +112,14 @@ def _check_stdout(argv):
 
 def test_clear_caches_empties_every_lru_cache_and_the_foliage_cache():
     names = _lru_cached_functions()
-    assert ("tree_hopf", "_antipode_forest") in names
-    assert ("morphisms", "_e_solver") in names
+    assert {("tree_hopf", "_antipode_forest"), ("morphisms", "_e_solver"),
+            ("lyndon_hall", "foliage_word"), ("morphisms", "_e_decompose")} <= set(names)
     run_suite("all", 4)
     modules = {m: getattr(hopftrees, m) for m, _ in names}
     assert any(getattr(modules[m], f).cache_info().currsize for m, f in names)
-    assert lyndon_hall._FOLIAGE_CACHE
     hopftrees.clear_caches()
     assert {(m, f): getattr(modules[m], f).cache_info().currsize for m, f in names} == {
         key: 0 for key in names}
-    assert not lyndon_hall._FOLIAGE_CACHE
 
 
 def test_output_is_the_same_after_clearing():

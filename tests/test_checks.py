@@ -388,28 +388,28 @@ def test_one_wrong_pi_image_fails_the_rows_that_read_it(monkeypatch):
 def test_the_diagrams_suite_decomposes_each_symmetric_element_once(monkeypatch):
     from collections import Counter
 
-    from hopftrees import morphisms
+    from hopftrees import clear_caches, morphisms
 
-    calls, solved = Counter(), Counter()
-    decompose, inner = morphisms.sym_e_decompose, morphisms._e_decompose
+    def counted_suite():
+        # suite_diagrams(6)'s rows, its sym_e_decompose calls per element,
+        # and the number of elements solved during it
+        calls, decompose = Counter(), morphisms.sym_e_decompose
+        before = morphisms._e_decompose.cache_info().misses
 
-    def counted_decompose(x):
-        calls[frozenset(x.items())] += 1
-        return decompose(x)
+        def counted_decompose(x):
+            calls[frozenset(x.items())] += 1
+            return decompose(x)
 
-    def counted_inner(terms):
-        solved[frozenset(terms)] += 1
-        return inner(terms)
+        monkeypatch.setattr(morphisms, "sym_e_decompose", counted_decompose)
+        rows = checks.suite_diagrams(6)
+        monkeypatch.undo()
+        return rows, calls, morphisms._e_decompose.cache_info().misses - before
 
-    monkeypatch.setattr(morphisms, "sym_e_decompose", counted_decompose)
-    monkeypatch.setattr(morphisms, "_e_decompose", counted_inner)
-    rows = checks.suite_diagrams(6)
+    clear_caches()
+    rows, calls, solved = counted_suite()
     assert (sum(calls.values()), len(calls)) == (184, 52)
-    assert solved == Counter(dict.fromkeys(calls, 1))
-    assert morphisms._shared_decompositions is None
-    solved.clear()
-    x = morphisms.m_lambda((2, 1))
-    assert decompose(x) == decompose(x)
-    assert solved == Counter({frozenset(x.items()): 2})
-    monkeypatch.undo()
-    assert rows == checks.suite_diagrams(6)
+    assert solved == len(calls) == morphisms._e_decompose.cache_info().currsize
+    again, calls_again, solved_again = counted_suite()
+    assert (again, calls_again, solved_again) == (rows, calls, 0)
+    clear_caches()
+    assert counted_suite() == (rows, calls, 52)

@@ -20,9 +20,9 @@ from hopftrees.lyndon_hall import hall_polynomial, hall_set
 from hopftrees.morphisms import eword_str
 from hopftrees.singular_frame import (
     _JSON_BATCH,
-    FrameTerm,
     UnivariatePoly,
     _alphaU_tree,
+    _frame_rows,
     alphaU,
     alphaU_extension_sum,
     betaU,
@@ -342,23 +342,28 @@ def test_a_wrong_log_weight_fails_the_proper_forest_row(monkeypatch):
 
 def test_frame_series_weight_one():
     s = frame_series(1)
-    assert s.terms == (FrameTerm(word(1), Fraction(1), 1, -1),)
+    assert json.loads("".join(s.json_chunks()))["terms"] == [
+        {"word": [1], "coeff": "1", "v_pow": 1, "z_pow": -1}]
+    assert list(s.iter_lines()) == ["1 * e(-1) v^1 z^-1"]
 
 
 def test_frame_series_weight_two_structure():
     s = frame_series(2)
-    assert s.terms == (
-        FrameTerm(word(1), Fraction(1), 1, -1),
-        FrameTerm(word(2), Fraction(1, 2), 2, -1),
-        FrameTerm(word(1, 1), Fraction(1, 2), 2, -2),
-    )
+    assert json.loads("".join(s.json_chunks()))["terms"] == [
+        {"word": [1], "coeff": "1", "v_pow": 1, "z_pow": -1},
+        {"word": [2], "coeff": "1/2", "v_pow": 2, "z_pow": -1},
+        {"word": [1, 1], "coeff": "1/2", "v_pow": 2, "z_pow": -2},
+    ]
+    assert list(s.iter_lines()) == [
+        "1 * e(-1) v^1 z^-1", "1/2 * e(-2) v^2 z^-1", "1/2 * e(-1)e(-1) v^2 z^-2"]
 
 
 def test_frame_series_term_counts():
     s = frame_series(5)
+    terms = json.loads("".join(s.json_chunks()))["terms"]
+    assert len(list(s.iter_lines())) == len(terms)
     for n in range(1, 6):
-        count = sum(1 for t in s.terms if t.word.weight == n)
-        assert count == 2 ** (n - 1)
+        assert sum(1 for t in terms if t["v_pow"] == n) == 2 ** (n - 1)
 
 
 def test_frame_series_rejects_weight_zero():
@@ -381,23 +386,24 @@ def test_frame_series_text_lines():
 
 
 def _word_route(max_weight):
-    """The series built term by term from Word and frame_coefficient, with
-    its JSON through json.dumps and its text lines through eword_str."""
-    terms = tuple(FrameTerm(w, frame_coefficient(w), w.weight, -len(w))
-                  for n in range(1, max_weight + 1) for w in words_of_weight(n))
+    """The series built term by term from Word and frame_coefficient, as
+    (word, coefficient) pairs, with its JSON through json.dumps and its
+    text lines through eword_str."""
+    terms = [(w, frame_coefficient(w))
+             for n in range(1, max_weight + 1) for w in words_of_weight(n)]
     payload = {"max_weight": max_weight,
-               "terms": [{"word": list(t.word.letters), "coeff": str(t.coeff),
-                          "v_pow": t.v_pow, "z_pow": t.z_pow} for t in terms]}
-    lines = [f"{t.coeff} * {eword_str(t.word)} v^{t.v_pow} z^{t.z_pow}" for t in terms]
+               "terms": [{"word": list(w.letters), "coeff": str(c),
+                          "v_pow": w.weight, "z_pow": -len(w)} for w, c in terms]}
+    lines = [f"{c} * {eword_str(w)} v^{w.weight} z^-{len(w)}" for w, c in terms]
     return terms, json.dumps(payload, separators=(",", ":")), lines
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_frame_rows_match_the_word_route(n):
+    # the one row source both streams read: each word's letters, in series
+    # order, with 1 over its coefficient
     terms, _, _ = _word_route(n)
-    s = frame_series(n)
-    assert s.terms == terms
-    assert s.terms is s.terms
+    assert list(_frame_rows(n)) == [(w.letters, 1 / c) for w, c in terms]
 
 
 def test_frame_json_peak_memory_stays_within_eight_times_its_length():

@@ -13,13 +13,13 @@ import pytest
 
 from hopftrees.algebra import LinComb, as_fraction
 from hopftrees.linsolve import exact_rank, solve_in_span, span_solver
-from hopftrees.singular_frame import alphaU, betaU, frame_series, hall_representation
+from hopftrees.singular_frame import alphaU, betaU, frame_coefficient, hall_representation
 from hopftrees.tree_hopf import (ck_antipode, ck_product, coproduct_forest, gl_product,
                                  planar_diamond_antipode)
 from hopftrees.trees import (enumerate_planar_forests, enumerate_planar_trees, enumerate_trees,
                              labeled_forests_up_to_weight, parse_forest, parse_tree)
 from hopftrees.words import (ADDITIVE, ZERO, deconcat, quasi_shuffle, shuffle, word,
-                             word_antipode)
+                             word_antipode, words_of_weight)
 
 
 def test_as_fraction_rejects_floats():
@@ -97,7 +97,8 @@ def test_integer_kernels_return_int_coefficients():
 
 
 def test_rational_results_are_int_or_fraction():
-    assert _exact_coefficients(t.coeff for t in frame_series(6).terms)
+    assert _exact_coefficients(frame_coefficient(w) for n in range(1, 7)
+                               for w in words_of_weight(n))
     assert _exact_coefficients(c for _, c in hall_representation(6).items())
     beta = betaU()
     forests = labeled_forests_up_to_weight(5)
