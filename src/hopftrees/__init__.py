@@ -2,26 +2,22 @@
 universal singular frame and its Hall-polynomial representation."""
 
 from . import trees
-from .algebra import (LinComb, PairingError, ParseError, Scalar, Tensor,
-                      as_fraction, kronecker, lincomb_tensor, pair_eval,
-                      splice_at)
+from .algebra import LinComb, ParseError, Scalar, Tensor, as_fraction, lincomb_tensor
 from .checks import CheckRow, run_suite
 from .lyndon_hall import (HallForest, HallTree, alpha_key, foliage_word,
                           hall_forest, hall_forests, hall_polynomial, hall_set,
-                          hall_tree_less, hall_tree_of_lyndon, is_hall_tree,
-                          is_lyndon, lyndon_factorize, lyndon_generate,
-                          lyndon_poly_decompose, lyndon_words, pbw_element, xi)
+                          hall_tree_of_lyndon, is_hall_tree, is_lyndon,
+                          lyndon_factorize, lyndon_generate, lyndon_poly_decompose,
+                          lyndon_words, pbw_element, xi)
 from .morphisms import (composition, diagram_check, e_basis, kernel_generators,
                         m_lambda, pi, qsym_antipode, qsym_product, rho,
                         sym_e_decompose, zhao_Z, zhao_Zstar, zhao_eps, zhao_k)
 from .singular_frame import (FrameSeries, UnivariatePoly, alphaU, betaU,
                              frame_coefficient, frame_series, hall_representation,
                              iterated_integral, prop53_check, prop53_counterexample)
-from .tree_hopf import (CocycleLawError, CocycleTarget, char_log,
-                        ck_antipode, ck_coproduct, ck_counit, ck_gl_dual,
-                        ck_gl_pairing, ck_product, ck_target, cocycle_lift,
-                        coproduct_forest, gl_antipode, gl_coproduct, gl_counit,
-                        gl_product, gl_unit, pair_gl_ck, planar_diamond,
+from .tree_hopf import (CocycleLawError, CocycleTarget, char_log, ck_antipode,
+                        ck_gl_dual, ck_product, cocycle_lift, coproduct_forest,
+                        gl_antipode, gl_coproduct, gl_product, gl_unit, planar_diamond,
                         planar_diamond_antipode, planar_diamond_coproduct,
                         shuffle_target, universal_cocycle_map)
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,

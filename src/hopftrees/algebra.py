@@ -1,6 +1,6 @@
-"""Exact scalars, sparse linear combinations, tensors, pairings and the
-antipode recursion shared by the cut and attachment Hopf algebras (the
-word and branch-shuffle antipodes have closed forms).
+"""Exact scalars, sparse linear combinations, tensors and the antipode
+recursion shared by the cut and attachment Hopf algebras (the word and
+branch-shuffle antipodes have closed forms).
 
 Every algebraic object in this package is a finite formal sum of canonical
 basis elements (trees, forests, words, tensors, ...) with exact rational
@@ -46,10 +46,6 @@ def _read_positive(s: str, pos: int, what: str, base: int = 0) -> tuple[int, int
     if value < 1:
         raise ParseError(f"{what} must be positive", base + start)
     return value, pos
-
-
-class PairingError(ValueError):
-    """Raised when a bilinear pairing is evaluated on an undefined basis pair."""
 
 
 def as_fraction(c: Scalar) -> Scalar:
@@ -306,38 +302,6 @@ def lincomb_tensor(*factors: LinComb) -> LinComb:
     for factor in factors:
         total = total.bilinear(factor, lambda t, b: Tensor(t.parts + (b,)))
     return total
-
-
-def splice_at(x: LinComb, index: int, f: Callable[[Any], LinComb]) -> LinComb:
-    """Apply a linear map to one tensor slot, splicing Tensor-valued images in place."""
-    data: dict[Any, Scalar] = {}
-    for t, c in x.items():
-        image = LinComb.lift(f(t.parts[index]))
-        head, tail = t.parts[:index], t.parts[index + 1:]
-        _accumulate(data, ((Tensor(head + (s.parts if isinstance(s, Tensor) else (s,)) + tail), c2)
-                           for s, c2 in image.items()), c)
-    return _wrap(data)
-
-
-def pair_eval(x: LinComb, y: LinComb,
-              pairing: Callable[[Any, Any], Scalar | None]) -> Scalar:
-    """Bilinear extension of a basis-level pairing.
-
-    The pairing callback returns the scalar value, or None when the pair is
-    outside its domain (which is an error, reported with both elements named).
-    """
-    total = 0
-    for b1, c1 in x.items():
-        for b2, c2 in y.items():
-            v = pairing(b1, b2)
-            if v is None:
-                raise PairingError(f"pairing undefined for ({b1}, {b2})")
-            total += c1 * c2 * v
-    return total
-
-
-def kronecker(b1: Any, b2: Any) -> int:
-    return 1 if b1 == b2 else 0
 
 
 def recursive_antipode(b: Any, coproduct: Callable[[Any], LinComb],

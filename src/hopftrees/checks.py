@@ -69,7 +69,8 @@ def _agreement_row(name: str, unit: str, sides: tuple[str, ...],
 class HopfAlgebra:
     """A Hopf algebra on a basis: parse reads a basis element, fmt prints one
     (slotwise on a tensor), product, coproduct and antipode take basis
-    elements, and unit is the unit basis element."""
+    elements, and unit is the unit basis element.  The counit is the
+    coefficient of unit, which is how the counit rows of _hopf_rows read it."""
 
     parse: Callable[[str], object]
     product: Callable

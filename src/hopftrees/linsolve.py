@@ -114,8 +114,3 @@ def span_solver(basis: Sequence[Mapping[Any, Scalar]]
 
     return solve
 
-
-def solve_in_span(basis: Sequence[Mapping[Any, Scalar]],
-                  target: Mapping[Any, Scalar]) -> list[Scalar] | None:
-    """Coefficients x with target = sum x_i * basis_i, or None if unsolvable."""
-    return span_solver(basis)(target)

@@ -25,11 +25,6 @@ from .words import EMPTY_WORD, Word, _concat_table, _word, _word_lincomb, shuffl
 # ---------------------------------------------------------------------------
 # the total order
 
-def letter_less(a: int, b: int) -> bool:
-    """f_a < f_b iff a > b; the heaviest letter is the smallest."""
-    return a > b
-
-
 def alpha_key(w: Word) -> tuple[int, ...]:
     """Sort key realizing the alphabetical order on words as tuple order."""
     return tuple(-k for k in w.letters)
@@ -178,13 +173,6 @@ def is_hall_tree(t: RootedTree) -> bool:
     """Membership in the Lyndon-induced Hall set."""
     w = foliage_word(t)
     return is_lyndon(w) and hall_tree_of_lyndon(w).tree == t
-
-
-def hall_tree_less(s: HallTree | RootedTree, t: HallTree | RootedTree) -> bool:
-    """The Hall order: alphabetical order of foliages."""
-    ws = s.foliage if isinstance(s, HallTree) else foliage_word(s)
-    wt = t.foliage if isinstance(t, HallTree) else foliage_word(t)
-    return word_less(ws, wt)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +398,3 @@ def lyndon_poly_decompose(x: LinComb) -> LinComb:
             rem = LinComb.sum([rem, (expand_shuffle_monomial(m), -coeff)])
     return LinComb(terms)
 
-
-def expand_lyndon_polynomial(p: LinComb) -> LinComb:
-    return LinComb.sum((expand_shuffle_monomial(m), c) for m, c in p.items())

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
-from .algebra import LinComb, ParseError, Scalar, Tensor, _read_positive, as_fraction, linear_map
+from .algebra import LinComb, ParseError, Scalar, Tensor, _read_positive, linear_map
 from .linsolve import span_solver
 from .trees import (EMPTY_FOREST, Forest, PlanarForest, PlanarTree,
                     RootedTree, _multisets, bplus, extension_count, forest,
@@ -53,16 +53,6 @@ def pi(u: Forest) -> LinComb:
     for one suite call.
     """
     return LinComb((w, 1) for w in linear_extensions(u))
-
-
-def alpha_of(x: LinComb | Forest,
-             coeffs: Mapping[Word, Scalar] | Callable[[Word], Scalar]) -> Scalar:
-    """Evaluate a word-indexed coefficient family on a labeled forest."""
-    if callable(coeffs):
-        lookup = coeffs
-    else:
-        lookup = lambda w: coeffs[w]
-    return pi(x).functional(lambda w: as_fraction(lookup(w)))
 
 
 def circ(t: RootedTree, u: Forest | RootedTree) -> Forest:

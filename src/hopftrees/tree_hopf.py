@@ -9,11 +9,12 @@ Four structures are implemented:
 * its graded dual with the vertex-attachment product (selector ``gl``),
   whose basis trees pair with forests by stripping the root;
 * the ordered-forest variant with the concatenation product (selector
-  ``foissy``), under the same identity: the ``ck_*`` maps on
-  ``PlanarForest`` values.  One cut core (tree splits, forest coproduct,
-  product and antipode) serves ordered and unordered forests, reading the
-  forest type off its argument, and its coproduct and antipode return a
-  basis argument's memoized LinComb itself;
+  ``foissy``), under the same identity: ``ck_product``,
+  ``coproduct_forest`` and ``ck_antipode`` on ``PlanarForest`` values.
+  One cut core (tree splits, forest coproduct, product and antipode)
+  serves ordered and unordered forests, reading the forest type off its
+  argument, and its coproduct and antipode return a basis argument's
+  memoized LinComb itself;
 * the root-branch shuffle product with deconcatenation of branches on
   planar trees (selector ``planar``).
 
@@ -39,9 +40,8 @@ from typing import Callable, Iterable, Mapping
 
 from .algebra import (LinComb, Scalar, Tensor, _accumulate, _wrap, as_fraction,
                       bilinear_map, lincomb_tensor, linear_map, recursive_antipode)
-from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,
-                    PlanarTree, RootedTree, _multiplicities, bplus, forest_mul,
-                    leaf, strip_root, sym_order)
+from .trees import (Forest, PlanarForest, PlanarTree, RootedTree, _multiplicities,
+                    forest_mul, leaf, strip_root, sym_order)
 from .words import EMPTY_WORD, ZERO, Word, _shuffle_table, deconcat, shuffle
 
 
@@ -117,17 +117,6 @@ def coproduct_forest(u: Forest | PlanarForest) -> LinComb:
     (PlanarForest tensors for an ordered forest): its split table, each
     tensor built once per distinct term."""
     return _wrap({Tensor(key): m for key, m in _split_product(u.trees, type(u)).items()})
-
-
-@linear_map
-def ck_coproduct(u: Forest | PlanarForest) -> LinComb:
-    return coproduct_forest(u)
-
-
-def ck_counit(x: LinComb | Forest | PlanarForest) -> Scalar:
-    """The coefficient of the empty forest, unordered or ordered."""
-    x = LinComb.lift(x)
-    return x.coeff(EMPTY_FOREST) + x.coeff(EMPTY_PLANAR_FOREST)
 
 
 @lru_cache(maxsize=None)
@@ -226,10 +215,6 @@ def gl_coproduct(t: RootedTree) -> LinComb:
     return LinComb(terms)
 
 
-def gl_counit(x: LinComb | RootedTree) -> Scalar:
-    return LinComb.lift(x).coeff(GL_UNIT_TREE)
-
-
 @lru_cache(maxsize=None)
 def _gl_antipode_tree(t: RootedTree) -> LinComb:
     if t.label is not None:
@@ -257,25 +242,6 @@ def ck_gl_dual(t: RootedTree) -> tuple[Forest, int]:
     """
     u = strip_root(t)
     return u, 0 if t.label is not None else sym_order(u)
-
-
-def ck_gl_pairing(t: RootedTree, v: Forest) -> int:
-    """<B+(u), v> = |sym(u)| if u == v else 0, u the branch forest of t
-    (0 on a labeled root)."""
-    u, s = ck_gl_dual(t)
-    return s if u == v else 0
-
-
-def pair_gl_ck(x: LinComb | RootedTree, y: LinComb | Forest) -> Scalar:
-    """<x, y>, one coefficient lookup in y per tree of x."""
-    y = LinComb.lift(y)
-    total = 0
-    for t, c in LinComb.lift(x).items():
-        u, s = ck_gl_dual(t)
-        cy = y.coeff(u)
-        if cy:
-            total += c * cy * s
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +419,6 @@ def cocycle_lift(target: CocycleTarget) -> Callable[[LinComb | Forest], LinComb]
 def universal_cocycle_map(target: CocycleTarget, x: LinComb | Forest) -> LinComb:
     """The image of x under a fresh cocycle_lift(target)."""
     return cocycle_lift(target)(x)
-
-
-def ck_target(labels: Iterable[int | None] = (None,)) -> CocycleTarget:
-    """Forests with the cut coproduct and L_a = B+_a; the lift is the identity."""
-    def make(a):
-        return lambda x: x.map_basis(lambda u: Forest((bplus(u, a),)))
-
-    return CocycleTarget(
-        unit=LinComb.term(EMPTY_FOREST),
-        product=ck_product,
-        coproduct=coproduct_forest,
-        cocycles={a: make(a) for a in labels},
-    )
 
 
 def shuffle_target(labels: Iterable[int]) -> CocycleTarget:

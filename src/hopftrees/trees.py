@@ -16,9 +16,7 @@ Text grammar: ``[]`` is an unlabeled vertex, children go comma-separated in
 brackets (``[[],[]]`` is the cherry), a label prefixes the bracket as in
 ``f2[f1]``, and a labeled leaf may drop its brackets. Forests are space
 separated; the empty forest prints as ``I``.  Trees nested deeper than
-``MAX_PARSE_DEPTH`` vertices are refused with a ParseError.  Planar trees
-also have a balanced-bracket form over ``<``/``>`` in which the root is
-implicit; there the same limit counts bracket levels below the root.
+``MAX_PARSE_DEPTH`` vertices are refused with a ParseError.
 """
 
 from __future__ import annotations
@@ -429,10 +427,6 @@ def pleaf(label: int | None = None) -> PlanarTree:
     return leaf(label, PlanarTree)
 
 
-def pbplus(u: PlanarForest, label: int | None = None) -> PlanarTree:
-    return bplus(u, label, PlanarTree)
-
-
 def planar_ladder(n: int) -> PlanarTree:
     """The n-vertex planar ladder; n < 1 gives a single vertex."""
     return ladder(max(n, 1), None, PlanarTree)
@@ -464,38 +458,6 @@ def enumerate_planar_forests(n: int) -> tuple[PlanarForest, ...]:
     return tuple(sorted((PlanarForest(ts) for c in compositions(n)
                          for ts in itertools.product(*map(enumerate_planar_trees, c))),
                         key=_by_key))
-
-
-# ---------------------------------------------------------------------------
-# balanced bracket representation (planar, unlabeled; the root is implicit)
-
-def bbr_print(t: PlanarTree) -> str:
-    return "".join("<" + bbr_print(c) + ">" for c in t.children)
-
-
-def bbr_parse(text: str) -> PlanarTree:
-    """Parse a balanced string over <> into a planar tree.
-
-    Brackets nested deeper than ``MAX_PARSE_DEPTH`` levels below the
-    implicit root are refused with a ParseError.
-    """
-    children, pos = _bbr_children(text, 0)
-    if pos != len(text):
-        raise ParseError("unbalanced string", pos)
-    return PlanarTree(None, children)
-
-
-def _bbr_children(s: str, pos: int, depth: int = 1) -> tuple[tuple[PlanarTree, ...], int]:
-    children = []
-    while pos < len(s) and s[pos] == "<":
-        if depth > MAX_PARSE_DEPTH:
-            raise ParseError(f"tree nested deeper than {MAX_PARSE_DEPTH} levels", pos)
-        inner, pos = _bbr_children(s, pos + 1, depth + 1)
-        if pos >= len(s) or s[pos] != ">":
-            raise ParseError("unbalanced string", len(s) if pos >= len(s) else pos)
-        children.append(PlanarTree(None, inner))
-        pos += 1
-    return tuple(children), pos
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ an additive bracket [f_a, f_b] = f_{a+b}, both with the deconcatenation
 coproduct.  The additive quasi-shuffle algebra is QSYM in its monomial
 basis, a word f_{i_1}...f_{i_k} standing for M_(i_1,...,i_k).  Both
 antipodes are the signed contractions of the reversed word.  The graded
-dual carries the concatenation product; its elements reuse the Word type
-and only pick up a trailing ``*`` when printed.
+dual carries the concatenation product; its elements reuse the Word type.
 """
 
 from __future__ import annotations
@@ -99,11 +98,6 @@ EMPTY_WORD = Word(())
 
 def word(*letters: int) -> Word:
     return Word(letters)
-
-
-def dual_word_str(w: Word) -> str:
-    """Dual-basis printing: trailing star, ``1`` for the empty word."""
-    return "1" if not w.letters else f"{w}*"
 
 
 def parse_word(text: str) -> Word:
@@ -297,10 +291,6 @@ def deconcat(w: Word) -> LinComb:
     return LinComb((Tensor((w[:i], w[i:])), 1) for i in range(len(w.letters) + 1))
 
 
-def word_counit(x: LinComb | Word) -> Scalar:
-    return LinComb.lift(x).coeff(EMPTY_WORD)
-
-
 def compose_word(parts: tuple[int, ...], w: Word, pairing: Pairing) -> Word | None:
     """Contract w along a composition of its length, bracketing each block."""
     if sum(parts) != len(w.letters):
@@ -380,29 +370,6 @@ def hoffman_tau(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
 def hoffman_psi(x: LinComb | Word, pairing: Pairing = ADDITIVE) -> LinComb:
     """Hoffman's logarithm: contractions weighted by (-1)^(n-l)/(i_1 ... i_l)."""
     return _contractions(x, pairing, _log_block_weight)
-
-
-@linear_map
-def dual_delta(w: Word, pairing: Pairing) -> LinComb:
-    """Coproduct on the concatenation dual: delta(w*) = sum (u*v, w*) u* (x) v*.
-
-    Read off w: the coefficient of w in u * v counts the ways to deal each
-    letter of w to u or to v, or, under the additive bracket only, to split
-    a letter f_k as f_a to u and f_(k-a) to v with 0 < a < k.  Equal pairs
-    (u, v) merge after every letter.
-    """
-    _check_pairing(pairing)
-    splits: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
-    for k in w.letters:
-        grown: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for (u, v), c in splits.items():
-            keys = [(u + (k,), v), (u, v + (k,))]
-            if pairing == ADDITIVE:
-                keys += [(u + (a,), v + (k - a,)) for a in range(1, k)]
-            for key in keys:
-                grown[key] = grown.get(key, 0) + c
-        splits = grown
-    return LinComb((Tensor((Word(u), Word(v))), c) for (u, v), c in splits.items())
 
 
 @linear_map

@@ -1,17 +1,20 @@
 """Second routes, independent of the package's own, for the identities that
 the tests check two ways: the cut coproduct by admissible cuts, the
 attachment coproduct by subsets of root branches, the convolution logarithm
-by convolution powers, and Lie elements by primitivity."""
+by convolution powers, Lie elements by primitivity, the Hopf-axiom sides as
+whole LinCombs (``splice_at``), the GL/CK duality as a pairing of basis
+elements (``ck_gl_pairing``), and the coproduct of the concatenation dual
+read off each word (``dual_delta``)."""
 
 import itertools
 from fractions import Fraction
 from functools import cache
 from math import prod
 
-from hopftrees.algebra import LinComb, Tensor
-from hopftrees.tree_hopf import coproduct_forest
+from hopftrees.algebra import LinComb, Tensor, linear_map
+from hopftrees.tree_hopf import ck_gl_dual, coproduct_forest
 from hopftrees.trees import EMPTY_FOREST, Forest, RootedTree
-from hopftrees.words import EMPTY_WORD, ZERO, dual_delta
+from hopftrees.words import ADDITIVE, EMPTY_WORD, ZERO, Word
 
 
 def _cuts(t):
@@ -78,3 +81,43 @@ def is_lie_polynomial(x):
     expected = LinComb((Tensor(parts), c) for w, c in x.items()
                        for parts in ((w, EMPTY_WORD), (EMPTY_WORD, w)))
     return dual_delta(x, ZERO) == expected
+
+
+def splice_at(x, index, f):
+    """Apply a linear map to one tensor slot of x, splicing Tensor-valued
+    images in place."""
+    return LinComb(
+        (Tensor(t.parts[:index] + (s.parts if isinstance(s, Tensor) else (s,))
+                + t.parts[index + 1:]), c * c2)
+        for t, c in x.items() for s, c2 in LinComb.lift(f(t.parts[index])).items())
+
+
+def ck_gl_pairing(t, v):
+    """<B+(u), v> = |sym(u)| if u == v else 0, u the branch forest of t
+    (0 on a labeled root)."""
+    u, s = ck_gl_dual(t)
+    return s if u == v else 0
+
+
+@linear_map
+def dual_delta(w, pairing):
+    """Coproduct on the concatenation dual: delta(w*) = sum (u*v, w*) u* (x) v*.
+
+    Read off w: the coefficient of w in u * v counts the ways to deal each
+    letter of w to u or to v, or, under the additive bracket only, to split
+    a letter f_k as f_a to u and f_(k-a) to v with 0 < a < k.  Equal pairs
+    (u, v) merge after every letter.
+    """
+    if pairing not in (ZERO, ADDITIVE):
+        raise ValueError(f"unknown pairing rule {pairing!r}")
+    splits = {((), ()): 1}
+    for k in w.letters:
+        grown = {}
+        for (u, v), c in splits.items():
+            keys = [(u + (k,), v), (u, v + (k,))]
+            if pairing == ADDITIVE:
+                keys += [(u + (a,), v + (k - a,)) for a in range(1, k)]
+            for key in keys:
+                grown[key] = grown.get(key, 0) + c
+        splits = grown
+    return LinComb((Tensor((Word(u), Word(v))), c) for (u, v), c in splits.items())

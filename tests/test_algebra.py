@@ -1,25 +1,21 @@
-"""Linear combinations, tensors, pairings, and the antipode recursion."""
+"""Linear combinations, tensors, and the antipode recursion."""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hopftrees.algebra import (
     LinComb,
-    PairingError,
     ParseError,
     Tensor,
-    kronecker,
     lincomb_tensor,
-    pair_eval,
     recursive_antipode,
-    splice_at,
 )
 from hopftrees.words import word
+from oracles import splice_at
 
 rationals = st.fractions(max_denominator=6)
 lincombs = st.lists(
@@ -59,20 +55,6 @@ def test_coeff_and_support():
 def test_graded_part_filters_by_degree():
     x = LinComb.term("a") + LinComb.term("bb") + LinComb.term("ccc")
     assert x.graded_part(len, 2) == LinComb.term("a") + LinComb.term("bb")
-
-
-def test_kronecker_pairing_values():
-    w = LinComb.term("w")
-    assert pair_eval(w, w, kronecker) == 1
-    assert pair_eval(LinComb.term("u"), LinComb.term("v"), kronecker) == 0
-    x = LinComb.term("a", 2) + LinComb.term("b")
-    y = LinComb.term("a") - LinComb.term("b")
-    assert pair_eval(x, y, kronecker) == 1
-
-
-def test_pair_eval_reports_undefined_pairs():
-    with pytest.raises(PairingError, match="pairing undefined"):
-        pair_eval(LinComb.term("a"), LinComb.term("b"), lambda u, v: None)
 
 
 def test_tensor_is_ordered():

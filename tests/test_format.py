@@ -10,7 +10,7 @@ from hopftrees.algebra import LinComb, Tensor
 from hopftrees.checks import ALGEBRAS
 from hopftrees.morphisms import composition_str, eword_str, zword_str
 from hopftrees.trees import Forest, PlanarForest, PlanarTree, RootedTree
-from hopftrees.words import Word, dual_word_str
+from hopftrees.words import Word
 
 # small letters and labels, and ones past the end of the printers' table of 64
 numbers = st.one_of(st.integers(1, 12), st.integers(60, 70), st.integers(10**6, 10**20))
@@ -65,7 +65,7 @@ def test_format_matches_the_seed_expression_for_every_algebra(data):
 
 
 @given(combinations(words),
-       st.sampled_from([eword_str, dual_word_str, zword_str, composition_str, str]))
+       st.sampled_from([eword_str, zword_str, composition_str, str]))
 def test_format_matches_the_seed_expression_for_the_word_printers(x, fmt):
     assert x.format(fmt) == (seed_format(x, fmt) if x else "0")
 
@@ -81,4 +81,3 @@ def test_word_printers_match_the_seed_expressions(w):
     assert composition_str(w) == "M(" + ",".join(str(p) for p in k) + ")"
     assert eword_str(w) == ("".join(f"e(-{a})" for a in k) if k else "1")
     assert zword_str(w) == (".".join(f"z{a}" for a in k) if k else "1")
-    assert dual_word_str(w) == (f"{w}*" if k else "1")

@@ -9,25 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopftrees import checks, clear_caches, tree_hopf
-from hopftrees.algebra import LinComb, Tensor, lincomb_tensor, recursive_antipode, splice_at
+from hopftrees.algebra import LinComb, Tensor, lincomb_tensor, recursive_antipode
 from hopftrees.tree_hopf import (
     GL_UNIT_TREE,
     CocycleLawError,
     CocycleTarget,
     ck_antipode,
-    ck_coproduct,
-    ck_counit,
-    ck_gl_pairing,
     ck_product,
-    ck_target,
     cocycle_lift,
     coproduct_forest,
     gl_antipode,
     gl_coproduct,
-    gl_counit,
     gl_product,
     gl_unit,
-    pair_gl_ck,
     planar_diamond,
     planar_diamond_antipode,
     planar_diamond_coproduct,
@@ -40,7 +34,6 @@ from hopftrees.trees import (
     Forest,
     PlanarForest,
     PlanarTree,
-    bbr_parse,
     bplus,
     enumerate_forests,
     enumerate_planar_forests,
@@ -54,14 +47,13 @@ from hopftrees.trees import (
     ladder,
     leaf,
     parse_tree,
-    pbplus,
     planar_ladder,
     pleaf,
     strip_root,
 )
 from hopftrees.words import EMPTY_WORD, ZERO, _shuffle_table, concat, deconcat, word
 from hopftrees.morphisms import pi
-from oracles import cut_coproduct_tree, gl_coproduct_by_masks
+from oracles import ck_gl_pairing, cut_coproduct_tree, gl_coproduct_by_masks, splice_at
 
 L2 = ladder(2)
 L3 = ladder(3)
@@ -79,12 +71,16 @@ def tf(u, c=1):
     return LinComb.term(u, c)
 
 
+def ptree(text):
+    return parse_tree(text, planar=True)
+
+
 # ---------------------------------------------------------------------------
 # cut coproduct
 
 
 def test_cut_coproduct_of_the_ladder():
-    got = ck_coproduct(forest(L2))
+    got = coproduct_forest(forest(L2))
     want = (
         tf(Tensor((forest(L2), EMPTY_FOREST)))
         + tf(Tensor((EMPTY_FOREST, forest(L2))))
@@ -94,7 +90,7 @@ def test_cut_coproduct_of_the_ladder():
 
 
 def test_cut_coproduct_of_the_cherry():
-    got = ck_coproduct(forest(CHERRY))
+    got = coproduct_forest(forest(CHERRY))
     want = (
         tf(Tensor((forest(CHERRY), EMPTY_FOREST)))
         + tf(Tensor((EMPTY_FOREST, forest(CHERRY))))
@@ -183,20 +179,19 @@ def test_coproduct_of_many_equal_trees_merges_its_partial_terms():
 def test_a_memoized_result_is_unchanged_by_the_sums_it_enters():
     clear_caches()
     u = forest(CHERRY, leaf())
-    memoized = [ck_coproduct(u), ck_antipode(u), coproduct_forest(forest(leaf()))]
-    assert memoized[0] is coproduct_forest(u) and memoized[1] is ck_antipode(u)
+    memoized = [coproduct_forest(u), ck_antipode(u), coproduct_forest(forest(leaf()))]
     before = [dict(x.items()) for x in memoized]
     for x in memoized:
         LinComb.sum([x, x, (x, -1), (x, Fraction(1, 2))])
         _ = x + x, x - x, x + LinComb.zero(), -x, x.scale(3), x.combine(x, -1)
         x.map_basis(lambda b: b)
     ck_product(memoized[1], memoized[1])
-    ck_coproduct(memoized[1])
+    memoized[1].map_basis(coproduct_forest)
     ck_antipode(LinComb.term(u, -2) + tf(forest(leaf())))
     checks._hopf_rows("ck", [u, forest(leaf())], coproduct_forest, ck_antipode, ck_product,
                       EMPTY_FOREST)
     assert [dict(x.items()) for x in memoized] == before
-    assert memoized[0] is ck_coproduct(u) and memoized[1] is ck_antipode(u)
+    assert memoized[0] is coproduct_forest(u) and memoized[1] is ck_antipode(u)
 
 
 def _cop_of(x):
@@ -204,22 +199,6 @@ def _cop_of(x):
     for u, c in x.items():
         total = total + coproduct_forest(u).scale(c)
     return total
-
-
-def test_counit_values():
-    assert ck_counit(EMPTY_FOREST) == 1
-    assert ck_counit(forest(CHERRY)) == 0
-    assert ck_counit(forest(leaf())) == 0
-
-
-def test_counit_serves_ordered_forests():
-    assert ck_counit(EMPTY_PLANAR_FOREST) == 1
-    assert ck_counit(LinComb.term(EMPTY_PLANAR_FOREST)) == 1
-    assert ck_counit(LinComb.term(EMPTY_PLANAR_FOREST, 3)
-                     + LinComb.term(PlanarForest((pleaf(),)))) == 3
-    for u in [f for n in range(4) for f in enumerate_planar_forests(n)]:
-        x = LinComb.term(u, 2)
-        assert ck_counit(x) == (2 if not u.trees else 0)
 
 
 def test_antipode_of_the_ladder():
@@ -269,8 +248,7 @@ def test_attachment_product_with_two_branches():
 def test_attachment_unit(t):
     assert gl_product(t, GL_UNIT_TREE) == tf(t)
     assert gl_product(GL_UNIT_TREE, t) == tf(t)
-    assert gl_counit(gl_unit()) == 1
-    assert gl_counit(tf(t)) == (1 if t == GL_UNIT_TREE else 0)
+    assert gl_unit() == tf(GL_UNIT_TREE)
 
 
 @settings(deadline=None)
@@ -348,10 +326,15 @@ def test_pairing_normalization():
 
 
 def test_pairing_adjunction_fixes_the_normalization():
-    lhs = pair_gl_ck(gl_product(L2, L2), forest(leaf(), leaf()))
+    lhs = _pair(gl_product(L2, L2), tf(forest(leaf(), leaf())))
     rhs = _pair_tensor(
         lincomb_tensor(tf(L2), tf(L2)), coproduct_forest(forest(leaf(), leaf())))
     assert lhs == rhs == 2
+
+
+def _pair(x, y):
+    """<x, y>, the basis pairing extended over both sums."""
+    return sum(c1 * c2 * ck_gl_pairing(t, v) for t, c1 in x.items() for v, c2 in y.items())
 
 
 def _pair_tensor(x, d):
@@ -366,47 +349,25 @@ def _pair_tensor(x, d):
     return total
 
 
-_pairing_trees = ([t for n in range(1, 5) for t in enumerate_trees(n)]
-                  + [t for w in range(1, 4) for t in labeled_trees_of_weight(w)]
-                  + [bplus(u) for u in labeled_forests_up_to_weight(3)])
-_pairing_forests = ([strip_root(t) for t in _pairing_trees]
-                    + [u for n in range(4) for u in enumerate_forests(n)])
-
-
-def _lincombs(pool):
-    return st.lists(st.tuples(st.sampled_from(pool), st.integers(-3, 3)),
-                    max_size=6).map(LinComb)
-
-
 def test_labeled_roots_pair_with_nothing():
     # the attachment basis trees have an unlabeled root
     for t in (leaf(1), leaf(3), bplus(forest(leaf()), 2), bplus(forest(leaf(1), leaf(2)), 1)):
         u = strip_root(t)
         assert ck_gl_pairing(t, u) == 0
-        assert pair_gl_ck(t, u) == 0
-    assert pair_gl_ck(leaf(), EMPTY_FOREST) == 1
-    assert pair_gl_ck(bplus(forest(leaf(1))), forest(leaf(1))) == 1
-
-
-@given(_lincombs(_pairing_trees), _lincombs(_pairing_forests))
-def test_pairing_lookup_matches_the_scan(x, y):
-    scan = Fraction(0)
-    for t, c1 in x.items():
-        for v, c2 in y.items():
-            scan += c1 * c2 * ck_gl_pairing(t, v)
-    assert pair_gl_ck(x, y) == scan
+    assert ck_gl_pairing(leaf(), EMPTY_FOREST) == 1
+    assert ck_gl_pairing(bplus(forest(leaf(1))), forest(leaf(1))) == 1
 
 
 @given(small_trees, small_trees, small_forests)
 def test_product_coproduct_adjunction(x, y, f):
-    assert pair_gl_ck(gl_product(x, y), f) == _pair_tensor(
+    assert _pair(gl_product(x, y), tf(f)) == _pair_tensor(
         lincomb_tensor(tf(x), tf(y)), coproduct_forest(f))
 
 
 @given(small_trees, small_forests, small_forests)
 def test_coproduct_product_adjunction(x, u, v):
     lhs = _pair_tensor(gl_coproduct(x), lincomb_tensor(tf(u), tf(v)))
-    rhs = pair_gl_ck(x, Forest(u.trees + v.trees))
+    rhs = _pair(tf(x), tf(Forest(u.trees + v.trees)))
     assert lhs == rhs
 
 
@@ -415,10 +376,10 @@ def test_coproduct_product_adjunction(x, u, v):
 
 
 def test_diamond_shuffles_root_branches():
-    a = bbr_parse("<>")
-    b = bbr_parse("<<>>")
+    a = ptree("[[]]")
+    b = ptree("[[[]]]")
     got = planar_diamond(a, b)
-    assert got == tf(bbr_parse("<><<>>")) + tf(bbr_parse("<<>><>"))
+    assert got == tf(ptree("[[],[[]]]")) + tf(ptree("[[[]],[]]"))
 
 
 def _diamond_on_branches(t, s):
@@ -431,14 +392,14 @@ def test_diamond_by_branch_indices_matches_the_branch_table():
     trees = [t for n in range(1, 6) for t in enumerate_planar_trees(n)]
     for a, b in itertools.product(trees, repeat=2):
         assert planar_diamond(a, b) == _diamond_on_branches(a, b), (a, b)
-    repeated = bbr_parse("<><><<>>")
+    repeated = ptree("[[],[],[[]]]")
     assert planar_diamond(repeated, repeated) == _diamond_on_branches(repeated, repeated)
 
 
 def test_diamond_coproduct_deconcatenates_branches():
-    t = bbr_parse("<><>")
+    t = ptree("[[],[]]")
     got = planar_diamond_coproduct(t)
-    one = bbr_parse("<>")
+    one = ptree("[[]]")
     want = (
         tf(Tensor((t, pleaf())))
         + tf(Tensor((one, one)))
@@ -459,10 +420,10 @@ def test_diamond_is_associative(a, b, c):
 
 
 def test_diamond_antipode_reverses_branches_with_a_sign():
-    t = bbr_parse("<><<>>")
+    t = ptree("[[],[[]]]")
     got = planar_diamond_antipode(t)
-    assert got == tf(bbr_parse("<<>><>"))
-    assert planar_diamond_antipode(bbr_parse("<>")) == tf(bbr_parse("<>"), -1)
+    assert got == tf(ptree("[[[]],[]]"))
+    assert planar_diamond_antipode(ptree("[[]]")) == tf(ptree("[[]]"), -1)
 
 
 @given(small_planar_trees)
@@ -487,11 +448,11 @@ def _diamond_antipode_by_recursion(t):
 
 def test_diamond_antipode_closed_form_matches_recursion():
     trees = [t for n in range(1, 7) for t in enumerate_planar_trees(n)]
-    trees.append(parse_tree("[f1,[f2],f3,[[],[]]]", planar=True))
+    trees.append(ptree("[f1,[f2],f3,[[],[]]]"))
     for t in trees:
         assert planar_diamond_antipode(t) == _diamond_antipode_by_recursion(t), t
     with pytest.raises(ValueError, match="branch-shuffle antipode needs an unlabeled root"):
-        planar_diamond_antipode(parse_tree("f1[[]]", planar=True))
+        planar_diamond_antipode(ptree("f1[[]]"))
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +460,9 @@ def test_diamond_antipode_closed_form_matches_recursion():
 
 
 def test_foissy_coproduct_keeps_branch_order():
-    p = pbplus(forest_mul(PlanarForest((pleaf(),)), PlanarForest((pleaf(),))))
-    got = ck_coproduct(PlanarForest((p,)))
-    pl2 = pbplus(PlanarForest((pleaf(),)))
+    p = bplus(forest_mul(PlanarForest((pleaf(),)), PlanarForest((pleaf(),))), None, PlanarTree)
+    got = coproduct_forest(PlanarForest((p,)))
+    pl2 = bplus(PlanarForest((pleaf(),)), None, PlanarTree)
     want = (
         tf(Tensor((PlanarForest((p,)), EMPTY_PLANAR_FOREST)))
         + tf(Tensor((EMPTY_PLANAR_FOREST, PlanarForest((p,)))))
@@ -513,23 +474,21 @@ def test_foissy_coproduct_keeps_branch_order():
 
 def test_foissy_single_vertex():
     v = PlanarForest((pleaf(),))
-    got = ck_coproduct(v)
+    got = coproduct_forest(v)
     assert got == tf(Tensor((v, EMPTY_PLANAR_FOREST))) + tf(
         Tensor((EMPTY_PLANAR_FOREST, v)))
-    assert ck_counit(EMPTY_PLANAR_FOREST) == 1
-    assert ck_counit(v) == 0
 
 
 @given(small_planar_forests)
 def test_foissy_coproduct_is_coassociative(u):
-    d = ck_coproduct(u)
-    assert splice_at(d, 0, ck_coproduct) == splice_at(d, 1, ck_coproduct)
+    d = coproduct_forest(u)
+    assert splice_at(d, 0, coproduct_forest) == splice_at(d, 1, coproduct_forest)
 
 
 @given(small_planar_forests)
 def test_foissy_antipode_convolution_law(u):
     total = LinComb.zero()
-    for ten, c in ck_coproduct(u).items():
+    for ten, c in coproduct_forest(u).items():
         a, b = ten.parts
         for s, c2 in ck_antipode(a).items():
             total = total + ck_product(s, b).scale(c * c2)
@@ -550,12 +509,20 @@ def test_forgetting_order_maps_the_ordered_structure_onto_the_unordered_one():
     for n in range(6):
         for u in enumerate_planar_forests(n):
             v = forget_order_forest(u)
-            assert ck_coproduct(u).map_basis(forget_tensor) == coproduct_forest(v)
+            assert coproduct_forest(u).map_basis(forget_tensor) == coproduct_forest(v)
             assert ck_antipode(u).map_basis(forget_order_forest) == ck_antipode(v)
 
 
 # ---------------------------------------------------------------------------
 # the universal lift through a one-cocycle
+
+def ck_target(labels=(None,)):
+    """Forests with the cut coproduct and L_a = B+_a; the lift is the identity."""
+    def make(a):
+        return lambda x: x.map_basis(lambda u: Forest((bplus(u, a),)))
+
+    return CocycleTarget(unit=LinComb.term(EMPTY_FOREST), product=ck_product,
+                         coproduct=coproduct_forest, cocycles={a: make(a) for a in labels})
 
 
 def test_lift_into_forests_is_the_identity():

@@ -16,8 +16,6 @@ from hopftrees.trees import (
     PlanarForest,
     PlanarTree,
     RootedTree,
-    bbr_parse,
-    bbr_print,
     bplus,
     canonicalize,
     enumerate_forests,
@@ -32,7 +30,6 @@ from hopftrees.trees import (
     labeled_ladder,
     labeled_trees_of_weight,
     ladder,
-    pbplus,
     leaf,
     MAX_LINEAR_EXTENSIONS,
     extension_count,
@@ -335,19 +332,6 @@ def test_labeled_forest_strings_round_trip(u):
     assert parse_forest(str(u)) == u
 
 
-def test_bbr_base_cases():
-    assert bbr_parse("") == pleaf()
-    two = bbr_parse("<>")
-    assert canonicalize(two) == ladder(2)
-    assert canonicalize(bbr_parse("<><>")) == CHERRY
-
-
-def test_bbr_round_trip():
-    for n in range(1, 6):
-        for t in enumerate_planar_trees(n):
-            assert bbr_parse(bbr_print(t)) == t
-
-
 def test_planar_tree_counts_are_catalan():
     assert [len(enumerate_planar_trees(n)) for n in range(1, 6)] == [1, 1, 2, 5, 14]
 
@@ -373,14 +357,17 @@ def test_planar_variants_of_symmetric_trees_collapse():
     assert len(planar_variants(bplus(forest(ladder(2), leaf())))) == 2
 
 
-def test_bbr_refuses_deep_nesting():
-    with pytest.raises(ParseError, match="nested deeper than"):
-        bbr_parse("<" * 3000 + ">" * 3000)
+def test_parse_tree_refuses_deep_nesting():
+    for planar in (False, True):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_PARSE_DEPTH} "
+                                             f"levels at offset {MAX_PARSE_DEPTH}"):
+            parse_tree("[" * 3000 + "]" * 3000, planar)
 
 
-def test_bbr_round_trips_at_the_depth_limit():
-    text = "<" * MAX_PARSE_DEPTH + ">" * MAX_PARSE_DEPTH
-    assert bbr_print(bbr_parse(text)) == text
+def test_parse_tree_round_trips_at_the_depth_limit():
+    text = "[" * MAX_PARSE_DEPTH + "]" * MAX_PARSE_DEPTH
+    for planar in (False, True):
+        assert str(parse_tree(text, planar)) == text
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +481,8 @@ def test_forest_class_of_each_tree_class():
 
 def test_planar_builders_are_the_plain_ones_on_planar_trees():
     assert pleaf(2) == PlanarTree(2, ())
-    assert pbplus(PlanarForest((pleaf(1), pleaf())), 3) == PlanarTree(3, (pleaf(1), pleaf()))
+    assert (bplus(PlanarForest((pleaf(1), pleaf())), 3, PlanarTree)
+            == PlanarTree(3, (pleaf(1), pleaf())))
     assert planar_ladder(3) == PlanarTree(None, (PlanarTree(None, (pleaf(),)),))
     assert canonicalize(planar_ladder(4)) == ladder(4)
     assert planar_ladder(0) == planar_ladder(1) == pleaf()

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopftrees import clear_caches, words
-from hopftrees.algebra import LinComb, ParseError, Tensor, recursive_antipode, splice_at
+from hopftrees.algebra import LinComb, ParseError, Tensor, recursive_antipode
 from hopftrees.words import (
     ADDITIVE,
     EMPTY_WORD,
@@ -19,8 +19,6 @@ from hopftrees.words import (
     compositions,
     concat,
     deconcat,
-    dual_delta,
-    dual_word_str,
     hoffman_psi,
     hoffman_tau,
     lie_bracket,
@@ -31,14 +29,13 @@ from hopftrees.words import (
     tau_star,
     word,
     word_antipode,
-    word_counit,
     words_of_weight,
     words_up_to_weight,
 )
 from hopftrees.lyndon_hall import lyndon_generate
 from hopftrees.morphisms import pi, qsym_product
 from hopftrees.trees import parse_forest
-from oracles import is_lie_polynomial
+from oracles import dual_delta, is_lie_polynomial, splice_at
 
 small_words = st.sampled_from(words_up_to_weight(4))
 pairings = st.sampled_from([ZERO, ADDITIVE])
@@ -53,7 +50,6 @@ def test_word_basics():
     assert w.weight == 3
     assert str(w) == "f1.f2"
     assert str(EMPTY_WORD) == "1"
-    assert dual_word_str(w) == "f1.f2*"
 
 
 def test_words_of_weight_come_in_sort_key_order():
@@ -124,10 +120,6 @@ def test_deconcat_lists_prefix_splits():
 def test_deconcat_is_coassociative(w):
     d = deconcat(w)
     assert splice_at(d, 0, deconcat) == splice_at(d, 1, deconcat)
-
-
-def test_counit_picks_the_empty_coefficient():
-    assert word_counit(LinComb.term(EMPTY_WORD, 3) + lc((1,))) == 3
 
 
 def test_antipode_small_cases():
@@ -252,8 +244,9 @@ def test_lie_bracket_and_primitivity():
 
 @given(small_words, small_words)
 def test_concat_then_counit(u, v):
+    # the counit, the coefficient of the empty word, is multiplicative
     w = concat(u, v)
-    assert word_counit(w) == (1 if u == EMPTY_WORD and v == EMPTY_WORD else 0)
+    assert w.coeff(EMPTY_WORD) == (1 if u == EMPTY_WORD and v == EMPTY_WORD else 0)
 
 
 @given(st.lists(st.integers(1, 40), max_size=8).map(Word))
