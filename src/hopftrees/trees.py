@@ -47,7 +47,7 @@ class _Tree:
     whether the given child order is kept, the repr tag, and the forest
     class that holds their trees. Immutable."""
 
-    __slots__ = ("label", "children", "size", "weight", "_key", "_hash")
+    __slots__ = ("label", "children", "size", "weight", "_fully_labeled", "_key", "_hash")
 
     def __new__(cls, label: int | None = None, children: Iterable[_Tree] = ()):
         if label is not None and (type(label) is not int or label < 1):
@@ -64,6 +64,7 @@ class _Tree:
             self.children = kids
             self.size = 1 + sum(t.size for t in kids)
             self.weight = (label or 0) + sum(t.weight for t in kids)
+            self._fully_labeled = label is not None and all(t._fully_labeled for t in kids)
             self._key = (self.size, label or 0, tuple(t._key for t in kids))
             self._hash = hash((cls.__name__, label, kids))
             _INTERN_CACHE[key] = self
@@ -85,7 +86,7 @@ class _Tree:
         return self._hash
 
     def is_fully_labeled(self) -> bool:
-        return self.label is not None and all(c.is_fully_labeled() for c in self.children)
+        return self._fully_labeled
 
     def is_unlabeled(self) -> bool:
         return self.label is None and all(c.is_unlabeled() for c in self.children)
@@ -107,7 +108,7 @@ class _Forest:
     forest class as its forest_class is refused with a TypeError, checked
     only when the contents are not interned yet."""
 
-    __slots__ = ("trees", "size", "weight", "_key", "_hash")
+    __slots__ = ("trees", "size", "weight", "_fully_labeled", "_key", "_hash")
 
     def __new__(cls, trees: Iterable[_Tree] = ()):
         try:
@@ -124,6 +125,7 @@ class _Forest:
             self.trees = ts
             self.size = sum(t.size for t in ts)
             self.weight = sum(t.weight for t in ts)
+            self._fully_labeled = all(t._fully_labeled for t in ts)
             self._key = (self.size, tuple(t._key for t in ts))
             self._hash = hash((cls.__name__, ts))
             _INTERN_CACHE[key] = self
@@ -148,7 +150,7 @@ class _Forest:
         return len(self.trees)
 
     def is_fully_labeled(self) -> bool:
-        return all(t.is_fully_labeled() for t in self.trees)
+        return self._fully_labeled
 
     def is_unlabeled(self) -> bool:
         return all(t.is_unlabeled() for t in self.trees)

@@ -3,8 +3,10 @@ the tests check two ways: the cut coproduct by admissible cuts, the
 attachment coproduct by subsets of root branches, the convolution logarithm
 by convolution powers, Lie elements by primitivity, the Hopf-axiom sides as
 whole LinCombs (``splice_at``), the GL/CK duality as a pairing of basis
-elements (``ck_gl_pairing``), and the coproduct of the concatenation dual
-read off each word (``dual_delta``)."""
+elements (``ck_gl_pairing``) and as a scan of every triple with its
+position (``product_vs_coproduct_scan``, ``coproduct_vs_product_scan``),
+and the coproduct of the concatenation dual read off each word
+(``dual_delta``)."""
 
 import itertools
 from fractions import Fraction
@@ -13,7 +15,7 @@ from math import prod
 
 from hopftrees.algebra import LinComb, Tensor, linear_map
 from hopftrees.tree_hopf import ck_gl_dual, coproduct_forest
-from hopftrees.trees import EMPTY_FOREST, Forest, RootedTree
+from hopftrees.trees import EMPTY_FOREST, Forest, RootedTree, bplus, forest_mul, sym_order
 from hopftrees.words import ADDITIVE, EMPTY_WORD, ZERO, Word
 
 
@@ -97,6 +99,54 @@ def ck_gl_pairing(t, v):
     (0 on a labeled root)."""
     u, s = ck_gl_dual(t)
     return s if u == v else 0
+
+
+def product_vs_coproduct_scan(trees, forests, product):
+    """<x o y, f> = <x (x) y, cop f> at every (x, y, f), o being product,
+    each side one coefficient lookup: only B+_a(f), a the root label of y,
+    pairs with f on the left, and only strip(x) (x) strip(y) with x (x) y on
+    the right.  Returns the number of triples that agree before the first
+    failure, and that failure (None if every triple agrees)."""
+    n = 0
+    for d, fs in enumerate(forests):
+        syms = [sym_order(f) for f in fs]
+        cops = [coproduct_forest(f) for f in fs]
+        for d1 in range(d + 1):
+            for x in trees[d1]:
+                ux, sx = ck_gl_dual(x)
+                for y in trees[d - d1]:
+                    uy, sy = ck_gl_dual(y)
+                    p = product(x, y)
+                    key, sxy = Tensor((ux, uy)), sx * sy
+                    for f, sf, df in zip(fs, syms, cops):
+                        a, b = p.coeff(bplus(f, y.label)), df.coeff(key)
+                        if (a or b) and a * sf != b * sxy:
+                            return n, (f"x={x}, y={y}, f={f}: <x o y, f> = {a * sf}, "
+                                       f"<x (x) y, cop f> = {b * sxy}")
+                        n += 1
+    return n, None
+
+
+def coproduct_vs_product_scan(trees, forests, coproduct):
+    """<cop x, u (x) v> = <x, uv> at every (x, u, v), cop being coproduct,
+    each side one coefficient lookup: only B+_a(u) (x) B+_a(v), a the root
+    label of x, pairs with u (x) v on the left, and x only with strip(x) on
+    the right.  Returns as product_vs_coproduct_scan does."""
+    n = 0
+    for d in range(len(forests)):
+        pairs = [(u, v, sym_order(u) * sym_order(v), forest_mul(u, v))
+                 for d1 in range(d + 1) for u in forests[d1] for v in forests[d - d1]]
+        for x in trees[d]:
+            ux, sx = ck_gl_dual(x)
+            dx = coproduct(x)
+            for u, v, suv, uv in pairs:
+                a = dx.coeff(Tensor((bplus(u, x.label), bplus(v, x.label))))
+                rhs = sx if uv == ux else 0
+                if (a or rhs) and a * suv != rhs:
+                    return n, (f"x={x}, u={u}, v={v}: <cop x, u (x) v> = {a * suv}, "
+                               f"<x, uv> = {rhs}")
+                n += 1
+    return n, None
 
 
 @linear_map

@@ -23,7 +23,6 @@ from hopftrees.linsolve import exact_rank
 from hopftrees.lyndon_hall import (
     hall_axiom_report,
     hall_forests,
-    hall_set,
     hall_tree_of_lyndon,
     lyndon_generate,
     pbw_element,

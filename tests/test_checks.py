@@ -3,6 +3,7 @@ the Hopf-axiom, duality, pi-kernel and prop53 suites (with its Hall-axiom
 rows), and the Hopf axioms of every algebra in the registry."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,13 @@ from hopftrees.algebra import LinComb, Tensor
 from hopftrees.checks import CheckRow, suite_duality, suite_pi_kernel, suite_prop53
 from hopftrees.tree_hopf import (ck_antipode, ck_product, coproduct_forest, gl_coproduct,
                                  gl_product)
-from hopftrees.trees import (EMPTY_FOREST, bplus, enumerate_forests,
+from hopftrees.trees import (EMPTY_FOREST, RootedTree, bplus, enumerate_forests,
                              enumerate_planar_forests, enumerate_planar_trees,
                              enumerate_trees, forest, forest_mul,
-                             labeled_forests_of_weight, leaf)
+                             labeled_forests_of_weight, ladder, leaf)
 from hopftrees.words import word, words_up_to_weight
-from oracles import ck_gl_pairing, splice_at
+from oracles import (ck_gl_pairing, coproduct_vs_product_scan, product_vs_coproduct_scan,
+                     splice_at)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +134,86 @@ def test_broken_coproduct_names_the_counterexample(monkeypatch):
         "first failure at pairing 0: x=[], u=I, v=I: "
         "<cop x, u (x) v> = 0, <x, uv> = 1")
     assert rows["duality/unlabeled-product-vs-coproduct"].passed is True
+
+
+# ---------------------------------------------------------------------------
+# the support route reports what the triple scan reports
+
+
+def _drop_first_product_term(x, y):
+    p = gl_product(x, y)
+    if len(p) < 2:
+        return p
+    t, c = p.sorted_items()[0]
+    return p - LinComb.term(t, c)
+
+
+def _drop_first_coproduct_term(x):
+    d = gl_coproduct(x)
+    t, c = d.sorted_items()[0]
+    return d - LinComb.term(t, c)
+
+
+def _over_a_ladder(label, trees):
+    """The tree with this root label over one ladder of every vertex label
+    of trees, or None when trees is empty."""
+    def labels(t):
+        return [t.label] + [a for c in t.children for a in labels(c)]
+
+    below = [a for t in trees for a in labels(t)]
+    return RootedTree(label, (ladder(len(below), below),)) if below else None
+
+
+def _add_a_ladder_product_term(x, y):
+    # a term of x o y that is not there: the ladder over all non-root vertices
+    p = gl_product(x, y)
+    extra = _over_a_ladder(y.label, x.children + y.children)
+    return p if extra is None or p.coeff(extra) else p + LinComb.term(extra)
+
+
+def _add_a_ladder_coproduct_term(x):
+    # a split of x that is not there: the ladder over its branches (x) its root
+    d = gl_coproduct(x)
+    top = _over_a_ladder(x.label, x.children)
+    extra = top and Tensor((top, leaf(x.label)))
+    return d if extra is None or d.coeff(extra) else d + LinComb.term(extra)
+
+
+KERNELS = {
+    "exact": (gl_product, gl_coproduct),
+    "dropped-term": (_drop_first_product_term, _drop_first_coproduct_term),
+    "spurious-term": (_add_a_ladder_product_term, _add_a_ladder_coproduct_term),
+}
+
+
+def _duality_bases(labeled, max_degree):
+    if labeled:
+        return ([[bplus(f) for f in labeled_forests_of_weight(d)] for d in range(max_degree + 1)],
+                [labeled_forests_of_weight(d) for d in range(max_degree + 1)])
+    return ([enumerate_trees(d + 1) for d in range(max_degree + 1)],
+            [enumerate_forests(d) for d in range(max_degree + 1)])
+
+
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_the_support_route_reports_what_the_triple_scan_reports(monkeypatch, kernel, labeled):
+    product, coproduct = KERNELS[kernel]
+    monkeypatch.setattr(checks, "gl_product", product)
+    monkeypatch.setattr(checks, "gl_coproduct", coproduct)
+    trees, forests = _duality_bases(labeled, 4)
+    got = [checks._product_vs_coproduct(trees, forests),
+           checks._coproduct_vs_product(trees, forests)]
+    assert got == [product_vs_coproduct_scan(trees, forests, product),
+                   coproduct_vs_product_scan(trees, forests, coproduct)]
+    failures = [failure for _, failure in got]
+    if kernel == "exact":
+        assert failures == [None, None]
+    else:
+        assert None not in failures
+    if kernel == "spurious-term":
+        # the left side is nonzero at a triple whose right side is 0
+        assert all(failure.endswith(" = 0") and "> = 0," not in failure
+                   for failure in failures)
 
 
 def test_a_pi_that_drops_a_term_is_named(monkeypatch):
@@ -319,6 +401,34 @@ def test_the_rows_equal_the_splicing_route_on_every_registry_basis(name):
     alg = checks.ALGEBRAS[name]
     args = (name, REGISTRY_BASES[name], alg.coproduct, alg.antipode, alg.product, alg.unit)
     assert checks._hopf_rows(*args) == _hopf_rows_by_splicing(*args)
+
+
+@pytest.mark.parametrize("name", sorted(checks.ALGEBRAS))
+def test_the_rows_call_each_kernel_once_per_distinct_argument(name):
+    # cop and antipode once per basis element, product once per split and side
+    alg, basis = checks.ALGEBRAS[name], REGISTRY_BASES[name]
+    cops, antipodes, products = Counter(), Counter(), []
+
+    def cop(u):
+        cops[u] += 1
+        return alg.coproduct(u)
+
+    def antipode(u):
+        antipodes[u] += 1
+        return alg.antipode(u)
+
+    def product(a, b):
+        products.append((a, b))
+        return alg.product(a, b)
+
+    rows = checks._hopf_rows(name, basis, cop, antipode, product, alg.unit)
+    assert rows == checks._hopf_rows(name, basis, alg.coproduct, alg.antipode, alg.product,
+                                     alg.unit)
+    splits = [t.parts for u in basis for t, _ in alg.coproduct(u).items()]
+    parts = {x for split in splits for x in split}
+    assert set(cops.values()) == set(antipodes.values()) == {1}
+    assert set(cops) == set(basis) | parts and set(antipodes) == parts
+    assert len(products) == 2 * len(set(splits))
 
 
 def test_qsym_with_the_shuffle_antipode_fails_only_its_antipode_row():

@@ -12,7 +12,6 @@ from hopftrees.algebra import LinComb
 from hopftrees.linsolve import exact_rank, span_solver
 from hopftrees.lyndon_hall import (
     HallForest,
-    HallTree,
     alpha_key,
     expand_shuffle_monomial,
     foliage_word,

@@ -51,7 +51,7 @@ from hopftrees.trees import (
     pleaf,
     strip_root,
 )
-from hopftrees.words import EMPTY_WORD, ZERO, _shuffle_table, concat, deconcat, word
+from hopftrees.words import EMPTY_WORD, ZERO, _shuffle_table, deconcat
 from hopftrees.morphisms import pi
 from oracles import ck_gl_pairing, cut_coproduct_tree, gl_coproduct_by_masks, splice_at
 

@@ -92,6 +92,15 @@ def test_bplus_carries_the_label():
     assert str(t) == "f2[f1]"
 
 
+@pytest.mark.parametrize("text, planar, expected", [
+    ("f1", False, True), ("[]", False, False), ("f2[f1,f3[f1]]", False, True),
+    ("f2[f1,f3[[]]]", False, False), ("[f1,f2]", True, False), ("f1[f2] f3", True, True),
+    ("f1 []", False, False), ("I", False, True)])
+def test_is_fully_labeled_reads_every_vertex(text, planar, expected):
+    x = (parse_forest if " " in text or text == "I" else parse_tree)(text, planar=planar)
+    assert x.is_fully_labeled() is expected
+
+
 @given(unlabeled_trees)
 def test_strip_root_inverts_bplus(t):
     assert bplus(strip_root(t)) == RootedTree(None, t.children)
