@@ -1,10 +1,16 @@
 """Print the truncated singular frame next to its Hall representation.
 
 Usage: python3 scripts/frame_report.py --max-weight 4
+
+The report ends with the prop53 check, so it runs up to that suite's
+ceiling, checks.MAX_WEIGHTS["prop53"]; above it, it prints one error line
+on stderr and exits 1.
 """
 
 import argparse
+import sys
 
+from hopftrees.checks import MAX_WEIGHTS
 from hopftrees.cli import _max_weight
 from hopftrees.lyndon_hall import hall_polynomial
 from hopftrees.morphisms import eword_str
@@ -16,6 +22,9 @@ def main() -> None:
     ap.add_argument("--max-weight", type=_max_weight, default=4)
     args = ap.parse_args()
     n = args.max_weight
+    ceiling = MAX_WEIGHTS["prop53"]
+    if n > ceiling:
+        sys.exit(f"error: frame_report.py runs up to --max-weight {ceiling}, got {n}")
 
     print(f"frame series through weight {n}")
     for line in frame_series(n).iter_lines():

@@ -23,17 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate, islice
+from itertools import islice
 from math import lcm, prod
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .algebra import LinComb, Scalar, as_fraction
 from .lyndon_hall import hall_polynomial, hall_set
-from .morphisms import _eword_text
 from .tree_hopf import char_log
 from .trees import Forest, RootedTree, subtree_product, sym_order
-from .words import EMPTY_WORD, Word, _letter_texts, compositions, words_of_weight
+from .words import EMPTY_WORD, Word, words_of_weight
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +48,6 @@ class UnivariatePoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c: Scalar) -> "UnivariatePoly":
-        return cls((c,))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UnivariatePoly) and self.coeffs == other.coeffs
@@ -201,8 +196,8 @@ _JSON_BATCH = 1024
 @dataclass(frozen=True)
 class FrameSeries:
     """The frame series through max_weight.  Its text and JSON are written
-    straight from the composition rows, and streamed by ``iter_lines`` and
-    ``json_chunks``."""
+    straight from the rows of one depth-first walk over the words, and
+    streamed by ``iter_lines`` and ``json_chunks``."""
 
     max_weight: int
 
@@ -213,9 +208,10 @@ class FrameSeries:
         time, then the closing brackets.  Only one batch of term texts is
         held at once."""
         yield f'{{"max_weight":{self.max_weight},"terms":['
-        terms = (f'{{"word":[{",".join(_letter_texts(c))}],"coeff":"{_coeff_text(d)}",'
-                 f'"v_pow":{sum(c)},"z_pow":-{len(c)}}}'
-                 for c, d in _frame_rows(self.max_weight))
+        letters = range(self.max_weight + 1)
+        rows = _frame_rows(self.max_weight, [f"{a}," for a in letters], list(map(str, letters)))
+        terms = (f'{{"word":[{text}],"coeff":"{_coeff_text(d)}","v_pow":{n},"z_pow":-{k}}}'
+                 for text, n, k, d in rows)
         sep = ""
         while batch := list(islice(terms, _JSON_BATCH)):
             yield sep + ",".join(batch)
@@ -224,17 +220,42 @@ class FrameSeries:
 
     def iter_lines(self) -> Iterator[str]:
         """Each term's text line, in series order, one at a time."""
-        for c, d in _frame_rows(self.max_weight):
-            yield f"{_coeff_text(d)} * {_eword_text(c)} v^{sum(c)} z^-{len(c)}"
+        pieces = [f"e(-{a})" for a in range(self.max_weight + 1)]
+        for text, n, k, d in _frame_rows(self.max_weight, pieces, pieces):
+            yield f"{_coeff_text(d)} * {text} v^{n} z^-{k}"
 
 
-def _frame_rows(max_weight: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each word of weight 1..max_weight as its letters, in series order
-    (weight, then length, then lexicographic), with the product of its
-    partial letter sums: the word's coefficient is 1 over that product."""
+def _frame_rows(max_weight: int, pieces: Sequence[str],
+                last_pieces: Sequence[str]) -> Iterator[tuple[str, int, int, int]]:
+    """Each word of weight 1..max_weight in series order (weight, then
+    length, then lexicographic) as (text, weight, length, product of its
+    partial letter sums); the word's coefficient is 1 over that product.
+    A word's text is pieces[a] for each letter a but the last, then
+    last_pieces[b] for its last letter b.
+
+    For each weight n and length k the prefixes are extended depth first
+    from a stack of (text, sum, partial-sum product, letters left), with
+    the smallest next letter on top, so the words come out in
+    lexicographic order and each prefix's text and product are built once
+    for all its extensions.  The last letter is n minus the prefix sum and
+    the last partial sum is n, so a prefix with two letters left yields
+    its words straight from a loop over the next letter.
+    """
     for n in range(1, max_weight + 1):
-        for c in compositions(n):
-            yield c, prod(accumulate(c))
+        yield last_pieces[n], n, 1, n
+        for k in range(2, n + 1):
+            stack = [("", 0, 1, k)]
+            while stack:
+                text, total, denom, left = stack.pop()
+                if left == 2:
+                    denom *= n
+                    for a in range(1, n - total):
+                        s = total + a
+                        yield text + pieces[a] + last_pieces[n - s], n, k, denom * s
+                else:
+                    for a in range(n - total - left + 1, 0, -1):
+                        s = total + a
+                        stack.append((text + pieces[a], s, denom * s, left - 1))
 
 
 def _coeff_text(denominator: int) -> str:

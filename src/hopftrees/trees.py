@@ -88,9 +88,6 @@ class _Tree:
     def is_fully_labeled(self) -> bool:
         return self._fully_labeled
 
-    def is_unlabeled(self) -> bool:
-        return self.label is None and all(c.is_unlabeled() for c in self.children)
-
     def __str__(self) -> str:
         prefix = f"f{self.label}" if self.label is not None else ""
         if not self.children:
@@ -151,9 +148,6 @@ class _Forest:
 
     def is_fully_labeled(self) -> bool:
         return self._fully_labeled
-
-    def is_unlabeled(self) -> bool:
-        return all(t.is_unlabeled() for t in self.trees)
 
     def __str__(self) -> str:
         if not self.trees:

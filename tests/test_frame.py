@@ -75,7 +75,7 @@ def test_poly_drops_trailing_zeros():
 
 
 def test_poly_const_and_eval():
-    p = UnivariatePoly.const(Fraction(3, 2))
+    p = UnivariatePoly((Fraction(3, 2),))
     assert p.eval(7) == Fraction(3, 2)
     q = UnivariatePoly((1, 2, 3))  # 1 + 2x + 3x^2
     assert q.eval(2) == 17
@@ -400,10 +400,14 @@ def _word_route(max_weight):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_frame_rows_match_the_word_route(n):
-    # the one row source both streams read: each word's letters, in series
-    # order, with 1 over its coefficient
+    # the one row source both streams read: each word in series order, as
+    # its text from the given per-letter pieces, its weight, its length
+    # and 1 over its coefficient
     terms, _, _ = _word_route(n)
-    assert list(_frame_rows(n)) == [(w.letters, 1 / c) for w, c in terms]
+    pieces = [f"{a}." for a in range(n + 1)]
+    last_pieces = [f"{a}" for a in range(n + 1)]
+    assert list(_frame_rows(n, pieces, last_pieces)) == [
+        (".".join(map(str, w.letters)), w.weight, len(w), 1 / c) for w, c in terms]
 
 
 def test_frame_json_peak_memory_stays_within_eight_times_its_length():
@@ -416,7 +420,7 @@ def test_frame_json_peak_memory_stays_within_eight_times_its_length():
     assert peak <= 8 * len(text), (peak, len(text))
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_frame_streams_match_the_word_route(n):
     _, text, lines = _word_route(n)
     s = frame_series(n)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from hopftrees.checks import MAX_WEIGHTS
+
 ROOT = Path(__file__).parents[1]
 
 
@@ -30,6 +32,15 @@ def test_frame_report_through_weight_4():
     proc = run_script("frame_report.py", "--max-weight", "4")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "exp(sum) reproduces the series word-by-word: True"
+
+
+def test_frame_report_refuses_a_weight_above_the_prop53_ceiling():
+    n = MAX_WEIGHTS["prop53"] + 1
+    proc = run_script("frame_report.py", "--max-weight", str(n))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: frame_report.py runs up to --max-weight {n - 1}, got {n}"]
 
 
 @pytest.mark.parametrize("name", ["dimension_table.py", "frame_report.py"])
