@@ -23,7 +23,7 @@ from .tree_hopf import (CocycleLawError, CocycleTarget, char_log, ck_antipode,
 from .trees import (EMPTY_FOREST, EMPTY_PLANAR_FOREST, Forest, PlanarForest,
                     PlanarTree, RootedTree, bplus, enumerate_forests,
                     enumerate_trees, forest, forest_mul, graft, labeled_ladder,
-                    ladder, leaf, linear_extensions, parse_forest, parse_tree,
+                    ladder, leaf, parse_forest, parse_tree,
                     strip_root, sym_order)
 from .words import (ADDITIVE, EMPTY_WORD, ZERO, Word, concat, deconcat,
                     hoffman_psi, hoffman_tau, lie_bracket, parse_word,

@@ -1,6 +1,6 @@
 """Exact scalars, sparse linear combinations, tensors and the antipode
-recursion shared by the cut and attachment Hopf algebras (the word and
-branch-shuffle antipodes have closed forms).
+recursion of the attachment Hopf algebra (the cut antipode reads its tree
+splits directly; the word and branch-shuffle antipodes have closed forms).
 
 Every algebraic object in this package is a finite formal sum of canonical
 basis elements (trees, forests, words, tensors, ...) with exact rational

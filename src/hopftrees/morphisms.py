@@ -22,37 +22,63 @@ from __future__ import annotations
 from itertools import chain
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
 from .algebra import LinComb, ParseError, Scalar, Tensor, _read_positive, linear_map
 from .linsolve import span_solver
 from .trees import (EMPTY_FOREST, Forest, PlanarForest, PlanarTree,
-                    RootedTree, _multisets, bplus, extension_count, forest,
+                    RootedTree, _by_key, _multisets, bplus, extension_count, forest,
                     graft, ladder, labeled_forests_up_to_weight, labeled_ladder, leaf,
-                    linear_extensions, enumerate_trees, planar_ladder,
-                    planar_variants, forget_order_forest, sym_order)
+                    enumerate_trees, planar_ladder, planar_variants, forget_order_forest,
+                    sym_order)
 from .tree_hopf import gl_product, gl_unit
-from .words import (ADDITIVE, EMPTY_WORD, Word, _letter_texts, compositions_of_length,
-                    quasi_shuffle, word, word_antipode, words_of_weight)
+from .words import (ADDITIVE, EMPTY_WORD, Word, _letter_texts, _word_lincomb,
+                    compositions_of_length, quasi_shuffle, word, word_antipode, words_of_weight)
 
 
 # ---------------------------------------------------------------------------
 # the linear-extension morphism pi
 
-@linear_map
-def pi(u: Forest) -> LinComb:
-    """Sum of the words read along all linear extensions of the forest.
+# The most linear extensions pi sums over, counted before summing (f1 ... f8
+# has 40,320; nine leaves 362,880).  Kept so that pi refuses exactly what it
+# refused when it listed every extension; bounding the recursion's own cost
+# instead would change what pi refuses, and is a separate decision.
+MAX_LINEAR_EXTENSIONS = 1_000_000
 
-    pi keeps no memo.  Memoizing the images of the eight large forests of
-    one perfbench requests pass took 10.7 MB (tracemalloc), and with every
-    sub-forest's image, as a recursion on the root read last keeps them,
-    21-29 MB, against that workload's 73 MB peak RSS.  A caller that reads
-    one image many times keeps it itself, as checks.suite_pi_kernel does
-    for one suite call.
+
+def pi(x: LinComb | Forest) -> LinComb:
+    """Sum of the words read along all linear extensions of each forest.
+
+    Every vertex precedes its parent, so a word of u ends with the root
+    letter of one of u's trees t_i, and pi(u) is the sum over tree
+    positions i of pi(u - t_i + branches of t_i).label(t_i): equal trees
+    count once each.  The recursion sums letter tuples with int counts,
+    keyed by sorted tuples of trees, in a memo shared by the terms of x
+    for this call only, and builds each distinct Word once.
     """
-    return LinComb((w, 1) for w in linear_extensions(u))
+    @cache
+    def letter_counts(trees: tuple[RootedTree, ...]) -> dict[tuple[int, ...], int]:
+        if not trees:
+            return {(): 1}
+        out: dict[tuple[int, ...], int] = {}
+        for i, t in enumerate(trees):
+            rest = tuple(sorted(trees[:i] + trees[i + 1:] + t.children, key=_by_key))
+            for letters, count in letter_counts(rest).items():
+                key = letters + (t.label,)
+                out[key] = out.get(key, 0) + count
+        return out
+
+    def on_forest(u: Forest) -> LinComb:
+        if not u.is_fully_labeled():
+            raise ValueError(f"linear extensions need a fully labeled forest, got {u}")
+        if extension_count(u) > MAX_LINEAR_EXTENSIONS:
+            raise ValueError(f"a forest of {u.size} vertices with more than "
+                             f"{MAX_LINEAR_EXTENSIONS:,} linear extensions is refused")
+        return _word_lincomb(letter_counts(u.trees))
+
+    return linear_map(on_forest)(x)
 
 
 def circ(t: RootedTree, u: Forest | RootedTree) -> Forest:
@@ -371,7 +397,7 @@ def forest_labelings(u: Forest, max_weight: int) -> list[Forest]:
 def rho(u: Forest, max_weight: int) -> LinComb:
     """Unlabeled forests -> words: sum of pi over distinct labelings of
     weight <= max_weight."""
-    return LinComb.sum(pi(v) for v in forest_labelings(u, max_weight))
+    return pi(LinComb((v, 1) for v in forest_labelings(u, max_weight)))
 
 
 @linear_map

@@ -129,8 +129,7 @@ def alphaU_extension_sum() -> Callable[[Forest], Scalar]:
         A(u) = (sum over the trees t of u of A(u - t + branches of t)) / weight(u),
 
     the sum running over tree positions, so that equal trees count once
-    each, as linear_extensions counts them.  The memo lives as long as the
-    returned callable.
+    each, as pi counts them.  The memo lives as long as the returned callable.
     """
     @cache
     def extension_sum(u: Forest) -> Scalar:

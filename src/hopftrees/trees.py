@@ -28,7 +28,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import ParseError, _read_positive
-from .words import Word, _word, compositions
+from .words import Word, compositions
 
 
 # The canonical order of trees and forests, for sorting.
@@ -279,24 +279,6 @@ def _multiplicities(trees: Sequence[RootedTree]) -> list[tuple[RootedTree, int]]
 # ---------------------------------------------------------------------------
 # linear extensions
 
-@lru_cache(maxsize=None)
-def _extensions_increasing(trees: tuple[RootedTree, ...]) -> tuple[tuple[int, ...], ...]:
-    """Vertex labels in increasing poset order (roots first), all extensions."""
-    if not trees:
-        return ((),)
-    out = []
-    for i, t in enumerate(trees):
-        rest = trees[:i] + trees[i + 1:] + t.children
-        for tail in _extensions_increasing(tuple(sorted(rest, key=_by_key))):
-            out.append((t.label,) + tail)
-    return tuple(out)
-
-
-# The most linear extensions linear_extensions lists; larger forests are
-# refused before enumerating (f1 ... f8 has 40,320; nine leaves 362,880).
-MAX_LINEAR_EXTENSIONS = 1_000_000
-
-
 def subtree_product(t: _Tree, measure: Callable[[_Tree], int]) -> int:
     """The product over the vertices v of t of measure(T_v), T_v the
     subtree at v."""
@@ -315,21 +297,6 @@ def extension_count(u: Forest) -> int:
     vol. 3, 5.1.4, ex. 20)."""
     size = attrgetter("size")
     return factorial(u.size) // prod(subtree_product(t, size) for t in u.trees)
-
-
-def linear_extensions(u: Forest) -> tuple[Word, ...]:
-    """Words of the total orders extending u's vertex order, greatest first.
-
-    Every vertex precedes its parent, so each tree's root letter comes last.
-    Extensions are counted with multiplicity: equal trees contribute equal
-    words once per choice.
-    """
-    if not u.is_fully_labeled():
-        raise ValueError(f"linear extensions need a fully labeled forest, got {u}")
-    if extension_count(u) > MAX_LINEAR_EXTENSIONS:
-        raise ValueError(f"a forest of {u.size} vertices with more than "
-                         f"{MAX_LINEAR_EXTENSIONS:,} linear extensions is refused")
-    return tuple(_word(seq[::-1]) for seq in _extensions_increasing(u.trees))
 
 
 # ---------------------------------------------------------------------------

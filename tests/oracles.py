@@ -5,18 +5,21 @@ by convolution powers, Lie elements by primitivity, the Hopf-axiom sides as
 whole LinCombs (``splice_at``), the GL/CK duality as a pairing of basis
 elements (``ck_gl_pairing``) and as a scan of every triple with its
 position (``product_vs_coproduct_scan``, ``coproduct_vs_product_scan``),
-and the coproduct of the concatenation dual read off each word
-(``dual_delta``)."""
+the coproduct of the concatenation dual read off each word
+(``dual_delta``), and pi's words listed one linear extension at a time
+(``linear_extensions``)."""
 
 import itertools
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import prod
 
 from hopftrees.algebra import LinComb, Tensor, linear_map
+from hopftrees.morphisms import MAX_LINEAR_EXTENSIONS
 from hopftrees.tree_hopf import ck_gl_dual, coproduct_forest
-from hopftrees.trees import EMPTY_FOREST, Forest, RootedTree, bplus, forest_mul, sym_order
-from hopftrees.words import ADDITIVE, EMPTY_WORD, ZERO, Word
+from hopftrees.trees import (EMPTY_FOREST, Forest, RootedTree, _by_key, bplus,
+                             extension_count, forest_mul, sym_order)
+from hopftrees.words import ADDITIVE, EMPTY_WORD, ZERO, Word, _word
 
 
 def _cuts(t):
@@ -171,3 +174,31 @@ def dual_delta(w, pairing):
                 grown[key] = grown.get(key, 0) + c
         splits = grown
     return LinComb((Tensor((Word(u), Word(v))), c) for (u, v), c in splits.items())
+
+
+@lru_cache(maxsize=None)
+def _extensions_increasing(trees: tuple[RootedTree, ...]) -> tuple[tuple[int, ...], ...]:
+    """Vertex labels in increasing poset order (roots first), all extensions."""
+    if not trees:
+        return ((),)
+    out = []
+    for i, t in enumerate(trees):
+        rest = trees[:i] + trees[i + 1:] + t.children
+        for tail in _extensions_increasing(tuple(sorted(rest, key=_by_key))):
+            out.append((t.label,) + tail)
+    return tuple(out)
+
+
+def linear_extensions(u: Forest) -> tuple[Word, ...]:
+    """Words of the total orders extending u's vertex order, greatest first.
+
+    Every vertex precedes its parent, so each tree's root letter comes last.
+    Extensions are counted with multiplicity: equal trees contribute equal
+    words once per choice.
+    """
+    if not u.is_fully_labeled():
+        raise ValueError(f"linear extensions need a fully labeled forest, got {u}")
+    if extension_count(u) > MAX_LINEAR_EXTENSIONS:
+        raise ValueError(f"a forest of {u.size} vertices with more than "
+                         f"{MAX_LINEAR_EXTENSIONS:,} linear extensions is refused")
+    return tuple(_word(seq[::-1]) for seq in _extensions_increasing(u.trees))

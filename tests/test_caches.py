@@ -22,7 +22,9 @@ import pytest
 
 import hopftrees
 from hopftrees import cli, trees
+from hopftrees.algebra import LinComb
 from hopftrees.checks import run_suite
+from hopftrees.morphisms import pi
 from hopftrees.trees import (Forest, PlanarForest, PlanarTree, RootedTree, canonicalize,
                              leaf, parse_forest, parse_tree, pleaf)
 
@@ -120,6 +122,20 @@ def test_clear_caches_empties_every_lru_cache_and_the_foliage_cache():
     hopftrees.clear_caches()
     assert {(m, f): getattr(modules[m], f).cache_info().currsize for m, f in names} == {
         key: 0 for key in names}
+
+
+def test_pi_leaves_every_process_wide_memo_and_the_intern_table_unchanged():
+    names = _lru_cached_functions()
+    u = parse_forest("f1[f2,f3] f4[f5] f1[f2,f3] f6")
+    x = LinComb([(u, 1), (parse_forest("f2[f1,f1] f3"), -2)])
+
+    def sizes():
+        return ({(m, f): getattr(getattr(hopftrees, m), f).cache_info().currsize
+                 for m, f in names}, len(trees._INTERN_CACHE))
+
+    before = sizes()
+    assert pi(u) and pi(x)
+    assert sizes() == before
 
 
 def test_output_is_the_same_after_clearing():

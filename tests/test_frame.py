@@ -43,13 +43,12 @@ from hopftrees.trees import (
     labeled_forests_up_to_weight,
     labeled_ladder,
     leaf,
-    linear_extensions,
     parse_forest,
     parse_tree,
     subtree_product,
 )
 from hopftrees.words import EMPTY_WORD, Word, concat, word, words_of_weight
-from oracles import character, forest_log
+from oracles import character, forest_log, linear_extensions
 
 
 def alphaU_word_sum(u):

@@ -16,6 +16,7 @@ from fractions import Fraction
 import hopftrees
 from hopftrees import checks
 from hopftrees.algebra import LinComb, bilinear_map, lincomb_tensor, linear_map
+from hopftrees.morphisms import pi
 from hopftrees.tree_hopf import (ck_product, cocycle_lift, coproduct_forest, gl_antipode,
                                  gl_product, shuffle_target)
 from hopftrees.trees import EMPTY_FOREST, Forest, enumerate_trees, parse_forest, parse_tree
@@ -52,7 +53,6 @@ MAPS = {
     "tree_hopf.planar_diamond_antipode": (trees("[[],[[]]]", "[[[]],[]]", planar=True), ()),
     "words.quasi_shuffle": ((words((1, 2), (3,)), words((2,), (1, 1))), (ZERO,)),
     "words.concat": ((words((1, 2), ()), words((2,), (1, 1))), ()),
-    "morphisms.pi": (forests("f1[f2] f3", "f2[f1,f1]"), ()),
     "morphisms.Aplus": (words((), (2, 1)), ()),
     "morphisms.alpha1": (words((2,), (1, 3)), ()),
     "morphisms.alpha2": (forests("[[]] []", "[[],[[]]]", planar=True), ()),
@@ -118,6 +118,10 @@ def test_the_cocycle_lift_keeps_the_lifting_contract_and_its_memo():
     samples = forests("f1[f2] f3", "f2[f1,f3]")
     check_linear(lift, samples, ())
     assert lift(samples[0]) is lift(samples[0])
+
+
+def test_pi_keeps_the_lifting_contract():
+    check_linear(pi, forests("f1[f2] f3", "f2[f1,f1]"), ())
 
 
 def snapshot(x):

@@ -1,6 +1,9 @@
 """The linear-extension morphism, QSYM, the Zhao homomorphism, and the
 commuting-square checks between the tree and word Hopf algebras."""
 
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +33,7 @@ from hopftrees.morphisms import (
     diagram_check,
     e_basis,
     eword_str,
+    forest_labelings,
     kernel_generators,
     m_lambda,
     parse_composition,
@@ -53,6 +57,7 @@ from hopftrees.trees import (
     PlanarForest,
     PlanarTree,
     bplus,
+    enumerate_forests,
     enumerate_planar_forests,
     forest,
     forget_order_forest,
@@ -60,11 +65,12 @@ from hopftrees.trees import (
     labeled_ladder,
     ladder,
     leaf,
+    parse_forest,
     planar_ladder,
     pleaf,
 )
 from hopftrees.words import EMPTY_WORD, Word, concat, deconcat, shuffle, word, words_of_weight
-from oracles import splice_at
+from oracles import linear_extensions, splice_at
 
 L2 = ladder(2)
 L3 = ladder(3)
@@ -145,6 +151,49 @@ def test_first_kernel_family_hand_expansion():
         - LinComb.term(forest(a, b))
     )
     assert pi(x) == LinComb.zero()
+
+
+def _listed(u):
+    """pi(u) summed from the oracle's list of extension words."""
+    return LinComb((w, 1) for w in linear_extensions(u))
+
+
+# the four large pi shapes of the perfbench requests catalog, on letters 1..8
+LARGE_PI_SHAPES = ("f1[f2,f3] f4 f5[f6] f7 f8", "f1[f2,f3,f4,f5,f6,f7,f8]",
+                   "f1[f2] f3[f4] f5 f6 f7[f8]", "f1[f2,f3] f4[f5,f6] f7 f8")
+
+
+def test_pi_sums_the_listed_extension_words():
+    cases = labeled_forests_up_to_weight(7) + [parse_forest(s) for s in LARGE_PI_SHAPES]
+    for u in cases:
+        assert pi(u) == _listed(u), u
+
+
+def test_pi_merges_equal_words_without_listing_them():
+    nine = forest(*[leaf(1)] * 9)
+    start = time.perf_counter()
+    got = pi(nine)
+    assert time.perf_counter() - start < 0.5
+    assert got == LinComb.term(word(*[1] * 9), 362880)
+
+
+def test_rho_is_pi_of_each_labeling():
+    for n in range(5):
+        for u in enumerate_forests(n):
+            want = LinComb.sum(_listed(v) for v in forest_labelings(u, 6))
+            assert rho(u, 6) == want, u
+
+
+def test_pi_reads_a_deep_ladder():
+    # run in a fresh process, whose stack starts as shallow as the CLI's:
+    # pi recurses once per vertex removed, as the extension lister did
+    code = ("from hopftrees import LinComb, pi\n"
+            "from hopftrees.trees import forest, labeled_ladder\n"
+            "from hopftrees.words import Word\n"
+            "w = Word((1, 2) * 240)\n"
+            "assert pi(forest(labeled_ladder(w))) == LinComb.term(w)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopftrees.algebra import ParseError
+from hopftrees.morphisms import MAX_LINEAR_EXTENSIONS, pi
 from hopftrees.trees import (
     EMPTY_FOREST,
     EMPTY_PLANAR_FOREST,
@@ -31,9 +32,7 @@ from hopftrees.trees import (
     labeled_trees_of_weight,
     ladder,
     leaf,
-    MAX_LINEAR_EXTENSIONS,
     extension_count,
-    linear_extensions,
     parse_forest,
     parse_tree,
     planar_ladder,
@@ -44,7 +43,7 @@ from hopftrees.trees import (
 )
 from hopftrees.trees import _multisets, _trees_upto_key
 from hopftrees.words import word
-from oracles import admissible_cuts
+from oracles import admissible_cuts, linear_extensions
 
 CHERRY = bplus(forest(leaf(), leaf()))
 
@@ -235,7 +234,7 @@ def test_too_many_linear_extensions_are_refused_before_listing():
     eleven = forest(*(leaf(k) for k in range(1, 12)))
     assert extension_count(eleven) == factorial(11)
     with pytest.raises(ValueError, match="more than 1,000,000 linear extensions"):
-        linear_extensions(eleven)
+        pi(eleven)
 
 
 def _labeled_count_oracle(max_weight):

@@ -19,7 +19,6 @@ ALLOWED = {
     ("words.py", "_word_lincomb"),
     ("words.py", "compose_word"),
     ("words.py", "word_antipode"),
-    ("trees.py", "linear_extensions"),
     ("lyndon_hall.py", "lyndon_words"),
 }
 
